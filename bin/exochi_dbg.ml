@@ -33,8 +33,9 @@
 
    builds an N-device platform (default 2), drives a short canned serve
    workload through it — with the optional fault plan installed — and
-   dumps the device table: backend kind and capabilities, per-device
-   circuit-breaker census and per-device fault-stream positions.
+   dumps the device table: each X3K device's geometry and clock, its
+   circuit-breaker census and fault-stream positions, then the IA32
+   master that proxy-executes shreds when no slot is left.
 
    Example:
      printf 'break 2\nrun\nregs\nstep\nrun\noutput\nquit\n' | \
@@ -96,7 +97,7 @@ let device_table ndev fault_spec =
     exit 1
   end;
   let module Serve = Exochi_serving in
-  let module Sb = Exochi_accel.Sequencer_backend in
+  let module Gpu = Exochi_accel.Gpu in
   let module Fault_plan = Exochi_faults.Fault_plan in
   let fault_plan =
     match fault_spec with
@@ -126,38 +127,41 @@ let device_table ndev fault_spec =
   ignore (Serve.Server.run server (Serve.Workload.create spec));
   let chi = Serve.Server.runtime server in
   let platform = Serve.Server.platform server in
+  let gpus = List.init ndev (Exo_platform.gpu_dev platform) in
   Printf.printf "device table: %d device(s), %d shred(s) completed\n" ndev
-    (List.fold_left
-       (fun acc (b : Sb.t) -> acc + b.Sb.shreds_completed ())
-       0
-       (Exochi_core.Exo_platform.all_backends platform));
-  List.iter
-    (fun (b : Sb.t) ->
-      let dev = b.Sb.caps.Sb.bk_dev in
-      Printf.printf "  %s\n" (Sb.describe b);
-      (* the trailing IA32 soft backend has no breaker slice and no
-         fault stream of its own — it is the fallback endpoint *)
-      if b.Sb.caps.Sb.bk_kind = Sb.X3k then begin
-        let closed, opened, half = Chi_runtime.breaker_census chi ~dev in
-        Printf.printf
-          "         breakers: %d closed, %d open, %d half-open; %d shred(s) \
-           done\n"
-          closed opened half
-          (b.Sb.shreds_completed ());
-        let positions =
-          match Exochi_core.Exo_platform.fault_plan_dev platform dev with
-          | None -> "no fault plan"
-          | Some plan ->
-            Fault_plan.all_classes
-            |> List.map2
-                 (fun n c ->
-                   Printf.sprintf "%s:%d" (Fault_plan.class_name c) n)
-                 (Array.to_list (Fault_plan.drawn_counts plan))
-            |> String.concat " "
-        in
-        Printf.printf "         fault stream: %s\n" positions
-      end)
-    (Exochi_core.Exo_platform.all_backends platform)
+    (List.fold_left (fun acc g -> acc + Gpu.shreds_completed g) 0 gpus);
+  let row ~dev ~kind ~eus ~threads ~mhz =
+    Printf.printf "  dev %d  %-9s %3d slots  (%d EU x %d)  %d MHz\n" dev kind
+      (eus * threads) eus threads mhz
+  in
+  List.iteri
+    (fun dev g ->
+      let cfg = Gpu.config g in
+      row ~dev ~kind:"x3k" ~eus:cfg.Gpu.eus ~threads:cfg.Gpu.threads_per_eu
+        ~mhz:cfg.Gpu.clock_mhz;
+      let closed, opened, half = Chi_runtime.breaker_census chi ~dev in
+      Printf.printf
+        "         breakers: %d closed, %d open, %d half-open; %d shred(s) \
+         done\n"
+        closed opened half (Gpu.shreds_completed g);
+      let positions =
+        match Exo_platform.fault_plan_dev platform dev with
+        | None -> "no fault plan"
+        | Some plan ->
+          Fault_plan.all_classes
+          |> List.map2
+               (fun n c -> Printf.sprintf "%s:%d" (Fault_plan.class_name c) n)
+               (Array.to_list (Fault_plan.drawn_counts plan))
+          |> String.concat " "
+      in
+      Printf.printf "         fault stream: %s\n" positions)
+    gpus;
+  (* the IA32 master has no breaker slice and no fault stream of its
+     own — it is the fallback endpoint *)
+  row ~dev:ndev ~kind:"ia32-soft" ~eus:1 ~threads:1
+    ~mhz:
+      (Exochi_util.Timebase.mhz
+         (Exochi_cpu.Machine.clock (Exo_platform.cpu platform)))
 
 let () =
   match Array.to_list Sys.argv with

@@ -123,9 +123,7 @@ type t = {
   mutable busy_cyc : int;
   mutable stall_cyc : int;
   mutable completed : int;
-  mutable sampler_reqs : int;
   mutable last_done : int; (* time the most recent shred finished *)
-  mutable operand_stall_ps : int;
   (* Exo-scope profiler hook: called once per retired instruction with
      the bound program, the pc that issued, and its exact simulated cost
      in ps. Must be pure accumulation — no clock / PRNG / machine state —
@@ -189,14 +187,11 @@ let create ?(config = default_config) ~aspace ~bus ~hooks () =
     busy_cyc = 0;
     stall_cyc = 0;
     completed = 0;
-    sampler_reqs = 0;
     last_done = 0;
-    operand_stall_ps = 0;
     prof = None;
   }
 
 let set_profiler t f = t.prof <- Some f
-let clear_profiler t = t.prof <- None
 
 let config t = t.cfg
 let clock t = t.clock
@@ -280,21 +275,18 @@ let advance_to_ps t ps =
   Array.iter (fun eu -> if eu.now < ps then eu.now <- ps) t.eus
 
 let last_shred_done t = t.last_done
-let operand_stall_ps t = t.operand_stall_ps
 let instructions_retired t = t.retired
 let thread_switches t = t.switches
 let stall_cycles t = t.stall_cyc
 let busy_cycles t = t.busy_cyc
 let cycle_ps t = t.cycle
 let hw_contexts t = t.cfg.eus * t.cfg.threads_per_eu
-let sampler_requests t = t.sampler_reqs
 
 let reset_counters t =
   t.retired <- 0;
   t.switches <- 0;
   t.busy_cyc <- 0;
   t.stall_cyc <- 0;
-  t.sampler_reqs <- 0;
   Cache.reset_stats t.cache;
   Tlb.reset_stats t.gtlb
 
@@ -626,10 +618,7 @@ let exec_instr t eu slot =
     | Some { flag; _ } -> max ready_needed ctx.flag_ready.(flag)
     | None -> ready_needed
   in
-  if ready_needed > eu.now then begin
-    t.operand_stall_ps <- t.operand_stall_ps + (ready_needed - eu.now);
-    Replay ready_needed
-  end
+  if ready_needed > eu.now then Replay ready_needed
   else if
     (match t.cfg.fault_plan with
     | None -> false
@@ -887,7 +876,6 @@ let exec_instr t eu slot =
           (match translate_page t eu (Surface.element_addr s ~x:x0 ~y:y0) with
           | `Stall ps -> Replay ps
           | `Ok _ ->
-            t.sampler_reqs <- t.sampler_reqs + 1;
             let start = max eu.now t.sampler_busy in
             (* throughput: ~2 cycles/lane (four texel fetches + filter
                per lane); latency: 24 cycles *)
@@ -1346,12 +1334,6 @@ let quarantine t ~eu ~slot =
   trace_emit t ~ts:(now_ps t) ~seq:(Trace.Exo { eu; slot }) Trace.Quarantine;
   t.eus.(eu).ctxs.(slot).disabled <- true
 
-let quarantined_slots t =
-  Array.fold_left
-    (fun acc eu ->
-      Array.fold_left (fun a c -> if c.disabled then a + 1 else a) acc eu.ctxs)
-    0 t.eus
-
 let active_slots t =
   Array.fold_left
     (fun acc eu ->
@@ -1364,7 +1346,6 @@ let reinstate t ~eu ~slot =
   ctx.fails <- 0
 
 let slot_completions t ~eu ~slot = t.eus.(eu).ctxs.(slot).completions
-let slot_failures t ~eu ~slot = t.eus.(eu).ctxs.(slot).fails
 
 (* ---- hedged re-dispatch ---- *)
 

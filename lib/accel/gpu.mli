@@ -102,7 +102,6 @@ val clock : t -> Exochi_util.Timebase.clock
 val set_profiler :
   t -> (prog:X3k_ast.program -> pc:int -> cost_ps:int -> unit) -> unit
 
-val clear_profiler : t -> unit
 val cache : t -> Exochi_memory.Cache.t
 val tlb : t -> Exochi_memory.Pte.X3k.t Exochi_memory.Tlb.t
 
@@ -185,8 +184,6 @@ val reap_overdue :
     runtime later calls {!reinstate} (circuit-breaker probation). *)
 val quarantine : t -> eu:int -> slot:int -> unit
 
-val quarantined_slots : t -> int
-
 (** Slots still eligible for dispatch. *)
 val active_slots : t -> int
 
@@ -197,9 +194,6 @@ val reinstate : t -> eu:int -> slot:int -> unit
 (** Shreds this slot has ever retired (includes suppressed hedge
     losers) — the runtime's per-slot health signal. *)
 val slot_completions : t -> eu:int -> slot:int -> int
-
-(** Consecutive watchdog reaps on this slot. *)
-val slot_failures : t -> eu:int -> slot:int -> int
 
 (** {1 Hedged re-dispatch}
 
@@ -255,12 +249,6 @@ val cycle_ps : t -> int
 (** Hardware thread contexts across all EUs ([eus * threads_per_eu]) —
     the concurrency the static-admission cost model divides by. *)
 val hw_contexts : t -> int
-val sampler_requests : t -> int
-
-(** Cumulative picoseconds contexts spent waiting on operands (the
-    scoreboard), summed across all threads — the quantity switch-on-stall
-    multithreading exists to hide. *)
-val operand_stall_ps : t -> int
 val reset_counters : t -> unit
 
 (** {1 Debug access (used by the cross-ISA debugger and tests)} *)

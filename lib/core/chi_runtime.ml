@@ -208,6 +208,21 @@ let charged_flush_naive t ~vaddr ~len =
   t.last_flush_bytes <- t.last_flush_bytes + bytes;
   bytes
 
+(* Flush every input surface completely before any shred launches; the
+   naive policy pays the unoptimised 2 GB/s rate of §5.2. *)
+let flush_inputs t descriptors =
+  let flush =
+    if t.flush_policy = Upfront_naive then charged_flush_naive
+    else charged_flush
+  in
+  List.iter
+    (fun d ->
+      if is_input d then begin
+        let base, len = desc_range d in
+        ignore (flush t ~vaddr:base ~len)
+      end)
+    descriptors
+
 let prewalk_surfaces t surfaces =
   Array.iter
     (fun s ->
@@ -252,32 +267,21 @@ let release_device_surfaces t team =
 
 (* ---- dispatch ---- *)
 
-let enqueue_shreds t ~dev ~lo ~hi ~params =
-  let gpu = Exo_platform.gpu_dev t.platform dev in
-  let cpu = Exo_platform.cpu t.platform in
-  let costs = Exo_platform.costs t.platform in
-  let shreds =
-    List.init (hi - lo) (fun k ->
-        { Gpu.shred_id = lo + k; entry = 0; params = params (lo + k) })
-  in
-  (* batched software enqueue on the IA32 side + one SIGNAL doorbell *)
-  Machine.add_time_ps cpu
-    (costs.Exo_platform.signal_ps
-    + ((hi - lo) * costs.Exo_platform.dispatch_cpu_ps));
-  Exo_platform.sync_gpu_to_cpu t.platform;
-  Gpu.enqueue gpu shreds
+let rec run_devs_until t ~now = function
+  | [] -> ()
+  | d :: rest ->
+    ignore (Gpu.run_until (Exo_platform.gpu_dev t.platform d) now);
+    run_devs_until t ~now rest
 
-(* Pipelined feed for sharded teams. [enqueue_shreds] charges the
-   master for the block's descriptors and then clock-jumps every device
-   over that time ([sync_gpu_to_cpu]), which makes the software enqueue
-   a serial term of the team barrier — harmless for one device (nothing
-   is running yet), but at N devices it caps the speedup at
-   e/(s + e/N). Here devices that already hold work {e execute} through
-   the master's enqueue time instead ([Gpu.run_until] before the clock
-   lift), so the feed overlaps execution and only the first chunk's
-   latency stays serial. Single-device teams keep [enqueue_shreds] and
-   its jump semantics — the bit- and time-identity of the legacy path. *)
-let feed_chunk_overlapped t ~devs ~dev ~lo ~hi ~params =
+(* Batched software enqueue of shreds [lo, hi) on device [dev]: the
+   master pays for the descriptors plus one SIGNAL doorbell, then every
+   device clock is lifted to the doorbell time ([sync_gpu_to_cpu]).
+   Devices in [run] first {e execute} through the master's enqueue time
+   ([Gpu.run_until] before the lift), so a sharded team's feed overlaps
+   execution instead of making the enqueue a serial term of the barrier
+   (which would cap an N-device speedup at e/(s + e/N)). A single-device
+   team passes [~run:[]] — nothing is running yet, so its clocks jump. *)
+let enqueue_shreds t ~run ~dev ~lo ~hi ~params =
   let gpu = Exo_platform.gpu_dev t.platform dev in
   let cpu = Exo_platform.cpu t.platform in
   let costs = Exo_platform.costs t.platform in
@@ -288,11 +292,7 @@ let feed_chunk_overlapped t ~devs ~dev ~lo ~hi ~params =
   Machine.add_time_ps cpu
     (costs.Exo_platform.signal_ps
     + ((hi - lo) * costs.Exo_platform.dispatch_cpu_ps));
-  let now = Machine.now_ps cpu in
-  List.iter
-    (fun d -> ignore (Gpu.run_until (Exo_platform.gpu_dev t.platform d) now))
-    devs;
-  (* lift any still-idle clocks to the doorbell time *)
+  run_devs_until t ~now:(Machine.now_ps cpu) run;
   Exo_platform.sync_gpu_to_cpu t.platform;
   Gpu.enqueue gpu shreds
 
@@ -691,20 +691,8 @@ let parallel t ~prog ~descriptors ~num_threads ~params ?(chunk = 512) ?device
     Gpu.bind gpu ~prog ~surfaces;
     (match (memmodel, t.flush_policy) with
     | Memmodel.Non_cc_shared, (Upfront | Upfront_naive) ->
-      (* flush every input surface completely before any shred launches;
-         the naive variant pays the unoptimised 2 GB/s rate of §5.2 *)
-      let flush =
-        if t.flush_policy = Upfront_naive then charged_flush_naive
-        else charged_flush
-      in
-      List.iter
-        (fun d ->
-          if is_input d then begin
-            let base, len = desc_range d in
-            ignore (flush t ~vaddr:base ~len)
-          end)
-        descriptors;
-      enqueue_shreds t ~dev ~lo:0 ~hi:num_threads ~params
+      flush_inputs t descriptors;
+      enqueue_shreds t ~run:[] ~dev ~lo:0 ~hi:num_threads ~params
     | Memmodel.Non_cc_shared, Interleaved ->
       (* intelligent flushing (§5.2): flush only the chunk of data the next
          batch of shreds consumes, launch them, and keep flushing in
@@ -732,13 +720,13 @@ let parallel t ~prog ~descriptors ~num_threads ~params ?(chunk = 512) ?device
           inputs;
         let lo = c * chunk and hi = min num_threads ((c + 1) * chunk) in
         if hi > lo then begin
-          enqueue_shreds t ~dev ~lo ~hi ~params;
+          enqueue_shreds t ~run:[] ~dev ~lo ~hi ~params;
           (* let the exo-sequencers run while the master keeps flushing *)
           ignore
             (Gpu.run_until gpu (Machine.now_ps (Exo_platform.cpu t.platform)))
         end
       done
-    | _ -> enqueue_shreds t ~dev ~lo:0 ~hi:num_threads ~params);
+    | _ -> enqueue_shreds t ~run:[] ~dev ~lo:0 ~hi:num_threads ~params);
     if not master_nowait then wait t team;
     team
   | devs ->
@@ -768,23 +756,10 @@ let parallel t ~prog ~descriptors ~num_threads ~params ?(chunk = 512) ?device
     List.iter
       (fun d -> Gpu.bind (Exo_platform.gpu_dev t.platform d) ~prog ~surfaces)
       devs;
-    (match memmodel with
-    | Memmodel.Non_cc_shared ->
-      (* sharded dispatch always flushes up front: interleaving chunk
-         flushes with N devices' row blocks would flush shared lines
-         once per device, so Interleaved degrades to Upfront here *)
-      let flush =
-        if t.flush_policy = Upfront_naive then charged_flush_naive
-        else charged_flush
-      in
-      List.iter
-        (fun d ->
-          if is_input d then begin
-            let base, len = desc_range d in
-            ignore (flush t ~vaddr:base ~len)
-          end)
-        descriptors
-    | Memmodel.Cc_shared | Memmodel.Data_copy -> ());
+    (* sharded dispatch always flushes up front: interleaving chunk
+       flushes with N devices' row blocks would flush shared lines once
+       per device, so Interleaved degrades to Upfront here *)
+    if memmodel = Memmodel.Non_cc_shared then flush_inputs t descriptors;
     let nd = List.length devs in
     let blocks =
       List.mapi
@@ -823,7 +798,7 @@ let parallel t ~prog ~descriptors ~num_threads ~params ?(chunk = 512) ?device
           let clo = lo + (c * feed_chunk)
           and chi_ = min hi (lo + ((c + 1) * feed_chunk)) in
           if chi_ > clo then
-            feed_chunk_overlapped t ~devs ~dev:d ~lo:clo ~hi:chi_ ~params)
+            enqueue_shreds t ~run:devs ~dev:d ~lo:clo ~hi:chi_ ~params)
         blocks
     done;
     if not master_nowait then wait t team;

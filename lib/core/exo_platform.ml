@@ -33,10 +33,8 @@ type t = {
   bus : Bus.t; (* device 0's memory link; the CPU also charges here *)
   buses : Bus.t array; (* one private link per X3K device *)
   cpu : Exochi_cpu.Machine.t;
-  cpu_mhz : int;
   devices : int;
   mutable gpus : Exochi_accel.Gpu.t array; (* tied after creation *)
-  mutable backends : Exochi_accel.Sequencer_backend.t array; (* X3K rows *)
   memmodel : Memmodel.config;
   mcosts : Memmodel.costs;
   costs : costs;
@@ -332,10 +330,6 @@ let create ?(frames = 64 * 1024) ?cpu_config ?gpu_config ?(bus_gbps = 8.0)
   in
   let bus = buses.(0) in
   let cpu = Exochi_cpu.Machine.create ?config:cpu_config ~aspace ~bus () in
-  let cpu_mhz =
-    (Option.value cpu_config ~default:Exochi_cpu.Machine.default_config)
-      .Exochi_cpu.Machine.clock_mhz
-  in
   (* one plan drives every layer: an explicit [?fault_plan] wins, else a
      plan carried in [gpu_config] is adopted platform-wide *)
   let gpu_base =
@@ -366,10 +360,8 @@ let create ?(frames = 64 * 1024) ?cpu_config ?gpu_config ?(bus_gbps = 8.0)
       bus;
       buses;
       cpu;
-      cpu_mhz;
       devices;
       gpus = [||];
-      backends = [||];
       memmodel;
       mcosts = model_costs;
       costs;
@@ -413,7 +405,6 @@ let create ?(frames = 64 * 1024) ?cpu_config ?gpu_config ?(bus_gbps = 8.0)
         in
         Exochi_accel.Gpu.create ~config:gpu_cfg ~aspace ~bus:buses.(dev)
           ~hooks:(hooks_for dev) ());
-  t.backends <- Array.map Exochi_accel.Sequencer_backend.of_gpu t.gpus;
   t
 
 let set_shred_done_callback t f =
@@ -429,23 +420,6 @@ let notify_shred_done ?(dev = 0) t sh ~now_ps = t.on_shred_done.(dev) sh ~now_ps
 let sync_gpu_to_cpu t =
   let now = Exochi_cpu.Machine.now_ps t.cpu in
   Array.iter (fun g -> Exochi_accel.Gpu.advance_to_ps g now) t.gpus
-
-(* ---- the device set as Sequencer_backend values ---- *)
-
-let backend t ~dev = t.backends.(dev)
-
-(* X3K devices in index order, then the IA32 master as a
-   capability-limited soft backend — "just another sequencer" for the
-   device table and the graceful-degradation path. *)
-let all_backends t =
-  Array.to_list t.backends
-  @ [
-      Exochi_accel.Sequencer_backend.ia32_soft ~dev:t.devices
-        ~clock_mhz:t.cpu_mhz
-        ~now_ps:(fun () -> Exochi_cpu.Machine.now_ps t.cpu)
-        ~emulate:(fun sh -> Exochi_accel.Gpu.emulate_shred (gpu t) sh)
-        ~notify:(fun sh ~now_ps -> notify_shred_done t sh ~now_ps);
-    ]
 
 (* Snapshot the memory-system counters into the trace as Chrome counter
    samples — typically called once at the end of a run, before export. *)

@@ -94,16 +94,6 @@ val gpu : t -> Exochi_accel.Gpu.t
 val devices : t -> int
 val gpu_dev : t -> int -> Exochi_accel.Gpu.t
 
-(** Device [dev] as a {!Exochi_accel.Sequencer_backend.t} value (built
-    once at platform creation; pure delegation). *)
-val backend : t -> dev:int -> Exochi_accel.Sequencer_backend.t
-
-(** Every backend in the platform: the X3K devices in index order
-    followed by the IA32 master as a capability-limited soft backend
-    (the graceful-degradation endpoint, listed as just another
-    sequencer). *)
-val all_backends : t -> Exochi_accel.Sequencer_backend.t list
-
 (** Device [dev]'s fault stream ([fault_plan_dev t 0 == fault_plan t]). *)
 val fault_plan_dev : t -> int -> Exochi_faults.Fault_plan.t option
 

@@ -105,9 +105,7 @@ type t = {
   (* recovery verification: the journaled completion sequence the redo
      must reproduce (job id + fault-stream positions, in order) *)
   expect : (int * int array) Queue.t option;
-  (* device placement, present only on a multi-device platform — the
-     single-device server keeps the historical one-batch dispatch path *)
-  plc : Placement.t option;
+  plc : Placement.t; (* batch -> device; device 0 with one device *)
 }
 
 let create ?(config = default_config) ?fault_plan ?trace ?journal ?expect ()
@@ -163,10 +161,7 @@ let create ?(config = default_config) ?fault_plan ?trace ?journal ?expect ()
         let q = Queue.create () in
         List.iter (fun e -> Queue.add e q) l;
         Some q);
-    plc =
-      (if config.devices > 1 then
-         Some (Placement.create ~devices:config.devices ~policy:config.placement)
-       else None);
+    plc = Placement.create ~devices:config.devices ~policy:config.placement;
   }
 
 let config t = t.cfg
@@ -187,13 +182,10 @@ let breakers_open t =
 let devices t = Platform.devices t.platform
 
 (* Per-device placement/health row: (dev, outstanding shreds,
-   outstanding batches, open breakers, half-open breakers). Device 0
-   with zero load on a single-device server. *)
+   outstanding batches, open breakers, half-open breakers). *)
 let device_snapshot t =
   Array.init (devices t) (fun d ->
-      let shreds, batches =
-        match t.plc with Some p -> Placement.load p ~dev:d | None -> (0, 0)
-      in
+      let shreds, batches = Placement.load t.plc ~dev:d in
       let _, opened, half = Chi.breaker_census t.rt ~dev:d in
       (d, shreds, batches, opened, half))
 
@@ -656,51 +648,10 @@ let requeue_jobs t ~on_shed jobs =
       end)
     jobs
 
-let dispatch_batch t ~on_done ~on_shed (b : Batcher.batch) =
-  let arena =
-    match find_arena t b.Batcher.kernel with
-    | Some a -> a
-    | None -> assert false (* admission materialised it *)
-  in
-  let njobs = List.length b.Batcher.jobs in
-  let id = t.batch_seq in
-  t.batch_seq <- t.batch_seq + 1;
-  emit_ev t
-    (Trace.Batch_dispatch { batch = id; jobs = njobs; shreds = b.Batcher.shreds });
-  Server_stats.record_batch t.coll ~jobs:njobs ~shreds:b.Batcher.shreds;
-  let params i = arena.a_unit_params (i mod arena.a_units) in
-  match
-    Chi.parallel t.rt ~prog:arena.a_prog ~descriptors:arena.a_descriptors
-      ~num_threads:b.Batcher.shreds ~params ~master_nowait:false ()
-  with
-  | (_ : Chi.team) ->
-    guard_verify t arena ~batch:id ~shreds:b.Batcher.shreds;
-    let done_ps = now_ps t in
-    let drawn = drawn_counts t in
-    List.iter
-      (fun (j : Job.t) ->
-        Hashtbl.remove t.attempts j.Job.id;
-        Server_stats.record_completion t.coll j ~done_ps;
-        verify_expected t j drawn;
-        journal_rec t (Serve_journal.Done { job = j.Job.id; done_ps; drawn });
-        emit_ev t
-          (Trace.Job_done
-             { job = j.Job.id; tenant = j.Job.tenant;
-               latency_ps = done_ps - j.Job.submit_ps });
-        on_done j)
-      b.Batcher.jobs
-  | exception Gpu.Stuck _ ->
-    (* the self-healing dispatcher gave up on this team: clear the work
-       queue and keep the jobs *)
-    ignore (Gpu.drain_queue (Platform.gpu t.platform));
-    requeue_jobs t ~on_shed b.Batcher.jobs
-
-(* ---- multi-device dispatch (placement layer) ---- *)
-
 (* Launch one batch, pinned to the device the placement layer picks
    (biased away from devices with open breakers), without waiting —
    concurrently launched batches overlap on different devices. *)
-let launch_batch t plc (b : Batcher.batch) =
+let launch_batch t (b : Batcher.batch) =
   let arena =
     match find_arena t b.Batcher.kernel with
     | Some a -> a
@@ -714,7 +665,7 @@ let launch_batch t plc (b : Batcher.batch) =
     (32 * opened) + (8 * half)
   in
   let dev =
-    Placement.place plc ~penalty ~kernel:b.Batcher.kernel
+    Placement.place t.plc ~penalty ~kernel:b.Batcher.kernel
       ~shreds:b.Batcher.shreds
   in
   emit_ev ~dev t
@@ -730,10 +681,10 @@ let launch_batch t plc (b : Batcher.batch) =
 
 (* Finish a launched batch: barrier (which supervises recovery across
    the whole device set), guard verification, completion records. *)
-let finish_batch t plc ~on_done ~on_shed (id, b, arena, dev, team) =
+let finish_batch t ~on_done ~on_shed (id, b, arena, dev, team) =
   match Chi.wait t.rt team with
   | () ->
-    Placement.release plc ~dev ~shreds:b.Batcher.shreds;
+    Placement.release t.plc ~dev ~shreds:b.Batcher.shreds;
     guard_verify t arena ~batch:id ~shreds:b.Batcher.shreds;
     let done_ps = now_ps t in
     let drawn = drawn_counts t in
@@ -750,7 +701,9 @@ let finish_batch t plc ~on_done ~on_shed (id, b, arena, dev, team) =
         on_done j)
       b.Batcher.jobs
   | exception Gpu.Stuck _ ->
-    Placement.release plc ~dev ~shreds:b.Batcher.shreds;
+    (* the self-healing dispatcher gave up on this team: clear the work
+       queue and keep the jobs *)
+    Placement.release t.plc ~dev ~shreds:b.Batcher.shreds;
     ignore (Gpu.drain_queue (Platform.gpu_dev t.platform dev));
     requeue_jobs t ~on_shed b.Batcher.jobs
 
@@ -758,40 +711,27 @@ let nop (_ : Job.t) = ()
 
 let dispatch_cycle t ?(on_done = nop) ?(on_shed = nop) () =
   Server_stats.sample_depth t.coll (queue_depth t);
-  match t.plc with
-  | None ->
-    (* single device: the historical one-batch synchronous cycle *)
+  (* select and launch up to one batch per device, then finish them in
+     launch order — the first wait drains every device, so the teams
+     genuinely overlap in simulated time *)
+  let launched = ref [] in
+  let nlaunched = ref 0 in
+  let had_expired = ref false in
+  let continue_ = ref true in
+  while !continue_ && !nlaunched < devices t do
     let expired, batch =
       Batcher.select t.cfg.batch t.tenants ~now_ps:(now_ps t)
     in
+    if expired <> [] then had_expired := true;
     shed_expired t ~on_shed expired;
-    (match batch with
-    | None -> expired <> []
+    match batch with
+    | None -> continue_ := false
     | Some b ->
-      dispatch_batch t ~on_done ~on_shed b;
-      true)
-  | Some plc ->
-    (* select and launch up to one batch per device, then finish them
-       in launch order — the first wait drains every device, so the
-       teams genuinely overlap in simulated time *)
-    let launched = ref [] in
-    let nlaunched = ref 0 in
-    let had_expired = ref false in
-    let continue_ = ref true in
-    while !continue_ && !nlaunched < devices t do
-      let expired, batch =
-        Batcher.select t.cfg.batch t.tenants ~now_ps:(now_ps t)
-      in
-      if expired <> [] then had_expired := true;
-      shed_expired t ~on_shed expired;
-      match batch with
-      | None -> continue_ := false
-      | Some b ->
-        launched := launch_batch t plc b :: !launched;
-        incr nlaunched
-    done;
-    List.iter (finish_batch t plc ~on_done ~on_shed) (List.rev !launched);
-    !nlaunched > 0 || !had_expired
+      launched := launch_batch t b :: !launched;
+      incr nlaunched
+  done;
+  List.iter (finish_batch t ~on_done ~on_shed) (List.rev !launched);
+  !nlaunched > 0 || !had_expired
 
 let drain t =
   while queue_depth t > 0 do

@@ -66,13 +66,10 @@ type config = {
           program at build time; bounds and admission use the optimized
           code. Default [O0]. *)
   devices : int;
-      (** X3K devices in the platform's device set (default 1). With
-          [devices > 1] each dispatch cycle launches up to one batch per
-          device — pinned by the {!Placement} layer and overlapped in
-          simulated time — and the server-wide backlog budget scales
-          with the set. [devices = 1] keeps the historical single-batch
-          synchronous dispatch, bit-identical to the pre-device-set
-          server. *)
+      (** X3K devices in the platform's device set (default 1). Each
+          dispatch cycle launches up to one batch per device — pinned by
+          the {!Placement} layer and overlapped in simulated time — and
+          the server-wide backlog budget scales with the set. *)
   placement : Placement.policy;
       (** batch -> device policy (multi-device only); default
           [Least_loaded] *)
@@ -148,9 +145,10 @@ val make_job :
 val submit : t -> Job.t -> (unit, Job.shed_reason) result
 
 (** One dispatch cycle: drop expired queued jobs (shed as
-    [Deadline_expired]), form one batch, run it as one team to the
-    barrier. [on_done]/[on_shed] fire per job (closed-loop generators
-    hook these). Returns [false] when there was nothing to do. *)
+    [Deadline_expired]), form up to one batch per device, launch each as
+    one team on its placed device, then run them all to the barrier.
+    [on_done]/[on_shed] fire per job (closed-loop generators hook
+    these). Returns [false] when there was nothing to do. *)
 val dispatch_cycle :
   t -> ?on_done:(Job.t -> unit) -> ?on_shed:(Job.t -> unit) -> unit -> bool
 

@@ -1,9 +1,9 @@
-(* Exo-fabric: pluggable sequencer backends and multi-device sharded
-   execution.
+(* Exo-fabric: multi-device sharded execution.
 
-   The load-bearing invariants of the device-set refactor:
-   - devices:1 through the device-set machinery is bit- and
-     time-identical to the historical single-device path;
+   The load-bearing invariants of the device set:
+   - simulated times, recovery counters, serve stats and journals match
+     recorded values at 1, 2 and 4 devices, so devices:1 stays time-
+     identical to the legacy single-device runtime;
    - a sharded team produces byte-identical output surfaces at any
      device count (row-disjoint writes into the shared aspace);
    - per-device trace events partition the event set;
@@ -14,8 +14,6 @@
 open Exochi_memory
 open Exochi_core
 open Exochi_isa
-module Gpu = Exochi_accel.Gpu
-module Sb = Exochi_accel.Sequencer_backend
 module Trace = Exochi_obs.Trace
 module Fault_plan = Exochi_faults.Fault_plan
 module Kernel = Exochi_kernels.Kernel
@@ -84,35 +82,138 @@ let test_sharded_outputs_identical () =
   check_bool "2-device output byte-identical to 1-device" true (o1 = o2);
   check_bool "4-device output byte-identical to 1-device" true (o1 = o4)
 
+(* hangs and lost doorbells on every device stream, no GTT corruption *)
+let vadd_fault_plan () =
+  Fault_plan.create ~seed:5L
+    ~rates:{ (Fault_plan.uniform_rates 0.01) with Fault_plan.gtt_corrupt = 0.0 }
+    ()
+
 let test_sharded_under_faults () =
-  (* hangs and lost doorbells on both device streams: the supervised
-     drain must still converge to the exact output, with zero fatality *)
-  let plan () =
-    Fault_plan.create ~seed:5L
-      ~rates:{ (Fault_plan.uniform_rates 0.01) with Fault_plan.gtt_corrupt = 0.0 }
-      ()
-  in
-  let _, o1 = run_vadd ~fault_plan:(plan ()) ~devices:1 () in
-  let rt2, o2 = run_vadd ~fault_plan:(plan ()) ~devices:2 () in
+  (* the supervised drain must still converge to the exact output, with
+     zero fatality *)
+  let _, o1 = run_vadd ~fault_plan:(vadd_fault_plan ()) ~devices:1 () in
+  let rt2, o2 = run_vadd ~fault_plan:(vadd_fault_plan ()) ~devices:2 () in
   check_bool "faulted 2-device output still exact" true (o1 = o2);
   let r = Chi_runtime.recovery rt2 in
   check_int "no fatal faults" 0 r.Chi_runtime.fatal
 
-(* ---- devices:1 is the historical single-device path, exactly ---- *)
+(* ---- pinned identity: devices:1 is time-identical to legacy ---- *)
+
+(* Exact values recorded from the runtime: any change to the dispatch
+   path must reproduce them to the picosecond. Re-record them only for
+   an intended behaviour change, and say why. *)
+
+(* (kernel, memmodel, devices, (time_ps, gpu_busy_ps, gpu_instrs, shreds)),
+   Small scale, 2 frames *)
+let pinned_kernels =
+  let cc = Memmodel.Cc_shared and noncc = Memmodel.Non_cc_shared in
+  [
+    ("SepiaTone", cc, 1, (342567179, 1906728000, 979200, 4800));
+    ("SepiaTone", cc, 2, (155365124, 1906728000, 979200, 4800));
+    ("SepiaTone", cc, 4, (89155719, 1906728000, 979200, 4800));
+    ("SepiaTone", noncc, 1, (492216660, 1906728000, 979200, 4800));
+    ("SepiaTone", noncc, 2, (313517895, 1906728000, 979200, 4800));
+    ("SepiaTone", noncc, 4, (264474790, 1906728000, 979200, 4800));
+    ("LinearFilter", cc, 1, (400527008, 2427180800, 1177600, 6400));
+    ("LinearFilter", cc, 2, (170696951, 2427180800, 1177600, 6400));
+    ("LinearFilter", cc, 4, (91871761, 2427180800, 1177600, 6400));
+    ("LinearFilter", noncc, 1, (464517855, 2427180800, 1177600, 6400));
+    ("LinearFilter", noncc, 2, (241203715, 2427180800, 1177600, 6400));
+    ("LinearFilter", noncc, 4, (179197294, 2427180800, 1177600, 6400));
+    ("AlphaBlend", cc, 1, (1076591650, 1032061500, 321300, 2700));
+    ("AlphaBlend", cc, 2, (528513815, 1032061500, 321300, 2700));
+    ("AlphaBlend", cc, 4, (269774082, 1032061500, 321300, 2700));
+    ("AlphaBlend", noncc, 1, (1144785618, 1032061500, 321300, 2700));
+    ("AlphaBlend", noncc, 2, (604770685, 1032061500, 321300, 2700));
+    ("AlphaBlend", noncc, 4, (362831485, 1032061500, 321300, 2700));
+  ]
+
+(* devices -> the faulted vadd run's recovery counters, in
+   [Chi_runtime.recovery] field order *)
+let pinned_recovery =
+  [ (1, [ 2; 0; 2; 0; 0; 0; 0; 0; 0; 0; 0 ]);
+    (2, [ 4; 0; 4; 0; 0; 0; 0; 0; 0; 0; 0 ]) ]
+
+(* (run, devices, guard, faults, (stats JSON digest, journal digest)) *)
+let pinned_serve =
+  [
+    ("guarded", 1, true, "7:0.02", ("fd11b916faaa4fc1", "d71ffa2fbe332578"));
+    ("guarded", 2, true, "7:0.02", ("ed85433cce736ae6", "acf5eb216aa50782"));
+    ( "legacy-quarantine", 1, false, "3:0.3",
+      ("0e68738482d24bfa", "fe498a3bdb7cefe6") );
+  ]
+
+let recovery_fields (r : Chi_runtime.recovery) =
+  Chi_runtime.
+    [
+      r.redispatches; r.doorbell_redeliveries; r.watchdog_kills;
+      r.quarantined_seqs; r.fallback_shreds; r.fatal; r.hedges; r.hedge_wins;
+      r.cross_hedges; r.breaker_opens; r.breaker_closes;
+    ]
+
+(* A journaled closed-loop serve run; [guard] turns on the same stack as
+   [exochi_serve --guard]. Returns FNV-1a digests of the stats JSON and
+   of the journal file. *)
+let serve_digests ~devices ~guard ~faults =
+  let config =
+    if guard then
+      {
+        Serve.Server.default_config with
+        devices;
+        guard = Some { Serve.Server.g_audit_frac = 0.05 };
+        hedge_after_ps = 300 * 1_000_000;
+        breaker_cooldown_ps = 2000 * 1_000_000;
+      }
+    else { Serve.Server.default_config with devices }
+  in
+  let fault_plan = Result.get_ok (Fault_plan.of_spec faults) in
+  let path = Filename.temp_file "exochi_pinned" ".journal" in
+  let journal =
+    Serve.Serve_journal.start path
+      ~fingerprint:(Serve.Serve_journal.fingerprint [ "pinned"; faults ])
+  in
+  let server = Serve.Server.create ~config ~fault_plan ~journal () in
+  let st =
+    Serve.Server.run server
+      (Serve.Workload.create
+         (Serve.Workload.default_spec ~seed:42L ~tenants:2 ~jobs:60
+            (Serve.Workload.Closed { clients_per_tenant = 2; think_ps = 0 })))
+  in
+  Serve.Serve_journal.close journal;
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  let digest s = Exochi_guard.Checksum.(to_hex (of_string s)) in
+  (digest (Serve.Server_stats.to_json st), digest bytes)
 
 let test_devices_one_identity () =
-  let k = Option.get (Registry.find "SepiaTone") in
-  let legacy = Harness.run ~frames:4 k Kernel.Small in
-  let one = Harness.run ~frames:4 ~devices:1 k Kernel.Small in
-  check_bool "correct" true (legacy.Harness.correct && one.Harness.correct);
-  check_int "time_ps identical" legacy.Harness.time_ps one.Harness.time_ps;
-  check_int "gpu_instrs identical" legacy.Harness.gpu_instrs
-    one.Harness.gpu_instrs;
-  check_int "shreds identical" legacy.Harness.shreds one.Harness.shreds;
-  check_int "thread switches identical" legacy.Harness.thread_switches
-    one.Harness.thread_switches;
-  check_int "gpu busy identical" legacy.Harness.gpu_busy_ps
-    one.Harness.gpu_busy_ps
+  List.iter
+    (fun (abbrev, memmodel, devices, (time_ps, busy_ps, instrs, shreds)) ->
+      let k = Option.get (Registry.find abbrev) in
+      let r = Harness.run ~frames:2 ~memmodel ~devices k Kernel.Small in
+      let label =
+        Printf.sprintf "%s %s %d-dev" abbrev (Memmodel.name memmodel) devices
+      in
+      check_bool (label ^ " correct") true r.Harness.correct;
+      check_int (label ^ " time_ps") time_ps r.Harness.time_ps;
+      check_int (label ^ " gpu_busy_ps") busy_ps r.Harness.gpu_busy_ps;
+      check_int (label ^ " gpu_instrs") instrs r.Harness.gpu_instrs;
+      check_int (label ^ " shreds") shreds r.Harness.shreds)
+    pinned_kernels;
+  List.iter
+    (fun (devices, counters) ->
+      let rt, _ = run_vadd ~fault_plan:(vadd_fault_plan ()) ~devices () in
+      Alcotest.(check (list int))
+        (Printf.sprintf "faulted vadd recovery at %d devices" devices)
+        counters
+        (recovery_fields (Chi_runtime.recovery rt)))
+    pinned_recovery;
+  List.iter
+    (fun (run, devices, guard, faults, digests) ->
+      Alcotest.(check (pair string string))
+        (Printf.sprintf "%s serve at %d devices: stats, journal" run devices)
+        digests
+        (serve_digests ~devices ~guard ~faults))
+    pinned_serve
 
 let test_sharding_speeds_up () =
   let k = Option.get (Registry.find "SepiaTone") in
@@ -254,30 +355,6 @@ let test_journal_topology_fingerprint () =
     | None -> false);
   Sys.remove path
 
-(* ---- backend interface surface ---- *)
-
-let test_backend_table () =
-  let p = Exo_platform.create ~devices:2 () in
-  let backends = Exo_platform.all_backends p in
-  check_int "two X3K devices plus the IA32 soft backend" 3
-    (List.length backends);
-  (match backends with
-  | [ b0; b1; soft ] ->
-    check_bool "device ids in order" true
-      (b0.Sb.caps.Sb.bk_dev = 0 && b1.Sb.caps.Sb.bk_dev = 1);
-    check_bool "X3K kinds" true
-      (b0.Sb.caps.Sb.bk_kind = Sb.X3k && b1.Sb.caps.Sb.bk_kind = Sb.X3k);
-    check_bool "soft backend is the IA32 master" true
-      (soft.Sb.caps.Sb.bk_kind = Sb.Ia32_soft);
-    check_int "soft backend has one slot" 1 (Sb.slots soft.Sb.caps);
-    check_bool "describe names the kind" true
-      (Astring.String.is_infix ~affix:"ia32-soft" (Sb.describe soft))
-  | _ -> Alcotest.fail "unexpected backend list shape");
-  (* the backend view delegates to the same device object *)
-  let b0 = Exo_platform.backend p ~dev:0 in
-  check_int "delegated queue length" (Gpu.queue_length (Exo_platform.gpu_dev p 0))
-    (b0.Sb.queue_length ())
-
 let () =
   Alcotest.run "fabric"
     [
@@ -310,10 +387,5 @@ let () =
             test_multi_device_serve;
           Alcotest.test_case "journal refuses a different topology" `Quick
             test_journal_topology_fingerprint;
-        ] );
-      ( "backends",
-        [
-          Alcotest.test_case "device table and delegation" `Quick
-            test_backend_table;
         ] );
     ]
