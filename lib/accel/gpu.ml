@@ -282,14 +282,6 @@ let busy_cycles t = t.busy_cyc
 let cycle_ps t = t.cycle
 let hw_contexts t = t.cfg.eus * t.cfg.threads_per_eu
 
-let reset_counters t =
-  t.retired <- 0;
-  t.switches <- 0;
-  t.busy_cyc <- 0;
-  t.stall_cyc <- 0;
-  Cache.reset_stats t.cache;
-  Tlb.reset_stats t.gtlb
-
 let flush_cache t =
   let dirty = Cache.flush_all t.cache in
   let bytes = List.length dirty * Cache.line_bytes t.cache in
@@ -301,15 +293,14 @@ let flush_cache t =
 let reg_lane ctx reg lane = ctx.vregs.((reg * 16) + lane)
 let set_reg_lane ctx reg lane v = ctx.vregs.((reg * 16) + lane) <- v
 
-(* Map a logical lane index of an operand to (register, lane-in-reg). *)
-let operand_slot ~width op j =
+(* Index into [vregs] of logical lane [j] of a register operand. *)
+let lane_index ~width op j =
   match op with
-  | Reg r -> (r, j)
+  | Reg r -> (r * 16) + j
   | Range (a, b) ->
-    let count = b - a + 1 in
-    let per = width / count in
-    (a + (j / per), j mod per)
-  | _ -> invalid_arg "operand_slot"
+    let per = width / (b - a + 1) in
+    ((a + (j / per)) * 16) + (j mod per)
+  | _ -> invalid_arg "lane_index"
 
 (* Latest readiness among registers an operand touches. *)
 let operand_ready ctx ~width = function
@@ -330,9 +321,7 @@ let operand_ready ctx ~width = function
 let read_lanes t ctx ~width op =
   match op with
   | Reg _ | Range _ ->
-    Array.init width (fun j ->
-        let r, l = operand_slot ~width op j in
-        reg_lane ctx r l)
+    Array.init width (fun j -> ctx.vregs.(lane_index ~width op j))
   | Imm i -> Array.make width (Lane.wrap32 (Int32.to_int i))
   | Sreg Lane -> Array.init width (fun j -> j)
   | Sreg s ->
@@ -352,22 +341,6 @@ let read_lanes t ctx ~width op =
   | Flag f -> Array.make width ctx.flags.(f)
   | Surf _ | Surf2d _ | Remote _ -> invalid_arg "read_lanes: memory operand"
 
-let write_lanes ctx ~width op lanes ~ready =
-  match op with
-  | Reg _ | Range _ ->
-    for j = 0 to width - 1 do
-      let r, l = operand_slot ~width op j in
-      set_reg_lane ctx r l lanes.(j)
-    done;
-    (match op with
-    | Reg r -> ctx.reg_ready.(r) <- max ctx.reg_ready.(r) ready
-    | Range (a, b) ->
-      for k = a to b do
-        ctx.reg_ready.(k) <- max ctx.reg_ready.(k) ready
-      done
-    | _ -> ())
-  | _ -> invalid_arg "write_lanes"
-
 (* Predication mask for the current instruction: which lanes execute. *)
 let pred_mask ctx ~width = function
   | None -> (1 lsl width) - 1
@@ -376,9 +349,22 @@ let pred_mask ctx ~width = function
     let m = if negate then lnot m else m in
     m land ((1 lsl width) - 1)
 
-let apply_pred ~mask ~width old_lanes new_lanes =
-  Array.init width (fun j ->
-      if (mask lsr j) land 1 = 1 then new_lanes.(j) else old_lanes.(j))
+let all_lanes = -1
+
+(* Write the lanes [mask] enables (the others keep their value); every
+   register the operand names becomes ready at [ready]. *)
+let write_lanes ctx ~width ~mask op lanes ~ready =
+  for j = 0 to width - 1 do
+    if (mask lsr j) land 1 = 1 then
+      ctx.vregs.(lane_index ~width op j) <- lanes.(j)
+  done;
+  match op with
+  | Reg r -> ctx.reg_ready.(r) <- max ctx.reg_ready.(r) ready
+  | Range (a, b) ->
+    for k = a to b do
+      ctx.reg_ready.(k) <- max ctx.reg_ready.(k) ready
+    done
+  | _ -> invalid_arg "write_lanes"
 
 (* ---- memory path ---- *)
 
@@ -515,13 +501,14 @@ let sem_release t sem =
 
 (* ---- sampler ---- *)
 
+let clampi lo hi x = if x < lo then lo else if x > hi then hi else x
+
 (* Bilinear sample of a bpp=1 surface at Q16.16 texel coordinates. *)
 (* 8-bit interpolation fractions: every intermediate fits in a signed
    32-bit register, so the software-emulated IA32 path can reproduce the
    fixed-function result exactly. *)
 let sample_value t s ~u ~v =
   let m = mem t.aspace in
-  let clampi lo hi x = if x < lo then lo else if x > hi then hi else x in
   let xi = u asr 16 and yi = v asr 16 in
   let fx = (u asr 8) land 0xff and fy = (v asr 8) land 0xff in
   let texel x y =
@@ -542,41 +529,13 @@ let sample_value t s ~u ~v =
   let bot = (t01 lsl 8) + ((t11 - t01) * fx) in
   ((top lsl 8) + ((bot - top) * fy) + 32768) asr 16
 
-(* ---- ALU semantics ---- *)
+(* ---- the lane data path ----
 
-let alu_result op dtype a b =
-  match op with
-  | Add -> Lane.add dtype a b
-  | Sub -> Lane.sub dtype a b
-  | Mul -> Lane.mul dtype a b
-  | Min -> Lane.min_ dtype a b
-  | Max -> Lane.max_ dtype a b
-  | Avg -> Lane.avg dtype a b
-  | Shl -> Lane.shl dtype a b
-  | Shr -> Lane.shr dtype a b
-  | Sar -> Lane.sar dtype a b
-  | And -> Lane.and_ a b
-  | Or -> Lane.or_ a b
-  | Xor -> Lane.xor_ a b
-  | Fadd -> Lane.fadd a b
-  | Fsub -> Lane.fsub a b
-  | Fmul -> Lane.fmul a b
-  | Fmin -> Lane.fmin a b
-  | Fmax -> Lane.fmax a b
-  | _ -> invalid_arg "alu_result"
-
-let unary_result op dtype a =
-  match op with
-  | Mov -> Lane.wrap dtype a
-  | Abs -> Lane.abs_ dtype a
-  | Not -> Lane.not_ dtype a
-  | Sat -> Lane.saturate dtype a
-  | Fabs -> Lane.fabs a
-  | Cvtif -> Lane.cvtif a
-  | Cvtfi -> Lane.cvtfi a
-  | _ -> invalid_arg "unary_result"
-
-(* ---- instruction execution ---- *)
+   What an instruction does to registers, flags and memory, written
+   once for the EU pipeline ([exec_instr]) and the IA32 fallback
+   ([emulate_shred]). Each caller keeps only what really differs:
+   readiness, translation, timing and CEH proxying on the EU; page-table
+   translation with fault-in on the fallback. *)
 
 type exec_outcome =
   | Advance (* pc + 1 *)
@@ -585,15 +544,183 @@ type exec_outcome =
   | Finished (* shred ended *)
   | Blocked_sem of int
 
-(* Results bypass to the next instruction (1-cycle effective ALU
-   latency); multiplies and float ops are longer, and memory readiness
-   comes from the cache/bus path. The cycle counts live in [X3k_cost]
-   so the Exo-opt list scheduler plans against the same numbers. *)
-let lat_alu t = Exochi_isa.X3k_cost.alu_latency_cycles * t.cycle
-let lat_mul t = Exochi_isa.X3k_cost.mul_latency_cycles * t.cycle
-let lat_fdiv t = Exochi_isa.X3k_cost.fdiv_latency_cycles * t.cycle
-let lat_fsqrt t = Exochi_isa.X3k_cost.fsqrt_latency_cycles * t.cycle
-let lat_cmp t = Exochi_isa.X3k_cost.cmp_latency_cycles * t.cycle
+(* Source lanes of fdiv/fsqrt/dpadd; fsqrt's second operand is zeros. *)
+let ceh_sources t ctx i =
+  let width = i.width in
+  match i.srcs with
+  | [ a ] -> (read_lanes t ctx ~width a, Array.make width 0)
+  | [ a; b ] -> (read_lanes t ctx ~width a, read_lanes t ctx ~width b)
+  | _ -> invalid_arg "ceh operands"
+
+(* Every instruction that touches only registers, flags and the shred
+   queue; fdiv/fsqrt/dpadd produce their IEEE result, which the EU only
+   asks for when no lane faults. Results issued at [now] become readable
+   [X3k_cost.result_latency_cycles] later (the numbers the Exo-opt
+   scheduler plans against); the fallback passes 0, since nothing reads
+   its scratch context's readiness. *)
+let exec_lanes t ctx i ~now =
+  let width = i.width in
+  let mask = pred_mask ctx ~width i.pred in
+  let ready = now + (Exochi_isa.X3k_cost.result_latency_cycles i * t.cycle) in
+  match (i.op, i.dst, i.srcs) with
+  | (Mac | Fmac), Some dst, [ a; b ] ->
+    (* dst += a * b, in integer or float lanes *)
+    let add, mul =
+      if i.op = Mac then (Lane.binop Add, Lane.binop Mul)
+      else (Lane.binop Fadd, Lane.binop Fmul)
+    in
+    let a = read_lanes t ctx ~width a and b = read_lanes t ctx ~width b in
+    let acc = read_lanes t ctx ~width dst in
+    let res =
+      Array.init width (fun j -> add i.dtype acc.(j) (mul i.dtype a.(j) b.(j)))
+    in
+    write_lanes ctx ~width ~mask dst res ~ready;
+    Advance
+  | Bcast, Some dst, [ a ] ->
+    let v = Lane.unop Bcast i.dtype (read_lanes t ctx ~width a).(0) in
+    write_lanes ctx ~width ~mask dst (Array.make width v) ~ready;
+    Advance
+  | (Fdiv | Fsqrt | Dpadd), Some dst, _ ->
+    let a, b = ceh_sources t ctx i in
+    write_lanes ctx ~width ~mask dst (Lane.ieee i.op a b) ~ready;
+    Advance
+  | Sad, Some dst, [ a; b ] ->
+    let a = read_lanes t ctx ~width a and b = read_lanes t ctx ~width b in
+    let sum = ref 0 in
+    for j = 0 to width - 1 do
+      if (mask lsr j) land 1 = 1 then sum := !sum + abs (a.(j) - b.(j))
+    done;
+    let res = Array.make width 0 in
+    res.(0) <- Lane.wrap32 !sum;
+    write_lanes ctx ~width ~mask:all_lanes dst res ~ready;
+    Advance
+  | Hadd, Some dst, [ a ] ->
+    let a = read_lanes t ctx ~width a in
+    let sum = ref 0 in
+    for j = 0 to width - 1 do
+      if (mask lsr j) land 1 = 1 then sum := !sum + a.(j)
+    done;
+    let res = Array.make width 0 in
+    res.(0) <- Lane.wrap i.dtype !sum;
+    write_lanes ctx ~width ~mask:all_lanes dst res ~ready;
+    Advance
+  | Cmp cond, Some (Flag f), [ a; b ] ->
+    let a = read_lanes t ctx ~width a and b = read_lanes t ctx ~width b in
+    let m = ref 0 in
+    for j = 0 to width - 1 do
+      if Lane.compare_lanes i.dtype cond a.(j) b.(j) then m := !m lor (1 lsl j)
+    done;
+    ctx.flags.(f) <- !m;
+    ctx.flag_ready.(f) <- ready;
+    Advance
+  | Sel, Some dst, [ a; b ] ->
+    let a = read_lanes t ctx ~width a and b = read_lanes t ctx ~width b in
+    let res =
+      Array.init width (fun j ->
+          if (mask lsr j) land 1 = 1 then a.(j) else b.(j))
+    in
+    write_lanes ctx ~width ~mask:all_lanes dst res ~ready;
+    Advance
+  | Br mode, _, [ Flag f; Imm target ] ->
+    let m = ctx.flags.(f) land ((1 lsl width) - 1) in
+    let taken =
+      match mode with
+      | Any -> m <> 0
+      | All -> m = (1 lsl width) - 1
+      | None_set -> m = 0
+    in
+    if taken then Goto (Int32.to_int target) else Advance
+  | Jmp, _, [ Imm target ] -> Goto (Int32.to_int target)
+  | Sendreg, Some (Remote { shred_reg; reg }), [ src ] ->
+    let target_sid = reg_lane ctx shred_reg 0 in
+    let v = read_lanes t ctx ~width src in
+    let delivered = ref false in
+    Array.iter
+      (fun e ->
+        Array.iter
+          (fun c ->
+            match c.shred with
+            | Some sh when sh.shred_id = target_sid && not !delivered ->
+              delivered := true;
+              for j = 0 to width - 1 do
+                set_reg_lane c reg j v.(j)
+              done;
+              c.reg_ready.(reg) <- max c.reg_ready.(reg) (now + (10 * t.cycle))
+            | _ -> ())
+          e.ctxs)
+      t.eus;
+    if not !delivered then begin
+      let cell =
+        match Hashtbl.find_opt t.pending_regs target_sid with
+        | Some c -> c
+        | None ->
+          let c = ref [] in
+          Hashtbl.replace t.pending_regs target_sid c;
+          c
+      in
+      cell := (reg, v) :: !cell
+    end;
+    Advance
+  | Spawn, _, [ Imm target; Reg preg ] ->
+    t.spawn_counter <- t.spawn_counter + 1;
+    let params = Array.init 8 (fun j -> reg_lane ctx preg j) in
+    Queue.add
+      {
+        shred_id = 1_000_000 + t.spawn_counter;
+        entry = Int32.to_int target;
+        params;
+      }
+      t.queue;
+    t.nshred <- t.nshred + 1;
+    Advance
+  | op, Some dst, [ a; b ] ->
+    let f = Lane.binop op in
+    let a = read_lanes t ctx ~width a and b = read_lanes t ctx ~width b in
+    write_lanes ctx ~width ~mask dst
+      (Array.init width (fun j -> f i.dtype a.(j) b.(j)))
+      ~ready;
+    Advance
+  | op, Some dst, [ a ] ->
+    let f = Lane.unop op in
+    let a = read_lanes t ctx ~width a in
+    write_lanes ctx ~width ~mask dst (Array.map (f i.dtype) a) ~ready;
+    Advance
+  | op, _, _ -> invalid_arg ("Gpu: malformed " ^ opcode_name op)
+
+(* The lane loops memory instructions run once their element addresses
+   are translated. *)
+let load_lanes t ctx i paddrs ~ready =
+  let width = i.width in
+  write_lanes ctx ~width ~mask:(pred_mask ctx ~width i.pred) (Option.get i.dst)
+    (Array.init width (fun k -> read_elem t ~paddr:paddrs.(k) ~dtype:i.dtype))
+    ~ready
+
+let store_lanes t ctx i paddrs src =
+  let width = i.width in
+  let mask = pred_mask ctx ~width i.pred in
+  let v = read_lanes t ctx ~width src in
+  for k = 0 to width - 1 do
+    if (mask lsr k) land 1 = 1 then
+      write_elem t ~paddr:paddrs.(k) ~dtype:i.dtype v.(k)
+  done
+
+let sample_lanes t ctx i s ~xreg ~yreg ~ready =
+  let width = i.width in
+  write_lanes ctx ~width ~mask:(pred_mask ctx ~width i.pred) (Option.get i.dst)
+    (Array.init width (fun k ->
+         sample_value t s ~u:(reg_lane ctx xreg k) ~v:(reg_lane ctx yreg k)))
+    ~ready
+
+(* The sampled surface and its footprint's first texel, the one address
+   either path translates before sampling. *)
+let sample_footprint t ctx ~slot ~xreg ~yreg =
+  let s = surface t slot in
+  if s.Surface.bpp <> 1 then invalid_arg "sample: only bpp=1 surfaces";
+  let x0 = clampi 0 (s.Surface.width - 1) (reg_lane ctx xreg 0 asr 16)
+  and y0 = clampi 0 (s.Surface.height - 1) (reg_lane ctx yreg 0 asr 16) in
+  (s, Surface.element_addr s ~x:x0 ~y:y0)
+
+(* ---- the EU pipeline ---- *)
 
 let issue_cycles = Exochi_isa.X3k_cost.issue_cycles
 
@@ -634,370 +761,123 @@ let exec_instr t eu slot =
       (Trace.Fault_injected { cls = "ceh-spurious" });
     Replay (t.hooks.ceh_spurious ~now_ps:eu.now)
   end
-  else begin
-    let mask = pred_mask ctx ~width i.pred in
-    let src n = List.nth i.srcs n in
-    let outcome =
-      match i.op with
-      | Nop -> Advance
-      | Add | Sub | Mul | Min | Max | Avg | Shl | Shr | Sar | And | Or | Xor
-      | Fadd | Fsub | Fmul | Fmin | Fmax ->
-        let a = read_lanes t ctx ~width (src 0) in
-        let bl = read_lanes t ctx ~width (src 1) in
-        let res = Array.init width (fun j -> alu_result i.op i.dtype a.(j) bl.(j)) in
-        let dst = Option.get i.dst in
-        let old = read_lanes t ctx ~width dst in
-        let lat = match i.op with Mul -> lat_mul t | _ -> lat_alu t in
-        write_lanes ctx ~width dst
-          (apply_pred ~mask ~width old res)
-          ~ready:(eu.now + lat);
-        Advance
-      | Mac | Fmac ->
-        let a = read_lanes t ctx ~width (src 0) in
-        let bl = read_lanes t ctx ~width (src 1) in
-        let dst = Option.get i.dst in
-        let acc = read_lanes t ctx ~width dst in
-        let res =
-          Array.init width (fun j ->
-              if i.op = Mac then
-                Lane.add i.dtype acc.(j) (Lane.mul i.dtype a.(j) bl.(j))
-              else Lane.fadd acc.(j) (Lane.fmul a.(j) bl.(j)))
+  else
+    match (i.op, i.dst, i.srcs) with
+    | Nop, _, _ -> Advance
+    | End, _, _ -> Finished
+    | (Fdiv | Fsqrt | Dpadd), Some dst, _ ->
+      let a, bl = ceh_sources t ctx i in
+      if not (Lane.x3k_faults i.op a bl) then exec_lanes t ctx i ~now:eu.now
+      else begin
+        (* collaborative exception handling: proxy the whole
+           instruction to the IA32 sequencer *)
+        let req =
+          { fault_op = i.op; fault_dtype = i.dtype; lane_a = a; lane_b = bl }
         in
-        write_lanes ctx ~width dst
-          (apply_pred ~mask ~width acc res)
-          ~ready:(eu.now + lat_mul t);
+        let emulated, done_ps = t.hooks.ceh req ~now_ps:eu.now in
+        trace_emit t ~ts:done_ps
+          ~seq:(Trace.Exo { eu = eu.eu_id; slot })
+          (Trace.Ceh_writeback { op = opcode_name i.op; lanes = width });
+        write_lanes ctx ~width ~mask:(pred_mask ctx ~width i.pred) dst
+          emulated ~ready:done_ps;
+        ctx.state <- Stalled done_ps;
         Advance
-      | Bcast ->
-        let a = read_lanes t ctx ~width (src 0) in
-        let res = Array.make width (Lane.wrap i.dtype a.(0)) in
-        let dst = Option.get i.dst in
-        let old = read_lanes t ctx ~width dst in
-        write_lanes ctx ~width dst
-          (apply_pred ~mask ~width old res)
-          ~ready:(eu.now + lat_alu t);
-        Advance
-      | Mov | Abs | Not | Sat | Fabs | Cvtif | Cvtfi ->
-        let a = read_lanes t ctx ~width (src 0) in
-        let res = Array.map (unary_result i.op i.dtype) a in
-        let dst = Option.get i.dst in
-        let old = read_lanes t ctx ~width dst in
-        write_lanes ctx ~width dst
-          (apply_pred ~mask ~width old res)
-          ~ready:(eu.now + lat_alu t);
-        Advance
-      | Fdiv | Fsqrt | Dpadd ->
-        let a = read_lanes t ctx ~width (src 0) in
-        let bl =
-          if i.op = Fsqrt then Array.make width 0
-          else read_lanes t ctx ~width (src 1)
-        in
-        let faulted = ref false in
-        let res =
-          Array.init width (fun j ->
-              match i.op with
-              | Fdiv -> (
-                match Lane.fdiv a.(j) bl.(j) with
-                | Ok v -> v
-                | Error `Fault ->
-                  faulted := true;
-                  0)
-              | Fsqrt -> (
-                match Lane.fsqrt a.(j) with
-                | Ok v -> v
-                | Error `Fault ->
-                  faulted := true;
-                  0)
-              | _ ->
-                (* double-precision pair add: not supported natively *)
-                faulted := true;
-                0)
-        in
-        let dst = Option.get i.dst in
-        let old = read_lanes t ctx ~width dst in
-        if !faulted then begin
-          (* collaborative exception handling: proxy the whole
-             instruction to the IA32 sequencer *)
-          let req =
-            { fault_op = i.op; fault_dtype = i.dtype; lane_a = a; lane_b = bl }
-          in
-          let emulated, done_ps = t.hooks.ceh req ~now_ps:eu.now in
-          trace_emit t ~ts:done_ps
-            ~seq:(Trace.Exo { eu = eu.eu_id; slot })
-            (Trace.Ceh_writeback { op = opcode_name i.op; lanes = width });
-          write_lanes ctx ~width dst
-            (apply_pred ~mask ~width old emulated)
-            ~ready:done_ps;
-          ctx.state <- Stalled done_ps;
-          Advance
-        end
-        else begin
-          let lat = if i.op = Fsqrt then lat_fsqrt t else lat_fdiv t in
-          write_lanes ctx ~width dst
-            (apply_pred ~mask ~width old res)
-            ~ready:(eu.now + lat);
-          Advance
-        end
-      | Sad ->
-        let a = read_lanes t ctx ~width (src 0) in
-        let bl = read_lanes t ctx ~width (src 1) in
-        let sum = ref 0 in
-        for j = 0 to width - 1 do
-          if (mask lsr j) land 1 = 1 then
-            sum := !sum + abs (a.(j) - bl.(j))
-        done;
-        let dst = Option.get i.dst in
-        let res = Array.make width 0 in
-        res.(0) <- Lane.wrap32 !sum;
-        write_lanes ctx ~width dst res ~ready:(eu.now + lat_mul t);
-        Advance
-      | Hadd ->
-        let a = read_lanes t ctx ~width (src 0) in
-        let sum = ref 0 in
-        for j = 0 to width - 1 do
-          if (mask lsr j) land 1 = 1 then sum := !sum + a.(j)
-        done;
-        let dst = Option.get i.dst in
-        let res = Array.make width 0 in
-        res.(0) <- Lane.wrap i.dtype !sum;
-        write_lanes ctx ~width dst res ~ready:(eu.now + lat_mul t);
-        Advance
-      | Cmp cond -> (
-        let a = read_lanes t ctx ~width (src 0) in
-        let bl = read_lanes t ctx ~width (src 1) in
-        let m = ref 0 in
-        for j = 0 to width - 1 do
-          if Lane.compare_lanes i.dtype cond a.(j) bl.(j) then
-            m := !m lor (1 lsl j)
-        done;
-        match i.dst with
-        | Some (Flag f) ->
-          ctx.flags.(f) <- !m;
-          ctx.flag_ready.(f) <- eu.now + lat_cmp t;
-          Advance
-        | _ -> invalid_arg "cmp dst")
-      | Sel ->
-        let a = read_lanes t ctx ~width (src 0) in
-        let bl = read_lanes t ctx ~width (src 1) in
-        let dst = Option.get i.dst in
-        let res =
-          Array.init width (fun j ->
-              if (mask lsr j) land 1 = 1 then a.(j) else bl.(j))
-        in
-        write_lanes ctx ~width dst res ~ready:(eu.now + lat_alu t);
-        Advance
-      | Ld -> (
-        let vaddrs = element_vaddrs t ctx ~width (src 0) in
-        match translate_all t eu vaddrs with
-        | `Stall ps -> Replay ps
-        | `Ok paddrs ->
-          let bytes = width * dtype_bytes i.dtype in
-          let done_ps =
-            timed_access t eu ~paddr:paddrs.(0) ~bytes ~write:false
-          in
-          let res =
-            Array.init width (fun k -> read_elem t ~paddr:paddrs.(k) ~dtype:i.dtype)
-          in
-          let dst = Option.get i.dst in
-          let old = read_lanes t ctx ~width dst in
-          write_lanes ctx ~width dst
-            (apply_pred ~mask ~width old res)
-            ~ready:done_ps;
-          Advance)
-      | St -> (
-        let vaddrs = element_vaddrs t ctx ~width (Option.get i.dst) in
-        match translate_all t eu vaddrs with
-        | `Stall ps -> Replay ps
-        | `Ok paddrs ->
-          let v = read_lanes t ctx ~width (src 0) in
-          let bytes = width * dtype_bytes i.dtype in
-          let done_ps = timed_access t eu ~paddr:paddrs.(0) ~bytes ~write:true in
-          for k = 0 to width - 1 do
+      end
+    | Ld, _, [ src ] -> (
+      match translate_all t eu (element_vaddrs t ctx ~width src) with
+      | `Stall ps -> Replay ps
+      | `Ok paddrs ->
+        let bytes = width * dtype_bytes i.dtype in
+        let done_ps = timed_access t eu ~paddr:paddrs.(0) ~bytes ~write:false in
+        load_lanes t ctx i paddrs ~ready:done_ps;
+        Advance)
+    | St, Some dst, [ src ] -> (
+      match translate_all t eu (element_vaddrs t ctx ~width dst) with
+      | `Stall ps -> Replay ps
+      | `Ok paddrs ->
+        let bytes = width * dtype_bytes i.dtype in
+        let done_ps = timed_access t eu ~paddr:paddrs.(0) ~bytes ~write:true in
+        store_lanes t ctx i paddrs src;
+        ctx.store_done <- max ctx.store_done done_ps;
+        Advance)
+    | Gather, _, [ src ] -> (
+      match translate_all t eu (gather_vaddrs t ctx ~width src) with
+      | `Stall ps -> Replay ps
+      | `Ok paddrs ->
+        (* per-lane accesses: charge each distinct line *)
+        let done_ps = ref eu.now in
+        Array.iter
+          (fun pa ->
+            done_ps :=
+              max !done_ps
+                (timed_access t eu ~paddr:pa ~bytes:(dtype_bytes i.dtype)
+                   ~write:false))
+          paddrs;
+        load_lanes t ctx i paddrs ~ready:!done_ps;
+        Advance)
+    | Scatter, Some dst, [ src ] -> (
+      match translate_all t eu (gather_vaddrs t ctx ~width dst) with
+      | `Stall ps -> Replay ps
+      | `Ok paddrs ->
+        let mask = pred_mask ctx ~width i.pred in
+        let done_ps = ref eu.now in
+        Array.iteri
+          (fun k pa ->
             if (mask lsr k) land 1 = 1 then
-              write_elem t ~paddr:paddrs.(k) ~dtype:i.dtype v.(k)
-          done;
-          ctx.store_done <- max ctx.store_done done_ps;
-          Advance)
-      | Gather -> (
-        let vaddrs = gather_vaddrs t ctx ~width (src 0) in
-        match translate_all t eu vaddrs with
-        | `Stall ps -> Replay ps
-        | `Ok paddrs ->
-          (* per-lane accesses: charge each distinct line *)
-          let done_ps = ref eu.now in
-          Array.iter
-            (fun pa ->
               done_ps :=
                 max !done_ps
-                  (timed_access t eu ~paddr:pa
-                     ~bytes:(dtype_bytes i.dtype)
-                     ~write:false))
-            paddrs;
-          let res =
-            Array.init width (fun k -> read_elem t ~paddr:paddrs.(k) ~dtype:i.dtype)
-          in
-          let dst = Option.get i.dst in
-          let old = read_lanes t ctx ~width dst in
-          write_lanes ctx ~width dst
-            (apply_pred ~mask ~width old res)
-            ~ready:!done_ps;
-          Advance)
-      | Scatter -> (
-        let vaddrs = gather_vaddrs t ctx ~width (Option.get i.dst) in
-        match translate_all t eu vaddrs with
-        | `Stall ps -> Replay ps
-        | `Ok paddrs ->
-          let v = read_lanes t ctx ~width (src 0) in
-          let done_ps = ref eu.now in
-          Array.iteri
-            (fun k pa ->
-              if (mask lsr k) land 1 = 1 then begin
-                done_ps :=
-                  max !done_ps
-                    (timed_access t eu ~paddr:pa
-                       ~bytes:(dtype_bytes i.dtype)
-                       ~write:true);
-                write_elem t ~paddr:pa ~dtype:i.dtype v.(k)
-              end)
-            paddrs;
-          ctx.store_done <- max ctx.store_done !done_ps;
-          Advance)
-      | Sample -> (
-        match src 0 with
-        | Surf2d { slot; xreg; yreg } ->
-          let s = surface t slot in
-          if s.Surface.bpp <> 1 then
-            invalid_arg "sample: only bpp=1 surfaces";
-          (* the sampler translates through the same shared TLB; charge
-             one translation for the footprint's first texel *)
-          let u0 = reg_lane ctx xreg 0 and v0 = reg_lane ctx yreg 0 in
-          let clampi lo hi x = if x < lo then lo else if x > hi then hi else x in
-          let x0 = clampi 0 (s.Surface.width - 1) (u0 asr 16)
-          and y0 = clampi 0 (s.Surface.height - 1) (v0 asr 16) in
-          (match translate_page t eu (Surface.element_addr s ~x:x0 ~y:y0) with
-          | `Stall ps -> Replay ps
-          | `Ok _ ->
-            let start = max eu.now t.sampler_busy in
-            (* throughput: ~2 cycles/lane (four texel fetches + filter
-               per lane); latency: 24 cycles *)
-            let occupy = width * 2 * t.cycle in
-            t.sampler_busy <- start + occupy;
-            (* sampler reads 4 texels/lane through the shared cache *)
-            let mem_done = ref start in
-            for k = 0 to width - 1 do
-              let u = reg_lane ctx xreg k and v = reg_lane ctx yreg k in
-              let x = clampi 0 (s.Surface.width - 1) (u asr 16)
-              and y = clampi 0 (s.Surface.height - 1) (v asr 16) in
-              let va = Surface.element_addr s ~x ~y in
-              (match Page_table.translate
-                       (Address_space.page_table t.aspace) ~vaddr:va with
-              | Some pa ->
-                mem_done :=
-                  max !mem_done (timed_access t eu ~paddr:pa ~bytes:4 ~write:false)
-              | None -> ())
-            done;
-            let res =
-              Array.init width (fun k ->
-                  sample_value t s ~u:(reg_lane ctx xreg k) ~v:(reg_lane ctx yreg k))
-            in
-            let dst = Option.get i.dst in
-            let old = read_lanes t ctx ~width dst in
-            let done_ps = max (!mem_done + (24 * t.cycle)) (start + occupy) in
-            write_lanes ctx ~width dst
-              (apply_pred ~mask ~width old res)
-              ~ready:done_ps;
-            Advance)
-        | _ -> invalid_arg "sample operand")
-      | Br mode -> (
-        match i.srcs with
-        | [ Flag f; Imm target ] ->
-          let m = ctx.flags.(f) land ((1 lsl width) - 1) in
-          let taken =
-            match mode with
-            | Any -> m <> 0
-            | All -> m = (1 lsl width) - 1
-            | None_set -> m = 0
-          in
-          if taken then Goto (Int32.to_int target) else Advance
-        | _ -> invalid_arg "br operands")
-      | Jmp -> (
-        match i.srcs with
-        | [ Imm target ] -> Goto (Int32.to_int target)
-        | _ -> invalid_arg "jmp operands")
-      | End -> Finished
-      | Fence ->
-        if ctx.store_done > eu.now then Replay ctx.store_done else Advance
-      | Semacq -> (
-        match i.srcs with
-        | [ Imm s ] ->
-          let s = Int32.to_int s in
-          if t.sem_held.(s) then Blocked_sem s
-          else begin
-            t.sem_held.(s) <- true;
-            ctx.sems_held <- s :: ctx.sems_held;
-            Advance
-          end
-        | _ -> invalid_arg "sem operands")
-      | Semrel -> (
-        match i.srcs with
-        | [ Imm s ] ->
-          let s = Int32.to_int s in
-          ctx.sems_held <- List.filter (fun x -> x <> s) ctx.sems_held;
-          sem_release t s;
-          Advance
-        | _ -> invalid_arg "sem operands")
-      | Sendreg -> (
-        match i.dst with
-        | Some (Remote { shred_reg; reg }) ->
-          let target_sid = reg_lane ctx shred_reg 0 in
-          let v = read_lanes t ctx ~width (src 0) in
-          let delivered = ref false in
-          Array.iter
-            (fun e ->
-              Array.iter
-                (fun c ->
-                  match c.shred with
-                  | Some sh when sh.shred_id = target_sid && not !delivered ->
-                    delivered := true;
-                    for j = 0 to width - 1 do
-                      set_reg_lane c reg j v.(j)
-                    done;
-                    c.reg_ready.(reg) <-
-                      max c.reg_ready.(reg) (eu.now + (10 * t.cycle))
-                  | _ -> ())
-                e.ctxs)
-            t.eus;
-          if not !delivered then begin
-            let cell =
-              match Hashtbl.find_opt t.pending_regs target_sid with
-              | Some c -> c
-              | None ->
-                let c = ref [] in
-                Hashtbl.replace t.pending_regs target_sid c;
-                c
-            in
-            cell := (reg, Array.sub v 0 width) :: !cell
-          end;
-          Advance
-        | _ -> invalid_arg "sendreg dst")
-      | Spawn -> (
-        match i.srcs with
-        | [ Imm target; Reg preg ] ->
-          t.spawn_counter <- t.spawn_counter + 1;
-          let params = Array.init 8 (fun j -> reg_lane ctx preg j) in
-          let sh =
-            {
-              shred_id = 1_000_000 + t.spawn_counter;
-              entry = Int32.to_int target;
-              params;
-            }
-          in
-          Queue.add sh t.queue;
-          t.nshred <- t.nshred + 1;
-          Advance
-        | _ -> invalid_arg "spawn operands")
-    in
-    outcome
-  end
+                  (timed_access t eu ~paddr:pa ~bytes:(dtype_bytes i.dtype)
+                     ~write:true))
+          paddrs;
+        store_lanes t ctx i paddrs src;
+        ctx.store_done <- max ctx.store_done !done_ps;
+        Advance)
+    | Sample, _, [ Surf2d { slot; xreg; yreg } ] -> (
+      let s, first = sample_footprint t ctx ~slot ~xreg ~yreg in
+      (* the sampler translates through the same shared TLB; charge
+         one translation for the footprint's first texel *)
+      match translate_page t eu first with
+      | `Stall ps -> Replay ps
+      | `Ok _ ->
+        let start = max eu.now t.sampler_busy in
+        (* throughput: ~2 cycles/lane (four texel fetches + filter
+           per lane); latency: 24 cycles *)
+        let occupy = width * 2 * t.cycle in
+        t.sampler_busy <- start + occupy;
+        (* sampler reads 4 texels/lane through the shared cache *)
+        let mem_done = ref start in
+        for k = 0 to width - 1 do
+          let u = reg_lane ctx xreg k and v = reg_lane ctx yreg k in
+          let x = clampi 0 (s.Surface.width - 1) (u asr 16)
+          and y = clampi 0 (s.Surface.height - 1) (v asr 16) in
+          let va = Surface.element_addr s ~x ~y in
+          match
+            Page_table.translate (Address_space.page_table t.aspace) ~vaddr:va
+          with
+          | Some pa ->
+            mem_done :=
+              max !mem_done (timed_access t eu ~paddr:pa ~bytes:4 ~write:false)
+          | None -> ()
+        done;
+        sample_lanes t ctx i s ~xreg ~yreg
+          ~ready:(max (!mem_done + (24 * t.cycle)) (start + occupy));
+        Advance)
+    | Fence, _, _ ->
+      if ctx.store_done > eu.now then Replay ctx.store_done else Advance
+    | Semacq, _, [ Imm s ] ->
+      let s = Int32.to_int s in
+      if t.sem_held.(s) then Blocked_sem s
+      else begin
+        t.sem_held.(s) <- true;
+        ctx.sems_held <- s :: ctx.sems_held;
+        Advance
+      end
+    | Semrel, _, [ Imm s ] ->
+      let s = Int32.to_int s in
+      ctx.sems_held <- List.filter (fun x -> x <> s) ctx.sems_held;
+      sem_release t s;
+      Advance
+    | _ -> exec_lanes t ctx i ~now:eu.now
 
 (* ---- dispatch ---- *)
 
@@ -1403,8 +1283,8 @@ let hedge_wins t = t.hedge_wins_
 
 (* ---- whole-shred IA32 fallback emulation ----
 
-   Proxy-executes one shred functionally on the IA32 sequencer using the
-   same lane semantics as the EUs (graceful degradation: slower, never
+   Proxy-executes one shred functionally on the IA32 sequencer through
+   the EUs' own lane data path (graceful degradation: slower, never
    wrong). Runs on a scratch context with no timing model — the caller
    charges CPU time from the returned instruction/lane counts. Runs at a
    point where the EUs are paused, so semaphores degenerate to no-ops:
@@ -1461,195 +1341,37 @@ let emulate_shred t sh =
     let width = i.width in
     incr instrs;
     lane_ops := !lane_ops + width;
-    let mask = pred_mask ctx ~width i.pred in
-    let src n = List.nth i.srcs n in
-    let wr dst res =
-      let old = read_lanes t ctx ~width dst in
-      write_lanes ctx ~width dst (apply_pred ~mask ~width old res) ~ready:0
+    let outcome =
+      match (i.op, i.dst, i.srcs) with
+      | (Nop | Fence | Semacq | Semrel), _, _ -> Advance
+      | End, _, _ -> Finished
+      | Ld, _, [ src ] ->
+        let paddrs = Array.map translate (element_vaddrs t ctx ~width src) in
+        load_lanes t ctx i paddrs ~ready:0;
+        Advance
+      | Gather, _, [ src ] ->
+        let paddrs = Array.map translate (gather_vaddrs t ctx ~width src) in
+        load_lanes t ctx i paddrs ~ready:0;
+        Advance
+      | St, Some dst, [ src ] ->
+        let paddrs = Array.map translate (element_vaddrs t ctx ~width dst) in
+        store_lanes t ctx i paddrs src;
+        Advance
+      | Scatter, Some dst, [ src ] ->
+        let paddrs = Array.map translate (gather_vaddrs t ctx ~width dst) in
+        store_lanes t ctx i paddrs src;
+        Advance
+      | Sample, _, [ Surf2d { slot; xreg; yreg } ] ->
+        let s, first = sample_footprint t ctx ~slot ~xreg ~yreg in
+        ignore (translate first);
+        sample_lanes t ctx i s ~xreg ~yreg ~ready:0;
+        Advance
+      | _ -> exec_lanes t ctx i ~now:0
     in
-    let next = ref (ctx.pc + 1) in
-    (match i.op with
-    | Nop | Fence | Semacq | Semrel -> ()
-    | Add | Sub | Mul | Min | Max | Avg | Shl | Shr | Sar | And | Or | Xor
-    | Fadd | Fsub | Fmul | Fmin | Fmax ->
-      let a = read_lanes t ctx ~width (src 0) in
-      let bl = read_lanes t ctx ~width (src 1) in
-      wr (Option.get i.dst)
-        (Array.init width (fun j -> alu_result i.op i.dtype a.(j) bl.(j)))
-    | Mac | Fmac ->
-      let a = read_lanes t ctx ~width (src 0) in
-      let bl = read_lanes t ctx ~width (src 1) in
-      let dst = Option.get i.dst in
-      let acc = read_lanes t ctx ~width dst in
-      wr dst
-        (Array.init width (fun j ->
-             if i.op = Mac then
-               Lane.add i.dtype acc.(j) (Lane.mul i.dtype a.(j) bl.(j))
-             else Lane.fadd acc.(j) (Lane.fmul a.(j) bl.(j))))
-    | Bcast ->
-      let a = read_lanes t ctx ~width (src 0) in
-      wr (Option.get i.dst) (Array.make width (Lane.wrap i.dtype a.(0)))
-    | Mov | Abs | Not | Sat | Fabs | Cvtif | Cvtfi ->
-      let a = read_lanes t ctx ~width (src 0) in
-      wr (Option.get i.dst) (Array.map (unary_result i.op i.dtype) a)
-    | Fdiv | Fsqrt | Dpadd ->
-      (* on the IA32 sequencer the "faulting" cases are just IEEE
-         arithmetic — this is the CEH emulation path running locally *)
-      let a = read_lanes t ctx ~width (src 0) in
-      let bl =
-        if i.op = Fsqrt then Array.make width 0
-        else read_lanes t ctx ~width (src 1)
-      in
-      let res =
-        match i.op with
-        | Fdiv -> Array.init width (fun j -> Lane.fdiv_ieee a.(j) bl.(j))
-        | Fsqrt -> Array.init width (fun j -> Lane.fsqrt_ieee a.(j))
-        | _ -> Lane.dpadd_pairs a bl
-      in
-      wr (Option.get i.dst) res
-    | Sad ->
-      let a = read_lanes t ctx ~width (src 0) in
-      let bl = read_lanes t ctx ~width (src 1) in
-      let sum = ref 0 in
-      for j = 0 to width - 1 do
-        if (mask lsr j) land 1 = 1 then sum := !sum + abs (a.(j) - bl.(j))
-      done;
-      let res = Array.make width 0 in
-      res.(0) <- Lane.wrap32 !sum;
-      write_lanes ctx ~width (Option.get i.dst) res ~ready:0
-    | Hadd ->
-      let a = read_lanes t ctx ~width (src 0) in
-      let sum = ref 0 in
-      for j = 0 to width - 1 do
-        if (mask lsr j) land 1 = 1 then sum := !sum + a.(j)
-      done;
-      let res = Array.make width 0 in
-      res.(0) <- Lane.wrap i.dtype !sum;
-      write_lanes ctx ~width (Option.get i.dst) res ~ready:0
-    | Cmp cond -> (
-      let a = read_lanes t ctx ~width (src 0) in
-      let bl = read_lanes t ctx ~width (src 1) in
-      let m = ref 0 in
-      for j = 0 to width - 1 do
-        if Lane.compare_lanes i.dtype cond a.(j) bl.(j) then
-          m := !m lor (1 lsl j)
-      done;
-      match i.dst with
-      | Some (Flag f) -> ctx.flags.(f) <- !m
-      | _ -> invalid_arg "cmp dst")
-    | Sel ->
-      let a = read_lanes t ctx ~width (src 0) in
-      let bl = read_lanes t ctx ~width (src 1) in
-      let res =
-        Array.init width (fun j ->
-            if (mask lsr j) land 1 = 1 then a.(j) else bl.(j))
-      in
-      write_lanes ctx ~width (Option.get i.dst) res ~ready:0
-    | Ld ->
-      let vaddrs = element_vaddrs t ctx ~width (src 0) in
-      let paddrs = Array.map translate vaddrs in
-      wr (Option.get i.dst)
-        (Array.init width (fun k ->
-             read_elem t ~paddr:paddrs.(k) ~dtype:i.dtype))
-    | St ->
-      let vaddrs = element_vaddrs t ctx ~width (Option.get i.dst) in
-      let paddrs = Array.map translate vaddrs in
-      let v = read_lanes t ctx ~width (src 0) in
-      for k = 0 to width - 1 do
-        if (mask lsr k) land 1 = 1 then
-          write_elem t ~paddr:paddrs.(k) ~dtype:i.dtype v.(k)
-      done
-    | Gather ->
-      let vaddrs = gather_vaddrs t ctx ~width (src 0) in
-      let paddrs = Array.map translate vaddrs in
-      wr (Option.get i.dst)
-        (Array.init width (fun k ->
-             read_elem t ~paddr:paddrs.(k) ~dtype:i.dtype))
-    | Scatter ->
-      let vaddrs = gather_vaddrs t ctx ~width (Option.get i.dst) in
-      let paddrs = Array.map translate vaddrs in
-      let v = read_lanes t ctx ~width (src 0) in
-      for k = 0 to width - 1 do
-        if (mask lsr k) land 1 = 1 then
-          write_elem t ~paddr:paddrs.(k) ~dtype:i.dtype v.(k)
-      done
-    | Sample -> (
-      match src 0 with
-      | Surf2d { slot; xreg; yreg } ->
-        let s = surface t slot in
-        if s.Surface.bpp <> 1 then invalid_arg "sample: only bpp=1 surfaces";
-        let clampi lo hi x = if x < lo then lo else if x > hi then hi else x in
-        let u0 = reg_lane ctx xreg 0 and v0 = reg_lane ctx yreg 0 in
-        let x0 = clampi 0 (s.Surface.width - 1) (u0 asr 16)
-        and y0 = clampi 0 (s.Surface.height - 1) (v0 asr 16) in
-        ignore (translate (Surface.element_addr s ~x:x0 ~y:y0));
-        wr (Option.get i.dst)
-          (Array.init width (fun k ->
-               sample_value t s ~u:(reg_lane ctx xreg k)
-                 ~v:(reg_lane ctx yreg k)))
-      | _ -> invalid_arg "sample operand")
-    | Br mode -> (
-      match i.srcs with
-      | [ Flag f; Imm target ] ->
-        let m = ctx.flags.(f) land ((1 lsl width) - 1) in
-        let taken =
-          match mode with
-          | Any -> m <> 0
-          | All -> m = (1 lsl width) - 1
-          | None_set -> m = 0
-        in
-        if taken then next := Int32.to_int target
-      | _ -> invalid_arg "br operands")
-    | Jmp -> (
-      match i.srcs with
-      | [ Imm target ] -> next := Int32.to_int target
-      | _ -> invalid_arg "jmp operands")
-    | End -> running := false
-    | Sendreg -> (
-      match i.dst with
-      | Some (Remote { shred_reg; reg }) ->
-        let target_sid = reg_lane ctx shred_reg 0 in
-        let v = read_lanes t ctx ~width (src 0) in
-        let delivered = ref false in
-        Array.iter
-          (fun e ->
-            Array.iter
-              (fun c ->
-                match c.shred with
-                | Some s2 when s2.shred_id = target_sid && not !delivered ->
-                  delivered := true;
-                  for j = 0 to width - 1 do
-                    set_reg_lane c reg j v.(j)
-                  done
-                | _ -> ())
-              e.ctxs)
-          t.eus;
-        if not !delivered then begin
-          let cell =
-            match Hashtbl.find_opt t.pending_regs target_sid with
-            | Some c -> c
-            | None ->
-              let c = ref [] in
-              Hashtbl.replace t.pending_regs target_sid c;
-              c
-          in
-          cell := (reg, Array.sub v 0 width) :: !cell
-        end
-      | _ -> invalid_arg "sendreg dst")
-    | Spawn -> (
-      match i.srcs with
-      | [ Imm target; Reg preg ] ->
-        t.spawn_counter <- t.spawn_counter + 1;
-        let params = Array.init 8 (fun j -> reg_lane ctx preg j) in
-        Queue.add
-          {
-            shred_id = 1_000_000 + t.spawn_counter;
-            entry = Int32.to_int target;
-            params;
-          }
-          t.queue;
-        t.nshred <- t.nshred + 1
-      | _ -> invalid_arg "spawn operands"));
-    if !running then ctx.pc <- !next
+    match outcome with
+    | Advance -> ctx.pc <- ctx.pc + 1
+    | Goto pc -> ctx.pc <- pc
+    | Finished -> running := false
+    | Replay _ | Blocked_sem _ -> assert false (* no timing, no waiting *)
   done;
   (!instrs, !lane_ops)

@@ -227,9 +227,10 @@ val hedge_wins : t -> int
 
 (** Proxy-execute one whole shred functionally on the IA32 sequencer
     (graceful degradation when retries are exhausted or every slot is
-    quarantined). Same lane semantics as the EUs; no timing model —
-    returns [(instructions, lane_ops)] so the caller can charge CPU
-    time. Must run while the EUs are paused. *)
+    quarantined). Runs the EUs' own lane data path, so results are
+    bit-identical to the EU pipeline's; no timing model — returns
+    [(instructions, lane_ops)] so the caller can charge CPU time. Must
+    run while the EUs are paused. *)
 val emulate_shred : t -> shred -> int * int
 
 (** Flush the GPU cache through the bus (non-CC hand-off); returns dirty
@@ -249,7 +250,6 @@ val cycle_ps : t -> int
 (** Hardware thread contexts across all EUs ([eus * threads_per_eu]) —
     the concurrency the static-admission cost model divides by. *)
 val hw_contexts : t -> int
-val reset_counters : t -> unit
 
 (** {1 Debug access (used by the cross-ISA debugger and tests)} *)
 

@@ -63,13 +63,6 @@ let fmin = fop2 Float.min
 let fmax = fop2 Float.max
 let fabs v = lane_of_float (Float.abs (float_of_lane v))
 
-let fdiv a b =
-  if float_of_lane b = 0.0 then Error `Fault else Ok (fop2 ( /. ) a b)
-
-let fsqrt a =
-  if float_of_lane a < 0.0 then Error `Fault
-  else Ok (lane_of_float (sqrt (float_of_lane a)))
-
 let fdiv_ieee a b = fop2 ( /. ) a b
 let fsqrt_ieee a = lane_of_float (sqrt (float_of_lane a))
 let cvtif v = lane_of_float (float_of_int v)
@@ -85,8 +78,7 @@ let cvtfi v =
 
 (* Double-precision pair add (the [dpadd] instruction the X3K cannot
    execute natively): adjacent lane pairs (2p, 2p+1) hold the low/high
-   32-bit words of an IEEE binary64 value. Shared by the CEH proxy
-   handler and the whole-shred IA32 fallback emulator. *)
+   32-bit words of an IEEE binary64 value. *)
 let dpadd_pairs a b =
   let lanes = Array.length a in
   let res = Array.make lanes 0 in
@@ -107,3 +99,57 @@ let dpadd_pairs a b =
   (* an odd trailing lane has no partner: pass it through unchanged *)
   if lanes land 1 = 1 then res.(lanes - 1) <- a.(lanes - 1);
   res
+
+(* ---- the opcode table ----
+
+   The one mapping from an X3K opcode to its lane arithmetic. The EU
+   pipeline, the IA32 fallback, the CEH proxy handler and Exo-opt's
+   constant folder all read it, so they cannot disagree. *)
+
+let binop = function
+  | Add -> add
+  | Sub -> sub
+  | Mul -> mul
+  | Min -> min_
+  | Max -> max_
+  | Avg -> avg
+  | Shl -> shl
+  | Shr -> shr
+  | Sar -> sar
+  | And -> fun _ a b -> and_ a b
+  | Or -> fun _ a b -> or_ a b
+  | Xor -> fun _ a b -> xor_ a b
+  | Fadd -> fun _ a b -> fadd a b
+  | Fsub -> fun _ a b -> fsub a b
+  | Fmul -> fun _ a b -> fmul a b
+  | Fmin -> fun _ a b -> fmin a b
+  | Fmax -> fun _ a b -> fmax a b
+  | _ -> raise Not_found
+
+let unop = function
+  | Mov | Bcast -> wrap
+  | Abs -> abs_
+  | Not -> not_
+  | Sat -> saturate
+  | Fabs -> fun _ a -> fabs a
+  | Cvtif -> fun _ a -> cvtif a
+  | Cvtfi -> fun _ a -> cvtfi a
+  | _ -> raise Not_found
+
+(* The ops the EU escalates through CEH: a zero divisor or a negative
+   square root in any lane, and every dpadd. *)
+let x3k_faults op a b =
+  match op with
+  | Fdiv -> Array.exists (fun v -> float_of_lane v = 0.0) b
+  | Fsqrt -> Array.exists (fun v -> float_of_lane v < 0.0) a
+  | Dpadd -> true
+  | _ -> false
+
+let ieee op a b =
+  match op with
+  | Fdiv -> Array.map2 fdiv_ieee a b
+  | Fsqrt -> Array.map fsqrt_ieee a
+  | Dpadd -> dpadd_pairs a b
+  | op ->
+    invalid_arg
+      (Printf.sprintf "Lane.ieee: unexpected faulting op %s" (opcode_name op))

@@ -5,8 +5,9 @@
     through {!wrap32}. Data types narrower than 32 bits wrap/saturate per
     {!X3k_ast.dtype}. Float lanes hold IEEE-754 binary32 bit patterns.
 
-    These semantics are shared between the EU simulator and the CEH proxy
-    emulator on the CPU — by construction both agree on results. *)
+    This module owns the per-opcode lane semantics: the EU simulator, the
+    IA32 proxy paths (CEH and whole-shred fallback) and the optimizer all
+    compute through it, so they agree by construction. *)
 
 open Exochi_isa
 
@@ -56,24 +57,41 @@ val fmin : int -> int -> int
 val fmax : int -> int -> int
 val fabs : int -> int
 
-(** [fdiv a b] and [fsqrt a] return [Error `Fault] on division by zero /
-    negative input — the cases the exo-sequencer cannot complete and
-    escalates through CEH. *)
-val fdiv : int -> int -> (int, [ `Fault ]) result
-
-val fsqrt : int -> (int, [ `Fault ]) result
-
-(** IEEE-correct emulation used by the CEH proxy handler on the CPU:
-    division by zero yields signed infinity (NaN for 0/0), square root of
-    a negative value yields NaN. *)
+(** IEEE-correct division and square root: division by zero yields
+    signed infinity (NaN for 0/0), square root of a negative value
+    yields NaN. *)
 val fdiv_ieee : int -> int -> int
 
 val fsqrt_ieee : int -> int
 val cvtif : int -> int
 val cvtfi : int -> int
 
-(** [dpadd_pairs a b] emulates the double-precision pair add on the IA32
-    side: adjacent lane pairs (2p, 2p+1) hold the low/high words of a
-    binary64 value. Used by both the CEH proxy handler and the
-    whole-shred fallback emulator. *)
-val dpadd_pairs : int array -> int array -> int array
+(** {1 The opcode table}
+
+    The one mapping from an X3K opcode to its lane arithmetic, read by
+    the EU pipeline, the IA32 fallback, the CEH proxy handler and
+    Exo-opt's constant folder. *)
+
+(** [binop op] is the lane function of a two-source ALU or float opcode
+    ([add] .. [xor], [fadd] .. [fmax]). Raises [Not_found] for any other
+    opcode. *)
+val binop : X3k_ast.opcode -> X3k_ast.dtype -> int -> int -> int
+
+(** [unop op] is the lane function of a one-source opcode: [mov] and
+    [bcast] wrap to the dtype, then [abs], [not], [sat], [fabs],
+    [cvtif], [cvtfi]. Raises [Not_found] for any other opcode. *)
+val unop : X3k_ast.opcode -> X3k_ast.dtype -> int -> int
+
+(** [x3k_faults op a b]: the exo-sequencer cannot complete [op] on
+    source lanes [a], [b] and escalates it through CEH — a zero divisor
+    in any [fdiv] lane, a negative input in any [fsqrt] lane, and every
+    [dpadd]. [false] for all other opcodes. *)
+val x3k_faults : X3k_ast.opcode -> int array -> int array -> bool
+
+(** [ieee op a b]: all result lanes of [fdiv], [fsqrt] ([b] unused) or
+    [dpadd] as the IA32 sequencer computes them, faulting lanes
+    included. [dpadd] adds adjacent lane pairs (2p, 2p+1) holding the
+    low/high words of a binary64 value; an odd trailing lane passes [a]
+    through. The CEH proxy handler, the IA32 fallback and the EU's
+    non-faulting path all return this. *)
+val ieee : X3k_ast.opcode -> int array -> int array -> int array

@@ -201,25 +201,14 @@ let invalidate_gtt t =
 
 let ceh_hook t ~dev (req : Exochi_accel.Gpu.fault_request) ~now_ps =
   t.ceh_proxies <- t.ceh_proxies + 1;
-  let open Exochi_isa.X3k_ast in
   let lanes = Array.length req.lane_a in
-  let results =
-    match req.fault_op with
-    | Fdiv ->
-      Array.init lanes (fun j ->
-          Exochi_accel.Lane.fdiv_ieee req.lane_a.(j) req.lane_b.(j))
-    | Fsqrt ->
-      Array.init lanes (fun j -> Exochi_accel.Lane.fsqrt_ieee req.lane_a.(j))
-    | Dpadd -> Exochi_accel.Lane.dpadd_pairs req.lane_a req.lane_b
-    | op ->
-      invalid_arg
-        (Printf.sprintf "CEH: unexpected faulting op %s" (opcode_name op))
-  in
+  let results = Exochi_accel.Lane.ieee req.fault_op req.lane_a req.lane_b in
   let service =
     t.costs.uli_ps + t.costs.ceh_base_ps + (lanes * t.costs.ceh_per_lane_ps)
   in
   pev t ~dev ~ts:now_ps ~dur:service
-    (Trace.Ceh_proxy { op = opcode_name req.fault_op; lanes });
+    (Trace.Ceh_proxy
+       { op = Exochi_isa.X3k_ast.opcode_name req.fault_op; lanes });
   Exochi_cpu.Machine.add_overhead_ps t.cpu service;
   (results, now_ps + service)
 
@@ -276,15 +265,6 @@ let mem_delay_hook t ~paddr ~bytes ~write ~now_ps =
       0
     end
     else 0
-
-let reset_counters t =
-  t.atr_proxies <- 0;
-  t.gtt_hits <- 0;
-  t.ceh_proxies <- 0;
-  t.violations <- 0;
-  t.atr_transient_retries <- 0;
-  t.gtt_evictions <- 0;
-  t.ceh_spurious <- 0
 
 let atr_proxies t = t.atr_proxies
 let gtt_hits t = t.gtt_hits

@@ -181,4 +181,3 @@ val atr_transient_retries : t -> int (* lost ATR round trips, retried *)
 val gtt_evictions : t -> int (* injected GTT corruptions repaired *)
 val ceh_spurious : t -> int (* spurious CEH traps absorbed *)
 val fault_plan : t -> Exochi_faults.Fault_plan.t option
-val reset_counters : t -> unit

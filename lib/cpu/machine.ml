@@ -82,12 +82,6 @@ let add_overhead_ps t ps = t.pending_overhead_ps <- t.pending_overhead_ps + ps
 let call_stack t = t.call_stack
 let instructions_retired t = t.retired
 
-let reset_counters t =
-  t.retired <- 0;
-  Cache.reset_stats t.l1;
-  Cache.reset_stats t.l2;
-  Tlb.reset_stats t.tlb
-
 (* The CPU reaches DRAM through the front-side bus: a single core's
    sustained streaming rate is well below the memory controller's peak
    (the integrated GMA sits controller-side and streams at full rate).

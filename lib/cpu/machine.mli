@@ -118,4 +118,3 @@ val run :
 (** {1 Counters} *)
 
 val instructions_retired : t -> int
-val reset_counters : t -> unit

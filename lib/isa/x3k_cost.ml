@@ -46,10 +46,10 @@ let worst_retire_cycles i =
 
 (* ---- result latencies ----
 
-   Cycles until a consumer can read the value an instruction produced,
-   mirroring the EU bypass network in [Gpu] (lat_alu / lat_mul /
-   lat_fdiv / lat_fsqrt / lat_cmp — those read these constants, so the
-   tables cannot drift apart). Memory results really come from the
+   Cycles until a consumer can read the value an instruction produced:
+   the EU bypass network in [Gpu] marks register and flag results
+   ready [result_latency_cycles] after issue, so the scheduler and the
+   simulator cannot drift apart. Memory results really come from the
    cache/bus path at run time; [mem_latency_cycles] is the nominal
    cache-hit latency the list scheduler plans against. *)
 

@@ -21,20 +21,15 @@ val taken_branch_penalty : int
     the taken-branch penalty for [jmp]/[br]; 0 for [end]. *)
 val worst_retire_cycles : X3k_ast.instr -> int
 
-(** {2 Result latencies}
-
-    Cycles until a dependent instruction can read this instruction's
-    result, mirroring the EU bypass network in [Gpu] (which reads these
-    constants for its [lat_*] values). *)
-
-val alu_latency_cycles : int
-val mul_latency_cycles : int
-val fdiv_latency_cycles : int
-val fsqrt_latency_cycles : int
-val cmp_latency_cycles : int
+(** {2 Result latencies} *)
 
 (** Nominal cache-hit latency the scheduler plans loads against (the
     real readiness comes from the memory path at run time). *)
 val mem_latency_cycles : int
 
+(** Cycles until a dependent instruction can read this instruction's
+    result: 1 for ALU ops and [cmp], 3 for multiplies, [mac], [sad] and
+    [hadd], 12 for [fdiv] and [dpadd], 16 for [fsqrt]. The EU bypass
+    network in [Gpu] marks register and flag results ready this long
+    after issue. *)
 val result_latency_cycles : X3k_ast.instr -> int

@@ -66,6 +66,16 @@ val run :
   Kernel.scale ->
   result
 
+(** [materialise platform io] allocates and first-touches the
+    workload's surfaces, stores its input images and allocates one
+    descriptor per surface; returns the input then the output
+    descriptors, each in [io]'s order, keyed by surface name. *)
+val materialise :
+  Exochi_core.Exo_platform.t ->
+  Kernel.io ->
+  (string * Exochi_core.Chi_descriptor.t) list
+  * (string * Exochi_core.Chi_descriptor.t) list
+
 (** [oracle_fraction ~cpu_time ~gpu_time] — the work fraction to give the
     IA32 sequencer so both finish together, assuming linear scaling
     (the paper's oracle partition). *)

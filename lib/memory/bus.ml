@@ -25,8 +25,4 @@ let busy_until t = t.busy_until
 let total_bytes t = t.total_bytes
 let total_requests t = t.total_requests
 
-let reset_stats t =
-  t.total_bytes <- 0;
-  t.total_requests <- 0
-
 let gbps t = t.gbps

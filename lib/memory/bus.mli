@@ -22,7 +22,6 @@ val busy_until : t -> int
 
 val total_bytes : t -> int
 val total_requests : t -> int
-val reset_stats : t -> unit
 
 (** Peak bandwidth in decimal GB/s. *)
 val gbps : t -> float

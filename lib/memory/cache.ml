@@ -164,8 +164,3 @@ let valid_line_count t = count t (fun l -> l.valid)
 let hits t = t.hits
 let misses t = t.misses
 let writebacks t = t.writebacks
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.writebacks <- 0

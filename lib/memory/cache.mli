@@ -55,4 +55,3 @@ val hits : t -> int
 
 val misses : t -> int
 val writebacks : t -> int
-val reset_stats : t -> unit

@@ -49,7 +49,3 @@ let flush t = Hashtbl.reset t.table
 let occupancy t = Hashtbl.length t.table
 let hits t = t.hits
 let misses t = t.misses
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0

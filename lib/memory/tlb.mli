@@ -28,4 +28,3 @@ val occupancy : 'a t -> int
 val hits : 'a t -> int
 
 val misses : 'a t -> int
-val reset_stats : 'a t -> unit

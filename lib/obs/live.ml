@@ -26,13 +26,6 @@ type t = {
   job_lat : Hist.t;
   (* guard *)
   mutable sdc_detected : int;
-  mutable breaker_opens : int;
-  mutable breaker_closes : int;
-  (* per-device slices, keyed by the event's device index; a
-     single-device run only ever touches key 0 *)
-  dev_retired : (int, int ref) Hashtbl.t;
-  dev_busy_ps : (int, int ref) Hashtbl.t;
-  dev_batches : (int, int ref) Hashtbl.t;
 }
 
 let create () =
@@ -51,17 +44,7 @@ let create () =
     batches = 0;
     job_lat = Hist.create ();
     sdc_detected = 0;
-    breaker_opens = 0;
-    breaker_closes = 0;
-    dev_retired = Hashtbl.create 4;
-    dev_busy_ps = Hashtbl.create 4;
-    dev_batches = Hashtbl.create 4;
   }
-
-let bump tbl key by =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.replace tbl key (ref by)
 
 let observe t (e : Trace.event) =
   t.events <- t.events + 1;
@@ -73,8 +56,6 @@ let observe t (e : Trace.event) =
   | Trace.Shred_run _ ->
     t.shreds_retired <- t.shreds_retired + 1;
     t.exo_busy_ps <- t.exo_busy_ps + e.Trace.dur_ps;
-    bump t.dev_retired e.Trace.dev 1;
-    bump t.dev_busy_ps e.Trace.dev e.Trace.dur_ps;
     Hist.record t.shred_lat (float_of_int e.Trace.dur_ps)
   | Trace.Job_arrive _ -> t.jobs_arrived <- t.jobs_arrived + 1
   | Trace.Job_done { latency_ps; _ } ->
@@ -84,13 +65,9 @@ let observe t (e : Trace.event) =
     t.jobs_shed <- t.jobs_shed + 1;
     Hashtbl.replace t.sheds_by_reason reason
       (1 + Option.value (Hashtbl.find_opt t.sheds_by_reason reason) ~default:0)
-  | Trace.Batch_dispatch _ ->
-    t.batches <- t.batches + 1;
-    bump t.dev_batches e.Trace.dev 1
+  | Trace.Batch_dispatch _ -> t.batches <- t.batches + 1
   | Trace.Sdc_detected { corruptions; _ } ->
     t.sdc_detected <- t.sdc_detected + corruptions
-  | Trace.Breaker_open _ -> t.breaker_opens <- t.breaker_opens + 1
-  | Trace.Breaker_close _ -> t.breaker_closes <- t.breaker_closes + 1
   | _ -> ()
 
 let attach t sink = Trace.set_tap sink (observe t)
@@ -111,19 +88,6 @@ let sheds_by_reason t =
 let batches t = t.batches
 let job_lat t = t.job_lat
 let sdc_detected t = t.sdc_detected
-let breakers_open t = max 0 (t.breaker_opens - t.breaker_closes)
-
-let by_device t =
-  let keys tbl acc =
-    Hashtbl.fold (fun k _ acc -> if List.mem k acc then acc else k :: acc) tbl acc
-  in
-  let get tbl k =
-    match Hashtbl.find_opt tbl k with Some r -> !r | None -> 0
-  in
-  keys t.dev_retired (keys t.dev_busy_ps (keys t.dev_batches []))
-  |> List.sort compare
-  |> List.map (fun d ->
-         (d, get t.dev_retired d, get t.dev_busy_ps d, get t.dev_batches d))
 
 let job_throughput_jps t =
   let span = span_ps t in

@@ -50,14 +50,5 @@ val job_lat : t -> Hist.t
 
 val sdc_detected : t -> int
 
-(** Currently-open circuit breakers (opens minus closes). *)
-val breakers_open : t -> int
-
-(** Per-device slices in ascending device order:
-    [(dev, shreds retired, exo busy ps, batches dispatched)]. Only
-    devices that produced at least one event appear — a single-device
-    run yields at most the device-0 row. *)
-val by_device : t -> (int * int * int * int) list
-
 (** Completed jobs per second over {!span_ps}. *)
 val job_throughput_jps : t -> float

@@ -83,51 +83,26 @@ let const_of env ~width = function
     | _ -> None)
   | _ -> None
 
-(* exact mirrors of Gpu.alu_result / Gpu.unary_result for the
-   deterministic ops (faulting fdiv/fsqrt/dpadd deliberately absent) *)
-let eval_binop op dtype a b =
-  match op with
-  | Add -> Some (Lane.add dtype a b)
-  | Sub -> Some (Lane.sub dtype a b)
-  | Mul -> Some (Lane.mul dtype a b)
-  | Min -> Some (Lane.min_ dtype a b)
-  | Max -> Some (Lane.max_ dtype a b)
-  | Avg -> Some (Lane.avg dtype a b)
-  | Shl -> Some (Lane.shl dtype a b)
-  | Shr -> Some (Lane.shr dtype a b)
-  | Sar -> Some (Lane.sar dtype a b)
-  | And -> Some (Lane.and_ a b)
-  | Or -> Some (Lane.or_ a b)
-  | Xor -> Some (Lane.xor_ a b)
-  | Fadd -> Some (Lane.fadd a b)
-  | Fsub -> Some (Lane.fsub a b)
-  | Fmul -> Some (Lane.fmul a b)
-  | Fmin -> Some (Lane.fmin a b)
-  | Fmax -> Some (Lane.fmax a b)
-  | _ -> None
-
-let eval_unop op dtype a =
-  match op with
-  | Mov | Bcast -> Some (Lane.wrap dtype a)
-  | Abs -> Some (Lane.abs_ dtype a)
-  | Not -> Some (Lane.not_ dtype a)
-  | Sat -> Some (Lane.saturate dtype a)
-  | Fabs -> Some (Lane.fabs a)
-  | Cvtif -> Some (Lane.cvtif a)
-  | Cvtfi -> Some (Lane.cvtfi a)
-  | _ -> None
-
-(* value all dst lanes 0..width-1 would hold, when provable *)
+(* value all dst lanes 0..width-1 would hold, when provable: Lane's
+   opcode table computes it, so folding agrees with the GPU bit for bit;
+   opcodes outside the table (faulting fdiv/fsqrt/dpadd among them)
+   never fold *)
 let fold_value env i =
   match (i.pred, i.dst, i.srcs) with
   | None, Some (Reg _), [ a; b ] -> (
     match (const_of env ~width:i.width a, const_of env ~width:i.width b) with
-    | Some va, Some vb -> eval_binop i.op i.dtype va vb
+    | Some va, Some vb -> (
+      match Lane.binop i.op with
+      | f -> Some (f i.dtype va vb)
+      | exception Not_found -> None)
     | _ -> None)
   | None, Some (Reg _), [ a ] -> (
     let width = if i.op = Bcast then 1 else i.width in
     match const_of env ~width a with
-    | Some va -> eval_unop i.op i.dtype va
+    | Some va -> (
+      match Lane.unop i.op with
+      | f -> Some (f i.dtype va)
+      | exception Not_found -> None)
     | None -> None)
   | _ -> None
 

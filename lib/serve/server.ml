@@ -1,7 +1,6 @@
 module Machine = Exochi_cpu.Machine
 module Surface = Exochi_memory.Surface
 module Address_space = Exochi_memory.Address_space
-module Phys_mem = Exochi_memory.Phys_mem
 module Memmodel = Exochi_memory.Memmodel
 module Platform = Exochi_core.Exo_platform
 module Chi = Exochi_core.Chi_runtime
@@ -9,8 +8,8 @@ module Chi_descriptor = Exochi_core.Chi_descriptor
 module Gpu = Exochi_accel.Gpu
 module Trace = Exochi_obs.Trace
 module Kernel = Exochi_kernels.Kernel
+module Harness = Exochi_kernels.Harness
 module Registry = Exochi_kernels.Registry
-module Image = Exochi_media.Image
 module Prng = Exochi_util.Prng
 module Fault_plan = Exochi_faults.Fault_plan
 module Checksum = Exochi_guard.Checksum
@@ -175,10 +174,6 @@ let queue_depth t =
 let tenant_depths t =
   Array.map (fun ten -> (Tenant.name ten, Tenant.depth ten)) t.tenants
 
-let breakers_open t =
-  let r = Chi.recovery t.rt in
-  max 0 (r.Chi.breaker_opens - r.Chi.breaker_closes)
-
 let devices t = Platform.devices t.platform
 
 (* Per-device placement/health row: (dev, outstanding shreds,
@@ -188,6 +183,10 @@ let device_snapshot t =
       let shreds, batches = Placement.load t.plc ~dev:d in
       let _, opened, half = Chi.breaker_census t.rt ~dev:d in
       (d, shreds, batches, opened, half))
+
+let breakers_open t =
+  Array.fold_left (fun n (_, _, _, opened, _) -> n + opened) 0
+    (device_snapshot t)
 
 let emit_ev ?(dev = 0) t kind =
   match Platform.trace t.platform with
@@ -199,44 +198,6 @@ let emit_ev ?(dev = 0) t kind =
 (* Fixed arena seed: arena pixel data is server state, independent of any
    workload seed, so serving results depend only on the job schedule. *)
 let arena_seed = 0x00A7E7A5EEDL
-
-let materialise t (io : Kernel.io) =
-  let aspace = Platform.aspace t.platform in
-  let bpp_of name =
-    match List.assoc_opt ("bpp:" ^ name) io.Kernel.meta with
-    | Some b -> b
-    | None -> 1
-  in
-  let mk_desc name width height mode =
-    let bpp = bpp_of name in
-    let pitch = Surface.required_pitch ~width ~bpp ~tiling:Surface.Linear in
-    let bytes = pitch * height in
-    let base = Address_space.alloc aspace ~name ~bytes ~align:64 in
-    let rec touch off =
-      if off < bytes then begin
-        ignore (Address_space.fault_in aspace ~vaddr:(base + off));
-        touch (off + Phys_mem.page_size)
-      end
-    in
-    touch 0;
-    Chi_descriptor.alloc t.platform ~name ~base ~width ~height ~bpp ~mode ()
-  in
-  let inputs =
-    List.map
-      (fun (name, img) ->
-        let d =
-          mk_desc name img.Image.width img.Image.height Chi_descriptor.Input
-        in
-        Image.store aspace img ~surface:d.Chi_descriptor.surface;
-        d)
-      io.Kernel.inputs
-  in
-  let outputs =
-    List.map
-      (fun (name, w, h) -> mk_desc name w h Chi_descriptor.Output)
-      io.Kernel.outputs
-  in
-  (inputs, outputs)
 
 let find_arena t abbrev =
   Hashtbl.find_opt t.arenas (String.lowercase_ascii abbrev)
@@ -328,7 +289,10 @@ let ensure_arena t abbrev =
     | Some k ->
       let prng = Prng.create arena_seed in
       let io = k.Kernel.make_io ?frames:t.cfg.frames prng t.cfg.scale in
-      let inputs, outputs = materialise t io in
+      let inputs, outputs =
+        let ins, outs = Harness.materialise t.platform io in
+        (List.map snd ins, List.map snd outs)
+      in
       (* arena inputs were produced by the tenant's preceding IA32 stage *)
       List.iter (fun d -> Chi.produce t.rt d) inputs;
       let prog =

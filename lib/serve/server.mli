@@ -113,7 +113,8 @@ val queue_depth : t -> int
     dashboard's backlog column. *)
 val tenant_depths : t -> (string * int) array
 
-(** Circuit breakers currently open (trips minus reinstatements). *)
+(** Circuit breakers currently open, summed over the devices'
+    {!device_snapshot} rows; half-open breakers are not counted. *)
 val breakers_open : t -> int
 
 (** X3K devices in the platform's device set. *)

@@ -316,6 +316,37 @@ let test_all_breakers_open_falls_back () =
     st.Server_stats.completed;
   check_int "nothing fatal" 0 r.Server_stats.r_fatal
 
+let test_breaker_gauges_agree () =
+  (* the global open-breaker gauge must equal the sum of the per-device
+     gauges at every snapshot, including while a breaker is half-open
+     on probation after its cool-down *)
+  let fault_plan =
+    Fault_plan.create ~seed:9L
+      ~rates:{ Fault_plan.zero_rates with Fault_plan.hang = 0.3 }
+      ()
+  in
+  let config = { (guarded ~cooldown_us:200 ()) with Server.devices = 2 } in
+  let server = Server.create ~config ~fault_plan () in
+  let wl =
+    Workload.create
+      (Workload.default_spec ~seed:42L ~tenants:2 ~jobs:40 (closed ()))
+  in
+  let cycles = ref 0 and half_open = ref 0 and disagree = ref 0 in
+  let on_cycle () =
+    incr cycles;
+    let rows = Server.device_snapshot server in
+    let per_device = Array.fold_left (fun n (_, _, _, o, _) -> n + o) 0 rows in
+    if Array.exists (fun (_, _, _, _, h) -> h > 0) rows then incr half_open;
+    if Server.breakers_open server <> per_device then incr disagree
+  in
+  let st = Server.run ~on_cycle server wl in
+  check_bool "breakers tripped" true
+    (st.Server_stats.recovery.Server_stats.r_breaker_opens > 0);
+  check_bool "some snapshot saw a half-open breaker" true (!half_open > 0);
+  check_int
+    (Printf.sprintf "global = per-device sum at all %d cycles" !cycles)
+    0 !disagree
+
 (* ---- crash recovery end to end ---- *)
 
 let test_recovery_reproduces_run () =
@@ -435,6 +466,8 @@ let () =
             test_breakers_reinstate_within_run;
           Alcotest.test_case "all breakers open -> IA32 fallback" `Quick
             test_all_breakers_open_falls_back;
+          Alcotest.test_case "breaker gauges agree" `Quick
+            test_breaker_gauges_agree;
         ] );
       ( "recovery",
         [
