@@ -6,7 +6,7 @@
      exochi_lint --format sarif prog.chi   SARIF 2.1.0 (one run, all files)
      exochi_lint --rules                   print the rule catalog
 
-   Text findings carry the offending source line with a caret. Exit
+   Text findings in the linted file carry the offending source line. Exit
    status is 1 when any error-severity finding (or, with --werror, any
    warning) is reported, 2 on usage or compile/assembly failure. *)
 
@@ -140,15 +140,17 @@ let () =
     print_endline (Tiny_json.to_string ~indent:2 (Finding.to_sarif all))
   | `Text ->
     List.iter
-      (fun (_, (fs, src)) ->
+      (fun (path, (fs, src)) ->
         List.iter
           (fun f ->
             print_endline (Finding.to_string f);
-            Option.iter print_endline
-              (Option.map
-                 (fun line ->
-                   Printf.sprintf "%5d | %s" f.Finding.loc.Loc.line line)
-                 (Loc.source_line src f.Finding.loc.Loc.line)))
+            (* findings in a compiled section (e.g. the VIA32 [main] of a
+               .chi file) have no line in this source *)
+            if f.Finding.loc.Loc.file = path then
+              Option.iter
+                (fun line ->
+                  Printf.printf "%5d | %s\n" f.Finding.loc.Loc.line line)
+                (Loc.source_line src f.Finding.loc.Loc.line))
           fs)
       results;
     Printf.printf "%d error(s), %d warning(s), %d info(s) in %d file(s)\n"

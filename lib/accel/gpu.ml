@@ -280,7 +280,6 @@ let thread_switches t = t.switches
 let stall_cycles t = t.stall_cyc
 let busy_cycles t = t.busy_cyc
 let cycle_ps t = t.cycle
-let hw_contexts t = t.cfg.eus * t.cfg.threads_per_eu
 
 let flush_cache t =
   let dirty = Cache.flush_all t.cache in

@@ -247,10 +247,6 @@ val busy_cycles : t -> int
 (** Picoseconds per sequencer cycle (from [config.clock_mhz]). *)
 val cycle_ps : t -> int
 
-(** Hardware thread contexts across all EUs ([eus * threads_per_eu]) —
-    the concurrency the static-admission cost model divides by. *)
-val hw_contexts : t -> int
-
 (** {1 Debug access (used by the cross-ISA debugger and tests)} *)
 
 (** Read a vector register lane of a resident shred, if resident. *)

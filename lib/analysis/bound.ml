@@ -13,8 +13,12 @@
    slack). Rules: EXO011 statically unbounded loop, EXO012 irreducible
    control flow, EXO013 trip/cost overflow, EXO015 non-monotone
    induction variable. (EXO014 — bound vs declared deadline class — is
-   applied per .chi section by Exo_check, which owns the launch
-   geometry.) *)
+   applied per .chi section by Exo_check, through [wall_cycles].)
+
+   Both ISAs share one classifier ([loop_trip]) over a small per-ISA
+   [decoder] of exit tests and IV updates, and the scalar interpreters
+   run on Dataflow's forward solver. The X3K one ([x3k_lane0]) also
+   serves Exo-check's race/extent pass, which reads %p0 alone. *)
 
 module Loc = Exochi_isa.Loc
 module X = Exochi_isa.X3k_ast
@@ -23,6 +27,7 @@ module V = Exochi_isa.Via32_ast
 module VF = Exochi_isa.Via32_flow
 module Cfg = Exochi_isa.Cfg
 module Cost = Exochi_isa.X3k_cost
+module Gpu = Exochi_accel.Gpu
 
 let finding = Finding.make
 
@@ -45,9 +50,8 @@ let add_cap a b =
 (* The symbolic domain: affine forms over the launch parameters         *)
 (* ==================================================================== *)
 
-(* [Sym (k, coeffs)] is k + sum coeffs_i * %p_i — the multi-parameter
-   generalisation of Exo_check's a*%p0+b race domain. [coeffs] is
-   sorted by parameter index and holds no zero coefficients. *)
+(* [Sym (k, coeffs)] is k + sum coeffs_i * %p_i. [coeffs] is sorted by
+   parameter index and holds no zero coefficients. *)
 type sym = Bot | Sym of int * (int * int) list | Top
 
 let s_const k = Sym (k, [])
@@ -86,8 +90,9 @@ let s_sub = s_lift2 ( - )
 
 let s_scale n = function
   | Sym (k, c) ->
-    if n = 0 then s_const 0
-    else Sym (k * n, List.map (fun (i, a) -> (i, a * n)) c)
+    (* [n = 0], or a product wrapping to 0, drops the coefficient *)
+    let scale (i, a) = if a * n = 0 then None else Some (i, a * n) in
+    Sym (k * n, List.filter_map scale c)
   | v -> v
 
 let s_mul x y =
@@ -193,22 +198,18 @@ type t = {
 }
 
 (* ==================================================================== *)
-(* Generic loop-bound decoding                                          *)
+(* Trip count of one decoded exit                                       *)
 (* ==================================================================== *)
 
-(* The continue-condition of an exit test, already normalised so the
-   induction variable is on the left: stay in the loop while IV <cond>
-   bound. *)
-type cond = X.cond
-
-let mirror : cond -> cond = function
+(* Conditions are X3K's; VIA32's signed condition codes map onto them. *)
+let mirror : X.cond -> X.cond = function
   | X.Lt -> X.Gt
   | X.Le -> X.Ge
   | X.Gt -> X.Lt
   | X.Ge -> X.Le
   | (X.Eq | X.Ne) as c -> c
 
-let negate : cond -> cond = function
+let negate : X.cond -> X.cond = function
   | X.Lt -> X.Ge
   | X.Le -> X.Gt
   | X.Gt -> X.Le
@@ -216,26 +217,17 @@ let negate : cond -> cond = function
   | X.Eq -> X.Ne
   | X.Ne -> X.Eq
 
-(* What the ISA-specific front end must provide about one loop for the
-   shared trip computation. *)
-type 'reg exit_test = {
-  e_iv : 'reg; (* the register the comparison tests *)
-  e_cond : cond; (* continue while e_iv <e_cond> e_bound *)
-  e_bound : sym; (* loop-invariant bound value *)
-  e_site : int; (* instruction index of the conditional branch *)
-}
-
 (* Trip count for one decoded exit: the IV starts at [init], moves by
    [step] (constant, sign-normalised below) on every iteration, and the
-   loop continues while the condition holds. [pre_update] is true when
-   the test reads the IV before the update in the iteration (while
-   shape) — one more header execution than bound-crossings. *)
-let trip_of_exit ~init ~step ~pre_update { e_cond; e_bound; _ } =
+   loop continues while IV <cond> bound. [pre_update] is true when the
+   test reads the IV before the update in the iteration (while shape) —
+   one more header execution than bound-crossings. *)
+let trip_of_exit ~init ~step ~pre_update ~cond ~bound =
   let extra = if pre_update then 1 else 0 in
   (* normalise to a positive step by reflecting the number line *)
   let init, bound, cond =
-    if step >= 0 then (init, e_bound, e_cond)
-    else (s_scale (-1) init, s_scale (-1) e_bound, mirror e_cond)
+    if step >= 0 then (init, bound, cond)
+    else (s_scale (-1) init, s_scale (-1) bound, mirror cond)
   in
   let step = abs step in
   let diff adj = s_add (s_sub bound init) (s_const adj) in
@@ -278,298 +270,89 @@ let best_trip trips =
   match trips with [] -> None | t :: rest -> Some (List.fold_left better t rest)
 
 (* ==================================================================== *)
-(* X3K front end                                                        *)
+(* Scalar interpretation                                                *)
 (* ==================================================================== *)
 
 let max_tracked_reg = 255
 
-(* Whole-program abstract interpretation in the multi-parameter domain,
-   tracking lane-0 scalar values (the twin of Exo_check.x3k_interp).
-   Returns the fixpoint entry state per instruction plus the transfer
-   function, so loop-entry (pre-header) OUT states can be queried. *)
-let x3k_sym_interp (p : X.program) =
-  let n = Array.length p.X.instrs in
-  let nregs = max_tracked_reg + 1 in
-  let operand_sym st = function
+let reg_value st r = if r >= 0 && r < Array.length st then st.(r) else Top
+
+(* Forward fixpoint of [transfer] over register states, from all-[Bot]
+   at every entry. Returns the entry state per instruction and the OUT
+   state of an instruction, so loop-entry values can be queried. *)
+let interpret cfg ~nregs ~transfer =
+  let merge cur st =
+    let changed = ref false in
+    let st' =
+      Array.mapi
+        (fun r v ->
+          let j = s_join v st.(r) in
+          if j <> v then changed := true;
+          j)
+        cur
+    in
+    if !changed then Some st' else None
+  in
+  let entry =
+    Dataflow.forward cfg ~init:(Array.make nregs Bot) ~merge ~transfer
+  in
+  (entry, fun idx -> Option.map (transfer idx) entry.(idx))
+
+let x3k_lane0 ~sreg (cfg : Cfg.t) (p : X.program) =
+  let value st = function
     | X.Imm c -> s_const (Int32.to_int c)
-    | X.Sreg (X.Param i) -> s_param i
-    | X.Sreg X.Lane -> s_const 0 (* lane 0 of the iota vector *)
-    | X.Sreg _ -> Top
-    | X.Reg r -> if r < nregs then st.(r) else Top
-    | X.Range (a, _) -> if a < nregs then st.(a) else Top
+    | X.Sreg s -> sreg s
+    | X.Reg r | X.Range (r, _) -> reg_value st r
     | X.Flag _ | X.Surf _ | X.Surf2d _ | X.Remote _ -> Top
   in
-  let transfer st (i : X.instr) =
+  let transfer idx st =
+    let i = p.X.instrs.(idx) in
     let dst_regs =
       match i.X.dst with
-      | Some (X.Reg r) -> [ (r, true) ]
+      | Some (X.Reg r) -> [ (r, true) ] (* (register, carries lane 0) *)
       | Some (X.Range (a, b)) -> List.init (b - a + 1) (fun k -> (a + k, k = 0))
       | _ -> []
     in
     if dst_regs = [] then st
     else begin
-      let value =
+      let v =
         match (i.X.op, i.X.srcs) with
-        | (X.Mov | X.Bcast), [ s ] -> operand_sym st s
-        | X.Add, [ s1; s2 ] -> s_add (operand_sym st s1) (operand_sym st s2)
-        | X.Sub, [ s1; s2 ] -> s_sub (operand_sym st s1) (operand_sym st s2)
-        | X.Mul, [ s1; s2 ] -> s_mul (operand_sym st s1) (operand_sym st s2)
-        | X.Shl, [ s1; X.Imm k ] -> s_shl (operand_sym st s1) (Int32.to_int k)
+        | (X.Mov | X.Bcast), [ s ] -> value st s
+        | X.Add, [ s1; s2 ] -> s_add (value st s1) (value st s2)
+        | X.Sub, [ s1; s2 ] -> s_sub (value st s1) (value st s2)
+        | X.Mul, [ s1; s2 ] -> s_mul (value st s1) (value st s2)
+        | X.Shl, [ s1; X.Imm k ] -> s_shl (value st s1) (Int32.to_int k)
         | _ -> Top
       in
       let st = Array.copy st in
       List.iter
         (fun (r, lane0) ->
-          if r < nregs then begin
-            let v = if lane0 then value else Top in
+          if r <= max_tracked_reg then begin
+            let v = if lane0 then v else Top in
+            (* a predicated write may not happen: join with the old value *)
             st.(r) <- (if i.X.pred = None then v else s_join st.(r) v)
           end)
         dst_regs;
       st
     end
   in
-  let entry : sym array option array = Array.make n None in
-  let work = Queue.create () in
-  let push idx st =
-    let merged =
-      match entry.(idx) with
-      | None -> Some st
-      | Some cur ->
-        let changed = ref false in
-        let st' =
-          Array.mapi
-            (fun r v ->
-              let j = s_join v st.(r) in
-              if j <> v then changed := true;
-              j)
-            cur
-        in
-        if !changed then Some st' else None
-    in
-    match merged with
-    | None -> ()
-    | Some st ->
-      entry.(idx) <- Some st;
-      Queue.add idx work
-  in
-  List.iter (fun e -> push e (Array.make nregs Bot)) (XF.entries p);
-  while not (Queue.is_empty work) do
-    let idx = Queue.pop work in
-    match entry.(idx) with
-    | None -> ()
-    | Some st ->
-      let out = transfer st p.X.instrs.(idx) in
-      List.iter (fun s -> push s out) (XF.succs p idx)
-  done;
-  let out idx =
-    match entry.(idx) with
-    | None -> None
-    | Some st -> Some (transfer st p.X.instrs.(idx))
-  in
-  (entry, out)
+  interpret cfg ~nregs:(max_tracked_reg + 1) ~transfer
 
-(* Value of register [r] on entry to the loop: join of the OUT states
-   of the header's predecessors from outside the body (plus the initial
-   Bot state when the header is itself a program entry). *)
-let loop_entry_value (cfg : Cfg.t) (l : Cfg.loop) out r =
-  let from_preds =
-    List.fold_left
-      (fun acc p ->
-        if l.Cfg.body.(p) then acc
-        else
-          match out p with
-          | None -> acc
-          | Some st -> s_join acc (if r < Array.length st then st.(r) else Top))
-      Bot cfg.Cfg.pred.(l.Cfg.header)
-  in
-  if List.mem l.Cfg.header cfg.Cfg.entries then s_join from_preds Bot
-  else from_preds
-
-(* Unique unpredicated definition of flag [f] reaching instruction [u]
-   backwards through the CFG (stopping at redefinitions). *)
-let x3k_reaching_flag_def (p : X.program) (cfg : Cfg.t) u f =
-  let defs = ref [] in
-  let seen = Array.make cfg.Cfg.n false in
-  let overflowed = ref false in
-  let rec go idx =
-    if not seen.(idx) then begin
-      seen.(idx) <- true;
-      (* a backward path reaching a program entry carries no def *)
-      if List.mem idx cfg.Cfg.entries then overflowed := true;
-      List.iter
-        (fun pr ->
-          let du = XF.def_use p.X.instrs.(pr) in
-          if List.mem f du.XF.flag_defs then begin
-            if not (List.mem pr !defs) then defs := pr :: !defs
-          end
-          else go pr)
-        cfg.Cfg.pred.(idx)
-    end
-  in
-  go u;
-  match (!defs, !overflowed) with [ d ], false -> Some d | _ -> None
-
-(* All updates of register [r] inside the loop body must be unpredicated
-   constant self-steps (add/sub r = r, imm); returns their (index, step)
-   list, or an error describing why [r] is not a monotone IV. *)
-let x3k_iv_steps (p : X.program) (l : Cfg.loop) r =
-  let bad = ref None in
-  let steps = ref [] in
-  List.iter
-    (fun idx ->
-      let i = p.X.instrs.(idx) in
-      let du = XF.def_use i in
-      if List.mem r du.XF.reg_defs then
-        match (i.X.op, i.X.dst, i.X.srcs) with
-        | (X.Add | X.Sub), Some (X.Reg d), [ X.Reg s1; X.Imm k ]
-          when d = r && s1 = r && i.X.pred = None ->
-          let k = Int32.to_int k in
-          steps := (idx, if i.X.op = X.Add then k else -k) :: !steps
-        | _, _, _ when i.X.pred <> None ->
-          bad := Some (`Nonmono "predicated update of the induction variable")
-        | _ -> bad := Some (`Opaque "non-constant update of the induction variable"))
-    l.Cfg.nodes;
-  match !bad with Some why -> Error why | None -> Ok !steps
-
-(* One loop's trip verdict, X3K. *)
-let x3k_loop_trip (p : X.program) (cfg : Cfg.t) out (l : Cfg.loop) =
-  if l.Cfg.exits = [] then T_unbounded "the loop has no exit edges"
-  else begin
-    (* decodable conditional exits: an unpredicated width-1 br whose
-       flag has a unique reaching width-1 unpredicated cmp *)
-    let decoded =
-      List.filter_map
-        (fun (u, _v) ->
-          let i = p.X.instrs.(u) in
-          match (i.X.op, i.X.srcs) with
-          | X.Br mode, [ X.Flag f; X.Imm tgt ]
-            when i.X.pred = None && i.X.width = 1 -> (
-            let tgt = Int32.to_int tgt in
-            let exit_on_taken = not (tgt >= 0 && tgt < cfg.Cfg.n && l.Cfg.body.(tgt)) in
-            match x3k_reaching_flag_def p cfg u f with
-            | None -> None
-            | Some d -> (
-              let ci = p.X.instrs.(d) in
-              match (ci.X.op, ci.X.srcs) with
-              | X.Cmp c, [ a; b ] when ci.X.pred = None && ci.X.width = 1 ->
-                (* taken when the flag is set (any/all over one lane) or
-                   clear (none_set); continue = the non-exit direction *)
-                let flag_means = match mode with X.None_set -> negate c | _ -> c in
-                let continue_cond =
-                  if exit_on_taken then negate flag_means else flag_means
-                in
-                Some (u, d, continue_cond, a, b)
-              | _ -> None))
-          | _ -> None)
-        (List.sort_uniq compare l.Cfg.exits)
-    in
-    if decoded = [] then T_unknown "no decodable exit test"
-    else begin
-      let in_loop_reg_defs r =
-        List.exists
-          (fun idx -> List.mem r (XF.def_use p.X.instrs.(idx)).XF.reg_defs)
-          l.Cfg.nodes
-      in
-      let invariant_sym = function
-        | X.Imm c -> Some (s_const (Int32.to_int c))
-        | X.Sreg (X.Param i) -> Some (s_param i)
-        | X.Reg r when not (in_loop_reg_defs r) ->
-          (* loop-invariant register: its value on loop entry *)
-          Some (loop_entry_value cfg l out r)
-        | _ -> None
-      in
-      let dominates_back_srcs idx =
-        List.for_all (fun s -> Cfg.dominates cfg idx s) l.Cfg.back_srcs
-      in
-      let trips =
-        List.map
-          (fun (u, _d, cond, a, b) ->
-            if not (dominates_back_srcs u) then
-              T_unknown "the exit test does not run on every iteration"
-            else begin
-              (* put the induction variable on the left *)
-              let pick_iv side_a side_b cond =
-                match (side_a, side_b) with
-                | X.Reg r, other when in_loop_reg_defs r -> Some (r, other, cond)
-                | _ -> None
-              in
-              match
-                (match pick_iv a b cond with
-                | Some x -> Some x
-                | None -> pick_iv b a (mirror cond))
-              with
-              | None -> (
-                (* neither side varies: a loop-invariant test. As the
-                   only exit this can never fire after passing once. *)
-                match (invariant_sym a, invariant_sym b) with
-                | Some _, Some _ when List.length decoded = 1
-                                      && List.length l.Cfg.exits = 1 ->
-                  T_unbounded "the exit condition is loop-invariant"
-                | _ -> T_unknown "exit test without an induction variable")
-              | Some (iv, bound_op, cond) -> (
-                match invariant_sym bound_op with
-                | None -> T_unknown "exit bound is not loop-invariant"
-                | Some bound when bound = Top ->
-                  T_unknown "exit bound is not statically known"
-                | Some bound -> (
-                  match x3k_iv_steps p l iv with
-                  | Error (`Nonmono why) -> T_unknown ("EXO015:" ^ why)
-                  | Error (`Opaque why) -> T_unknown why
-                  | Ok [] -> T_unknown "exit register is never updated in the loop"
-                  | Ok steps ->
-                    let signs = List.sort_uniq compare (List.map (fun (_, s) -> compare s 0) steps) in
-                    if List.mem 0 signs || List.length signs > 1 then
-                      T_unknown "EXO015:mixed-direction updates of the induction variable"
-                    else begin
-                      (* guaranteed progress: self-steps that dominate
-                         every back-edge source fire each iteration *)
-                      let guaranteed =
-                        List.filter (fun (idx, _) -> dominates_back_srcs idx) steps
-                      in
-                      if guaranteed = [] then
-                        T_unknown "no induction-variable update is guaranteed every iteration"
-                      else begin
-                        let step = List.fold_left (fun acc (_, s) -> acc + s) 0 guaranteed in
-                        let init = loop_entry_value cfg l out iv in
-                        let init =
-                          match init with
-                          | Bot -> Top (* entered uninitialised: EXO008's business *)
-                          | v -> v
-                        in
-                        if init = Top then T_unknown "induction-variable start value unknown"
-                        else
-                          (* the test reads the IV before the update
-                             unless every guaranteed update dominates it *)
-                          let pre_update =
-                            not (List.for_all (fun (idx, _) -> Cfg.dominates cfg idx u) guaranteed)
-                          in
-                          trip_of_exit ~init ~step ~pre_update
-                            { e_iv = iv; e_cond = cond; e_bound = bound; e_site = u }
-                      end
-                    end))
-            end)
-          decoded
-      in
-      match best_trip trips with Some t -> t | None -> T_unknown "no decodable exit test"
-    end
-  end
-
-(* ==================================================================== *)
-(* VIA32 front end                                                      *)
-(* ==================================================================== *)
-
-let gpr_idx = function
-  | V.EAX -> 0 | V.EBX -> 1 | V.ECX -> 2 | V.EDX -> 3
-  | V.ESI -> 4 | V.EDI -> 5 | V.EBP -> 6 | V.ESP -> 7
+(* Exo-bound's reading of the special registers: the launch parameters
+   symbolically, and %lane as lane 0 of the iota vector. *)
+let launch_sreg = function
+  | X.Param i -> s_param i
+  | X.Lane -> s_const 0
+  | _ -> Top
 
 (* Constant propagation over the GPRs (VIA32 has no launch parameters,
    so the domain degenerates to constants-or-Top). *)
-let via32_sym_interp (p : V.program) =
-  let n = Array.length p.V.instrs in
-  let transfer st (i : V.instr) =
+let via32_consts (cfg : Cfg.t) (p : V.program) =
+  let transfer idx st =
+    let i = p.V.instrs.(idx) in
     let st = Array.copy st in
-    let set r v = st.(gpr_idx r) <- v in
-    let get r = st.(gpr_idx r) in
+    let set r v = st.(V.reg_index r) <- v in
+    let get r = st.(V.reg_index r) in
     (match (i.V.op, i.V.operands) with
     | V.Mov _, [ V.R r; V.I c ] -> set r (s_const (Int32.to_int c))
     | V.Mov _, [ V.R r; V.R s ] -> set r (get s)
@@ -584,56 +367,208 @@ let via32_sym_interp (p : V.program) =
         (VF.def_use i).VF.defs);
     st
   in
-  let entry : sym array option array = Array.make n None in
-  let work = Queue.create () in
-  let push idx st =
-    let merged =
-      match entry.(idx) with
-      | None -> Some st
-      | Some cur ->
-        let changed = ref false in
-        let st' =
-          Array.mapi
-            (fun r v ->
-              let j = s_join v st.(r) in
-              if j <> v then changed := true;
-              j)
-            cur
-        in
-        if !changed then Some st' else None
-    in
-    match merged with
-    | None -> ()
-    | Some st ->
-      entry.(idx) <- Some st;
-      Queue.add idx work
-  in
-  List.iter (fun e -> push e (Array.make 8 Bot)) (VF.entries p);
-  while not (Queue.is_empty work) do
-    let idx = Queue.pop work in
-    match entry.(idx) with
-    | None -> ()
-    | Some st ->
-      let out = transfer st p.V.instrs.(idx) in
-      List.iter (fun s -> push s out) (VF.succs p idx)
-  done;
-  let out idx =
-    match entry.(idx) with
-    | None -> None
-    | Some st -> Some (transfer st p.V.instrs.(idx))
-  in
-  (entry, out)
+  interpret cfg ~nregs:8 ~transfer
 
-let via32_loop_entry_value (cfg : Cfg.t) (l : Cfg.loop) out r =
+(* ==================================================================== *)
+(* The loop-trip classifier                                             *)
+(* ==================================================================== *)
+
+(* A compared operand as the classifier sees it. *)
+type operand = O_reg of int | O_val of sym | O_opaque
+
+(* What an ISA front end decodes for the classifier. *)
+type decoder = {
+  exit_test : int -> (int * X.cond * operand * operand) option;
+      (* a conditional branch: its target, the condition under which it
+         is taken, and the two operands its reaching compare tests *)
+  defines : int -> int -> bool; (* instruction writes register *)
+  step : int -> int -> [ `Step of int | `Predicated | `Opaque ];
+      (* how an instruction that writes a register updates it *)
+}
+
+(* Value of register [r] on entry to the loop: join of the OUT states
+   of the header's predecessors from outside the body (plus the initial
+   Bot state when the header is itself a program entry). *)
+let loop_entry_value (cfg : Cfg.t) (l : Cfg.loop) out r =
   let from_preds =
     List.fold_left
-      (fun acc pr ->
-        if l.Cfg.body.(pr) then acc
-        else match out pr with None -> acc | Some st -> s_join acc st.(gpr_idx r))
+      (fun acc p ->
+        if l.Cfg.body.(p) then acc
+        else
+          match out p with
+          | None -> acc
+          | Some st -> s_join acc (reg_value st r))
       Bot cfg.Cfg.pred.(l.Cfg.header)
   in
   if List.mem l.Cfg.header cfg.Cfg.entries then s_join from_preds Bot
   else from_preds
+
+(* All updates of register [r] inside the loop body must be unpredicated
+   constant self-steps; returns their (index, step) list, or why [r] is
+   not a monotone IV. *)
+let iv_steps (d : decoder) (l : Cfg.loop) r =
+  let bad = ref None in
+  let steps = ref [] in
+  List.iter
+    (fun idx ->
+      if d.defines idx r then
+        match d.step idx r with
+        | `Step k -> steps := (idx, k) :: !steps
+        | `Predicated ->
+          bad := Some (`Nonmono "predicated update of the induction variable")
+        | `Opaque -> bad := Some (`Opaque "non-constant update of the induction variable"))
+    l.Cfg.nodes;
+  match !bad with Some why -> Error why | None -> Ok !steps
+
+(* One loop's trip verdict. *)
+let loop_trip (d : decoder) (cfg : Cfg.t) out (l : Cfg.loop) =
+  if l.Cfg.exits = [] then T_unbounded "the loop has no exit edges"
+  else begin
+    let decoded =
+      List.filter_map
+        (fun (u, _v) ->
+          Option.map
+            (fun (tgt, taken, a, b) ->
+              let exit_on_taken =
+                not (tgt >= 0 && tgt < cfg.Cfg.n && l.Cfg.body.(tgt))
+              in
+              (* continue = the non-exit direction *)
+              (u, (if exit_on_taken then negate taken else taken), a, b))
+            (d.exit_test u))
+        (List.sort_uniq compare l.Cfg.exits)
+    in
+    if decoded = [] then T_unknown "no decodable exit test"
+    else begin
+      let in_loop r = List.exists (fun idx -> d.defines idx r) l.Cfg.nodes in
+      let invariant = function
+        | O_val v -> Some v
+        | O_reg r when not (in_loop r) ->
+          (* loop-invariant register: its value on loop entry *)
+          Some (loop_entry_value cfg l out r)
+        | _ -> None
+      in
+      let dominates_back_srcs idx =
+        List.for_all (fun s -> Cfg.dominates cfg idx s) l.Cfg.back_srcs
+      in
+      let trip (u, cond, a, b) =
+        if not (dominates_back_srcs u) then
+          T_unknown "the exit test does not run on every iteration"
+        else begin
+          (* put the induction variable on the left *)
+          let pick_iv side_a side_b cond =
+            match side_a with
+            | O_reg r when in_loop r -> Some (r, side_b, cond)
+            | _ -> None
+          in
+          match
+            match pick_iv a b cond with
+            | Some x -> Some x
+            | None -> pick_iv b a (mirror cond)
+          with
+          | None -> (
+            (* neither side varies: a loop-invariant test. As the only
+               exit this can never fire after passing once. *)
+            match (invariant a, invariant b) with
+            | Some _, Some _
+              when List.length decoded = 1 && List.length l.Cfg.exits = 1 ->
+              T_unbounded "the exit condition is loop-invariant"
+            | _ -> T_unknown "exit test without an induction variable")
+          | Some (iv, bound_op, cond) -> (
+            match invariant bound_op with
+            | None -> T_unknown "exit bound is not loop-invariant"
+            | Some (Top | Bot) ->
+              (* Bot: no definition reaches the bound *)
+              T_unknown "exit bound is not statically known"
+            | Some bound -> (
+              match iv_steps d l iv with
+              | Error (`Nonmono why) -> T_unknown ("EXO015:" ^ why)
+              | Error (`Opaque why) -> T_unknown why
+              | Ok [] -> T_unknown "exit register is never updated in the loop"
+              | Ok steps ->
+                let signs =
+                  List.sort_uniq compare (List.map (fun (_, s) -> compare s 0) steps)
+                in
+                if List.mem 0 signs || List.length signs > 1 then
+                  T_unknown "EXO015:mixed-direction updates of the induction variable"
+                else begin
+                  (* guaranteed progress: self-steps that dominate every
+                     back-edge source fire each iteration *)
+                  let guaranteed =
+                    List.filter (fun (idx, _) -> dominates_back_srcs idx) steps
+                  in
+                  if guaranteed = [] then
+                    T_unknown "no induction-variable update is guaranteed every iteration"
+                  else
+                    match loop_entry_value cfg l out iv with
+                    | Top | Bot ->
+                      (* Bot: entered uninitialised, EXO008's business *)
+                      T_unknown "induction-variable start value unknown"
+                    | init ->
+                      let step =
+                        List.fold_left (fun acc (_, s) -> acc + s) 0 guaranteed
+                      in
+                      (* the test reads the IV before the update unless
+                         every guaranteed update dominates it *)
+                      let pre_update =
+                        not
+                          (List.for_all
+                             (fun (idx, _) -> Cfg.dominates cfg idx u)
+                             guaranteed)
+                      in
+                      trip_of_exit ~init ~step ~pre_update ~cond ~bound
+                end))
+        end
+      in
+      match best_trip (List.map trip decoded) with
+      | Some t -> t
+      | None -> T_unknown "no decodable exit test"
+    end
+  end
+
+(* ==================================================================== *)
+(* Per-ISA decoders                                                     *)
+(* ==================================================================== *)
+
+(* Exits: an unpredicated width-1 br whose flag has a unique reaching
+   width-1 unpredicated cmp. IV updates: add/sub r = r, imm. *)
+let x3k_decoder (cfg : Cfg.t) (p : X.program) =
+  let du = Array.map XF.def_use p.X.instrs in
+  let operand = function
+    | X.Imm c -> O_val (s_const (Int32.to_int c))
+    | X.Sreg (X.Param i) -> O_val (s_param i)
+    | X.Reg r -> O_reg r
+    | _ -> O_opaque
+  in
+  let exit_test u =
+    let i = p.X.instrs.(u) in
+    match (i.X.op, i.X.srcs) with
+    | X.Br mode, [ X.Flag f; X.Imm tgt ] when i.X.pred = None && i.X.width = 1
+      -> (
+      let defines pr = List.mem f du.(pr).XF.flag_defs in
+      match Dataflow.reaching_def cfg ~defines u with
+      | None -> None
+      | Some d -> (
+        let ci = p.X.instrs.(d) in
+        match (ci.X.op, ci.X.srcs) with
+        | X.Cmp c, [ a; b ] when ci.X.pred = None && ci.X.width = 1 ->
+          (* taken when the flag is set (any/all over one lane) or clear
+             (none_set) *)
+          let taken = match mode with X.None_set -> negate c | _ -> c in
+          Some (Int32.to_int tgt, taken, operand a, operand b)
+        | _ -> None))
+    | _ -> None
+  in
+  let step idx r =
+    let i = p.X.instrs.(idx) in
+    match (i.X.op, i.X.dst, i.X.srcs) with
+    | (X.Add | X.Sub), Some (X.Reg d), [ X.Reg s; X.Imm k ]
+      when d = r && s = r && i.X.pred = None ->
+      let k = Int32.to_int k in
+      `Step (if i.X.op = X.Add then k else -k)
+    | _ when i.X.pred <> None -> `Predicated
+    | _ -> `Opaque
+  in
+  { exit_test; defines = (fun idx r -> List.mem r du.(idx).XF.reg_defs); step }
 
 let cond_of_cc = function
   | V.E -> Some X.Eq
@@ -644,152 +579,35 @@ let cond_of_cc = function
   | V.GE -> Some X.Ge
   | V.B | V.BE | V.A | V.AE -> None (* unsigned: outside the fragment *)
 
-(* Unique reaching [cmp] defining the flags at [u]. *)
-let via32_reaching_cmp (p : V.program) (cfg : Cfg.t) u =
-  let defs = ref [] in
-  let seen = Array.make cfg.Cfg.n false in
-  let underflow = ref false in
-  let rec go idx =
-    if not seen.(idx) then begin
-      seen.(idx) <- true;
-      if List.mem idx cfg.Cfg.entries then underflow := true;
-      List.iter
-        (fun pr ->
-          let du = VF.def_use p.V.instrs.(pr) in
-          if List.mem VF.Flags du.VF.defs then begin
-            if not (List.mem pr !defs) then defs := pr :: !defs
-          end
-          else go pr)
-        cfg.Cfg.pred.(idx)
-    end
+(* Exits: a signed jcc whose flags have a unique reaching cmp. IV
+   updates: add/sub r, imm. *)
+let via32_decoder (cfg : Cfg.t) (p : V.program) =
+  let du = Array.map VF.def_use p.V.instrs in
+  let operand = function
+    | V.I c -> O_val (s_const (Int32.to_int c))
+    | V.R r -> O_reg (V.reg_index r)
+    | _ -> O_opaque
   in
-  go u;
-  match (!defs, !underflow) with
-  | [ d ], false -> (
-    let i = p.V.instrs.(d) in
-    match (i.V.op, i.V.operands) with
-    | V.Cmp, [ a; b ] -> Some (a, b)
-    | _ -> None)
-  | _ -> None
-
-let via32_iv_steps (p : V.program) (l : Cfg.loop) r =
-  let bad = ref None in
-  let steps = ref [] in
-  List.iter
-    (fun idx ->
-      let i = p.V.instrs.(idx) in
-      if List.mem (VF.Gpr r) (VF.def_use i).VF.defs then
-        match (i.V.op, i.V.operands) with
-        | V.Add, [ V.R d; V.I k ] when d = r ->
-          steps := (idx, Int32.to_int k) :: !steps
-        | V.Sub, [ V.R d; V.I k ] when d = r ->
-          steps := (idx, -(Int32.to_int k)) :: !steps
-        | _ -> bad := Some (`Opaque "non-constant update of the induction variable"))
-    l.Cfg.nodes;
-  match !bad with Some why -> Error why | None -> Ok !steps
-
-let via32_loop_trip (p : V.program) (cfg : Cfg.t) out (l : Cfg.loop) =
-  if l.Cfg.exits = [] then T_unbounded "the loop has no exit edges"
-  else begin
-    let decoded =
-      List.filter_map
-        (fun (u, _v) ->
-          let i = p.V.instrs.(u) in
-          match (i.V.op, i.V.operands) with
-          | V.Jcc cc, [ V.I tgt ] -> (
-            match cond_of_cc cc with
-            | None -> None
-            | Some c -> (
-              let tgt = Int32.to_int tgt in
-              let exit_on_taken =
-                not (tgt >= 0 && tgt < cfg.Cfg.n && l.Cfg.body.(tgt))
-              in
-              let continue_cond = if exit_on_taken then negate c else c in
-              match via32_reaching_cmp p cfg u with
-              | None -> None
-              | Some (a, b) -> Some (u, continue_cond, a, b)))
-          | _ -> None)
-        (List.sort_uniq compare l.Cfg.exits)
-    in
-    if decoded = [] then T_unknown "no decodable exit test"
-    else begin
-      let in_loop_defs r =
-        List.exists
-          (fun idx -> List.mem (VF.Gpr r) (VF.def_use p.V.instrs.(idx)).VF.defs)
-          l.Cfg.nodes
-      in
-      let invariant_sym = function
-        | V.I c -> Some (s_const (Int32.to_int c))
-        | V.R r when not (in_loop_defs r) -> Some (via32_loop_entry_value cfg l out r)
-        | _ -> None
-      in
-      let dominates_back_srcs idx =
-        List.for_all (fun s -> Cfg.dominates cfg idx s) l.Cfg.back_srcs
-      in
-      let trips =
-        List.map
-          (fun (u, cond, a, b) ->
-            if not (dominates_back_srcs u) then
-              T_unknown "the exit test does not run on every iteration"
-            else begin
-              let pick_iv side_a side_b cond =
-                match (side_a, side_b) with
-                | V.R r, other when in_loop_defs r -> Some (r, other, cond)
-                | _ -> None
-              in
-              match
-                (match pick_iv a b cond with
-                | Some x -> Some x
-                | None -> pick_iv b a (mirror cond))
-              with
-              | None -> (
-                match (invariant_sym a, invariant_sym b) with
-                | Some _, Some _ when List.length decoded = 1
-                                      && List.length l.Cfg.exits = 1 ->
-                  T_unbounded "the exit condition is loop-invariant"
-                | _ -> T_unknown "exit test without an induction variable")
-              | Some (iv, bound_op, cond) -> (
-                match invariant_sym bound_op with
-                | None -> T_unknown "exit bound is not loop-invariant"
-                | Some bound when bound = Top || bound = Bot ->
-                  T_unknown "exit bound is not statically known"
-                | Some bound -> (
-                  match via32_iv_steps p l iv with
-                  | Error (`Nonmono why) -> T_unknown ("EXO015:" ^ why)
-                  | Error (`Opaque why) -> T_unknown why
-                  | Ok [] -> T_unknown "exit register is never updated in the loop"
-                  | Ok steps ->
-                    let signs = List.sort_uniq compare (List.map (fun (_, s) -> compare s 0) steps) in
-                    if List.mem 0 signs || List.length signs > 1 then
-                      T_unknown "EXO015:mixed-direction updates of the induction variable"
-                    else begin
-                      let guaranteed =
-                        List.filter (fun (idx, _) -> dominates_back_srcs idx) steps
-                      in
-                      if guaranteed = [] then
-                        T_unknown "no induction-variable update is guaranteed every iteration"
-                      else begin
-                        let step = List.fold_left (fun acc (_, s) -> acc + s) 0 guaranteed in
-                        let init =
-                          match via32_loop_entry_value cfg l out iv with
-                          | Bot -> Top
-                          | v -> v
-                        in
-                        if init = Top then T_unknown "induction-variable start value unknown"
-                        else
-                          let pre_update =
-                            not (List.for_all (fun (idx, _) -> Cfg.dominates cfg idx u) guaranteed)
-                          in
-                          trip_of_exit ~init ~step ~pre_update
-                            { e_iv = iv; e_cond = cond; e_bound = bound; e_site = u }
-                      end
-                    end))
-            end)
-          decoded
-      in
-      match best_trip trips with Some t -> t | None -> T_unknown "no decodable exit test"
-    end
-  end
+  let exit_test u =
+    match (p.V.instrs.(u).V.op, p.V.instrs.(u).V.operands) with
+    | V.Jcc cc, [ V.I tgt ] -> (
+      let defines pr = List.mem VF.Flags du.(pr).VF.defs in
+      match (cond_of_cc cc, Dataflow.reaching_def cfg ~defines u) with
+      | Some c, Some d -> (
+        match (p.V.instrs.(d).V.op, p.V.instrs.(d).V.operands) with
+        | V.Cmp, [ a; b ] -> Some (Int32.to_int tgt, c, operand a, operand b)
+        | _ -> None)
+      | _ -> None)
+    | _ -> None
+  in
+  let step idx r =
+    match (p.V.instrs.(idx).V.op, p.V.instrs.(idx).V.operands) with
+    | V.Add, [ V.R d; V.I k ] when V.reg_index d = r -> `Step (Int32.to_int k)
+    | V.Sub, [ V.R d; V.I k ] when V.reg_index d = r -> `Step (-Int32.to_int k)
+    | _ -> `Opaque
+  in
+  let defines idx r = List.mem (VF.Gpr (V.reg_of_index r)) du.(idx).VF.defs in
+  { exit_test; defines; step }
 
 (* ==================================================================== *)
 (* Findings + worst-case composition                                    *)
@@ -890,10 +708,9 @@ let analyze_x3k ?loc ?(env = no_env) (p : X.program) =
     | None -> fun line -> Loc.make ~file:p.X.name ~line ~col:1
   in
   let cfg = XF.cfg p in
-  let _, out = x3k_sym_interp p in
-  let loops =
-    Array.map (fun l -> (l, x3k_loop_trip p cfg out l)) (Cfg.loops cfg)
-  in
+  let _, out = x3k_lane0 ~sreg:launch_sreg cfg p in
+  let d = x3k_decoder cfg p in
+  let loops = Array.map (fun l -> (l, loop_trip d cfg out l)) (Cfg.loops cfg) in
   let spawn_reachable =
     Array.exists
       (fun idx -> cfg.Cfg.reach.(idx) && p.X.instrs.(idx).X.op = X.Spawn)
@@ -914,14 +731,13 @@ let analyze_via32 ?loc (p : V.program) =
     | None -> fun line -> Loc.make ~file:p.V.name ~line ~col:1
   in
   let cfg = VF.cfg p in
-  let _, out = via32_sym_interp p in
-  let loops =
-    Array.map (fun l -> (l, via32_loop_trip p cfg out l)) (Cfg.loops cfg)
-  in
+  let _, out = via32_consts cfg p in
+  let d = via32_decoder cfg p in
+  let loops = Array.map (fun l -> (l, loop_trip d cfg out l)) (Cfg.loops cfg) in
   let findings, infos, verdict =
     compose ~loc_of_line
       ~line_of:(fun idx -> p.V.instrs.(idx).V.line)
-      ~cost_of:(fun _ -> 0) (* no VIA32 cycle model: loop verdicts only *)
+      ~cost_of:(fun _ -> 0) (* no VIA32 cycle cost model: loop verdicts only *)
       ~spawn_reachable:false cfg loops ~env:no_env
   in
   let verdict =
@@ -930,3 +746,12 @@ let analyze_via32 ?loc (p : V.program) =
     | v -> v
   in
   { findings; loops = infos; verdict }
+
+(* ==================================================================== *)
+(* Wall clock                                                           *)
+(* ==================================================================== *)
+
+(* Shreds run in waves of the device's hardware contexts after one
+   dispatch, each wave at most the per-shred bound. *)
+let waves (g : Gpu.config) ~shreds = cdiv shreds (g.Gpu.eus * g.Gpu.threads_per_eu)
+let wall_cycles g ~shreds c = g.Gpu.dispatch_cycles + (c * waves g ~shreds)

@@ -27,8 +27,10 @@ type loop = {
   depth : int;
 }
 
+let dedup l = List.sort_uniq compare l
+
 let build ~n ~entries ~succs =
-  let entries = List.sort_uniq compare (List.filter (fun e -> e >= 0 && e < n) entries) in
+  let entries = dedup (List.filter (fun e -> e >= 0 && e < n) entries) in
   let succ = Array.init n (fun i -> List.filter (fun s -> s >= 0 && s < n) (succs i)) in
   let pred = Array.make n [] in
   Array.iteri (fun u ss -> List.iter (fun v -> pred.(v) <- u :: pred.(v)) ss) succ;

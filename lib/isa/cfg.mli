@@ -30,6 +30,10 @@ type loop = {
   depth : int; (* 0 = outermost *)
 }
 
+(** The sorted, duplicate-free form of a list (successor, entry and
+    slot lists). *)
+val dedup : 'a list -> 'a list
+
 (** [build ~n ~entries ~succs] analyses the graph. Out-of-range entries
     and successors are dropped (defensive against malformed targets). *)
 val build : n:int -> entries:int list -> succs:(int -> int list) -> t

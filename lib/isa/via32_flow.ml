@@ -12,8 +12,6 @@ type def_use = {
   defs : slot list;
 }
 
-let dedup l = List.sort_uniq compare l
-
 let mem_uses m =
   (match m.base with Some r -> [ Gpr r ] | None -> [])
   @ (match m.index with Some (r, _) -> [ Gpr r ] | None -> [])
@@ -87,8 +85,8 @@ let def_use i =
         | I _ -> { uses = rest_uses; defs = [] }))
   in
   {
-    uses = dedup (flags_uses @ base.uses);
-    defs = dedup (flags_defs @ base.defs);
+    uses = Cfg.dedup (flags_uses @ base.uses);
+    defs = Cfg.dedup (flags_defs @ base.defs);
   }
 
 (* Effects beyond register/flag defs: memory writes, stack traffic,
@@ -116,28 +114,16 @@ let succs p idx =
   | Jmp -> ( match branch_target i with Some t when t < n -> [ t ] | _ -> [])
   | Jcc _ -> (
     match branch_target i with
-    | Some t when t < n -> dedup (t :: fall)
+    | Some t when t < n -> Cfg.dedup (t :: fall)
     | _ -> fall)
   | Call -> (
     (* flow both into the callee and past the call: the callee returns *)
     match call_target p idx with
-    | Some (Internal t) when t >= 0 && t < n -> dedup (t :: fall)
+    | Some (Internal t) when t >= 0 && t < n -> Cfg.dedup (t :: fall)
     | _ -> fall)
   | _ -> fall
 
 let entries _p = [ 0 ]
-
-let reachable p =
-  let n = Array.length p.instrs in
-  let seen = Array.make n false in
-  let rec go idx =
-    if idx < n && not seen.(idx) then begin
-      seen.(idx) <- true;
-      List.iter go (succs p idx)
-    end
-  in
-  List.iter go (entries p);
-  seen
 
 let cfg p =
   Cfg.build ~n:(Array.length p.instrs) ~entries:(entries p) ~succs:(succs p)

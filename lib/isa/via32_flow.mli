@@ -27,8 +27,7 @@ val branch_target : Via32_ast.instr -> int option
 val succs : Via32_ast.program -> int -> int list
 
 val entries : Via32_ast.program -> int list
-val reachable : Via32_ast.program -> bool array
 
-(** Full control-flow analysis (dominators, loops, irreducibility) of
-    the program graph — see {!Cfg}. *)
+(** Full control-flow analysis (dominators, loops, irreducibility,
+    reachability) of the program graph — see {!Cfg}. *)
 val cfg : Via32_ast.program -> Cfg.t

@@ -20,8 +20,6 @@ type def_use = {
   predicated : bool; (* defs are conditional on the predicate *)
 }
 
-let dedup l = List.sort_uniq compare l
-
 let def_use i =
   let src_regs, src_flags =
     List.fold_left
@@ -49,10 +47,10 @@ let def_use i =
     match i.op with Mac | Fmac -> dst_reg_defs | _ -> []
   in
   {
-    reg_uses = dedup (src_regs @ dst_reg_uses @ acc_uses);
-    reg_defs = dedup dst_reg_defs;
-    flag_uses = dedup (src_flags @ pred_flags);
-    flag_defs = dedup dst_flag_defs;
+    reg_uses = Cfg.dedup (src_regs @ dst_reg_uses @ acc_uses);
+    reg_defs = Cfg.dedup dst_reg_defs;
+    flag_uses = Cfg.dedup (src_flags @ pred_flags);
+    flag_defs = Cfg.dedup dst_flag_defs;
     predicated = i.pred <> None;
   }
 
@@ -88,7 +86,7 @@ let succs p idx =
   | Jmp -> ( match branch_target i with Some t when t < n -> [ t ] | _ -> [])
   | Br _ -> (
     match branch_target i with
-    | Some t when t < n -> dedup (t :: fall)
+    | Some t when t < n -> Cfg.dedup (t :: fall)
     | _ -> fall)
   | _ -> fall
 
@@ -100,19 +98,7 @@ let entries p =
            | Spawn, Some t when t < Array.length p.instrs -> Some t
            | _ -> None)
   in
-  dedup (0 :: spawned)
-
-let reachable p =
-  let n = Array.length p.instrs in
-  let seen = Array.make n false in
-  let rec go idx =
-    if idx < n && not seen.(idx) then begin
-      seen.(idx) <- true;
-      List.iter go (succs p idx)
-    end
-  in
-  List.iter go (entries p);
-  seen
+  Cfg.dedup (0 :: spawned)
 
 let cfg p =
   Cfg.build ~n:(Array.length p.instrs) ~entries:(entries p) ~succs:(succs p)

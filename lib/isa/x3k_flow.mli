@@ -33,9 +33,7 @@ val succs : X3k_ast.program -> int -> int list
 (** Entry points: instruction 0 plus every [spawn] target. *)
 val entries : X3k_ast.program -> int list
 
-(** [reachable p] marks the instructions reachable from {!entries}. *)
-val reachable : X3k_ast.program -> bool array
-
-(** Full control-flow analysis (dominators, loops, irreducibility) of
-    the shred graph — see {!Cfg}. Spawn targets are extra entries. *)
+(** Full control-flow analysis (dominators, loops, irreducibility,
+    reachability) of the shred graph — see {!Cfg}. Spawn targets are
+    extra entries. *)
 val cfg : X3k_ast.program -> Cfg.t

@@ -362,9 +362,7 @@ let infeasible_deadline t (a : arena) (job : Job.t) ~now =
   match (job.Job.deadline_ps, a.a_bound_cycles) with
   | Some deadline, Some c when t.cfg.static_admission ->
     let gpu = Platform.gpu t.platform in
-    let contexts = Gpu.hw_contexts gpu in
-    let waves = (job.Job.shreds + contexts - 1) / contexts in
-    let cycles = (Gpu.config gpu).Gpu.dispatch_cycles + (c * waves) in
+    let cycles = Bound.wall_cycles (Gpu.config gpu) ~shreds:job.Job.shreds c in
     let needed_ps = cycles * Gpu.cycle_ps gpu in
     let slack_ps = deadline - now in
     if needed_ps > slack_ps then
