@@ -575,252 +575,19 @@ let prop_gpu_matches_lane_reference =
 
 (* ---- differential: the EU pipeline vs the IA32 fallback ----
 
-   Generated checker-valid programs run once through the EU pipeline
-   and once through [Gpu.emulate_shred], each on a fresh platform with
-   the same input surface; the output surfaces must be byte-identical.
-   Data lives in vr1..vr12; vr100/vr101 hold load and gather indices,
-   so every address stays inside the input surface. *)
+   Generated checker-valid programs ([X3k_gen.eu_case_gen]) run once
+   through the EU pipeline and once through [Gpu.emulate_shred], each on
+   a fresh platform with the same input surface; the output surfaces
+   must be byte-identical. *)
 
-let data_regs = 12
-
-let body_ops =
-  X3k_ast.
-    [
-      Add; Sub; Mul; Min; Max; Avg; Shl; Shr; Sar; And; Or; Xor; Fadd; Fsub;
-      Fmul; Fmin; Fmax; Mac; Fmac; Sad; Sel; Cmp Eq; Cmp Ne; Cmp Lt; Cmp Le;
-      Cmp Gt; Cmp Ge; Mov; Abs; Not; Sat; Fabs; Cvtif; Cvtfi; Bcast; Hadd;
-      Fdiv; Fsqrt; Dpadd;
-    ]
-
-(* X3K source of a register operand [width] lanes wide: a whole
-   register, or a range spreading the lanes over 1, 2 or 4 registers *)
-let reg_gen ~width =
-  QCheck.Gen.(
-    let ranges = List.filter (fun c -> width mod c = 0) [ 1; 2; 4 ] in
-    frequency
-      [
-        (3, map (Printf.sprintf "vr%d") (int_range 1 data_regs));
-        ( 1,
-          oneofl ranges >>= fun c ->
-          map
-            (fun a -> Printf.sprintf "[vr%d..vr%d]" a (a + c - 1))
-            (int_range 1 (data_regs - c + 1)) );
-      ])
-
-(* lane patterns that hit wrap, saturation, sign and IEEE corner cases,
-   among them the zero divisors and negative roots that fault to CEH *)
-let special_words =
-  [
-    0; 1; -1; 2; 7; 255; 256; -128; 32767; -32768; 65535; 0x7FFFFFFF;
-    0x3F800000 (* 1.0 *); 0xBF800000 (* -1.0 *);
-    0x80000000 (* -0.0, and the most negative int *);
-    0x7F800000 (* inf *); 0x7FC00000 (* nan *);
-    0x40200000 (* 2.5 *); 0x00000001 (* denormal *);
-  ]
-
-let word_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (2, oneofl special_words);
-        (2, int_range (-300) 300);
-        (1, map Int32.to_int int32);
-      ])
-
-let imm_gen dtype =
-  QCheck.Gen.(
-    match dtype with
-    | X3k_ast.F ->
-      oneofl [ "0.0"; "-0.0"; "1.0"; "-1.0"; "2.5"; "-3.75"; "1.0e30"; "3" ]
-    | _ ->
-      map
-        (fun w -> string_of_int (Int32.to_int (Int32.of_int w)))
-        word_gen)
-
-let src_gen ~width dtype =
-  QCheck.Gen.(
-    frequency
-      [
-        (8, reg_gen ~width);
-        (2, imm_gen dtype);
-        (1, return "%sid");
-        (1, return "%lane");
-        (1, map (Printf.sprintf "%%p%d") (int_range 0 7));
-      ])
-
-(* A body item: finished lines, or a forward branch whose label is
-   resolved once the body length is known. *)
-type item = Lines of string list | Branch of string * int
-
-let item_gen =
-  QCheck.Gen.(
-    let* width = oneofl [ 1; 4; 8; 16 ] in
-    let* dtype = oneofl X3k_ast.[ B; W; DW; F ] in
-    let* pred =
-      frequency
-        [
-          (3, return "");
-          (2, map (Printf.sprintf "(f%d) ") (int_range 0 3));
-          (1, map (Printf.sprintf "(!f%d) ") (int_range 0 3));
-        ]
-    in
-    let mnemonic op =
-      Printf.sprintf "%s.%d.%s" (X3k_ast.opcode_name op) width
-        (X3k_ast.dtype_name dtype)
-    in
-    let dst = reg_gen ~width and src = src_gen ~width dtype in
-    let* kind = int_range 0 19 in
-    if kind < 14 then
-      let* op = oneofl body_ops in
-      let pred =
-        if op = X3k_ast.Sel && pred = "" then "(f0) " else pred
-      in
-      let nsrc =
-        match op with
-        | Mov | Abs | Not | Sat | Fabs | Cvtif | Cvtfi | Bcast | Hadd | Fsqrt ->
-          1
-        | _ -> 2
-      in
-      let* d =
-        match op with
-        | Cmp _ -> map (Printf.sprintf "f%d") (int_range 0 3)
-        | _ -> dst
-      in
-      let* srcs = list_repeat nsrc src in
-      return
-        (Lines
-           [
-             Printf.sprintf "%s%s %s = %s" pred (mnemonic op) d
-               (String.concat ", " srcs);
-           ])
-    else if kind < 16 then
-      (* a load: base index = lane 0 of a data register, masked into
-         the first half of the input surface *)
-      let* r = int_range 1 data_regs in
-      let* d = dst in
-      return
-        (Lines
-           [
-             Printf.sprintf "and.1.dw vr100 = vr%d, 127" r;
-             Printf.sprintf "%s%s %s = (IN, vr100, 0)" pred
-               (mnemonic X3k_ast.Ld) d;
-           ])
-    else if kind < 18 then
-      (* a gather: per-lane indices from a data register's lanes *)
-      let* r = int_range 1 data_regs in
-      let* d = dst in
-      return
-        (Lines
-           [
-             Printf.sprintf "and.%d.dw vr101 = vr%d, 255" width r;
-             Printf.sprintf "%s%s %s = (IN, vr101, 0)" pred
-               (mnemonic X3k_ast.Gather) d;
-           ])
-    else
-      let* skip = int_range 1 6 in
-      let* branch =
-        frequency
-          [
-            (1, return "jmp");
-            ( 3,
-              let* mode = oneofl [ "any"; "all"; "none" ] in
-              map (Printf.sprintf "br.%s.%d f%d," mode width) (int_range 0 3) );
-          ]
-      in
-      return (Branch (branch, skip)))
-
-type eu_case = {
-  body : item list;
-  input : int array; (* 256 words of the input surface *)
-  sid : int;
-  params : int array;
-}
-
-let eu_case_src c =
-  let b = Buffer.create 1024 in
-  let line s = Buffer.add_string b ("  " ^ s ^ "\n") in
-  (* seed every data register from the input surface *)
-  for r = 1 to data_regs do
-    line (Printf.sprintf "mov.1.dw vr100 = %d" (r * 16));
-    line (Printf.sprintf "ld.16.dw vr%d = (IN, vr100, 0)" r)
-  done;
-  let n = List.length c.body in
-  List.iteri
-    (fun k it ->
-      Buffer.add_string b (Printf.sprintf "L%d:\n" k);
-      match it with
-      | Lines ls -> List.iter line ls
-      | Branch (br, skip) ->
-        line (Printf.sprintf "%s L%d" br (min n (k + skip))))
-    c.body;
-  (* copy each flag's lanes into vr13..vr16 as 0/1, then store every
-     data and flag register *)
-  Buffer.add_string b (Printf.sprintf "L%d:\n" n);
-  for f = 0 to 3 do
-    line (Printf.sprintf "(f%d) sel.16.dw vr%d = 1, 0" f (data_regs + 1 + f))
-  done;
-  for r = 1 to data_regs + 4 do
-    line (Printf.sprintf "mov.1.dw vr100 = %d" ((r - 1) * 16));
-    line (Printf.sprintf "st.16.dw (OUT, vr100, 0) = vr%d" r)
-  done;
-  line "end";
-  Buffer.contents b
-
-let eu_case_gen =
-  QCheck.Gen.(
-    let* body = list_size (int_range 1 30) item_gen in
-    let* input = array_repeat 256 word_gen in
-    let* sid = int_range 0 1000 in
-    let* params = array_size (int_range 0 8) word_gen in
-    return { body; input; sid; params })
-
-(* Run [c] on a fresh platform, through the EU pipeline or the IA32
-   fallback; returns the output surface's bytes. *)
 let run_eu_case ~fallback c =
-  let platform = Exochi_core.Exo_platform.create () in
-  let aspace = Exochi_core.Exo_platform.aspace platform in
-  let surface name ~height mode =
-    let base =
-      Address_space.alloc aspace ~name ~bytes:(64 * height) ~align:64
-    in
-    (Exochi_core.Chi_descriptor.alloc platform ~name ~base ~width:16 ~height
-       ~bpp:4 ~mode ())
-      .Exochi_core.Chi_descriptor.surface
-  in
-  let inp = surface "IN" ~height:16 Exochi_core.Chi_descriptor.Input in
-  let out =
-    surface "OUT" ~height:(data_regs + 4) Exochi_core.Chi_descriptor.Output
-  in
-  Array.iteri
-    (fun k w ->
-      Address_space.write_u32 aspace
-        (inp.Surface.base + (4 * k))
-        (Int32.of_int w))
-    c.input;
-  let prog = X3k_asm.assemble_exn ~name:"eu-case" (eu_case_src c) in
-  let gpu = Exochi_core.Exo_platform.gpu platform in
-  Gpu.bind gpu ~prog
-    ~surfaces:
-      (Array.map
-         (fun n -> if n = "IN" then inp else out)
-         prog.X3k_ast.surfaces);
-  let sh = { Gpu.shred_id = c.sid; entry = 0; params = c.params } in
-  if fallback then ignore (Gpu.emulate_shred gpu sh)
-  else begin
-    Gpu.enqueue gpu [ sh ];
-    ignore (Gpu.run_to_quiescence gpu)
-  end;
-  Address_space.read_bytes aspace ~vaddr:out.Surface.base
-    ~len:(Surface.byte_size out)
-
-(* shrink by dropping body items; branch labels stay in range *)
-let eu_case_shrink c =
-  QCheck.Iter.map (fun body -> { c with body }) (QCheck.Shrink.list c.body)
+  fst (X3k_gen.run ~fallback (X3k_gen.eu_case_src c) c)
 
 let prop_eu_matches_fallback =
   QCheck.Test.make ~name:"EU and IA32 fallback agree on generated programs"
     ~count:300
-    (QCheck.make ~print:eu_case_src ~shrink:eu_case_shrink eu_case_gen)
+    (QCheck.make ~print:X3k_gen.eu_case_src ~shrink:X3k_gen.eu_case_shrink
+       X3k_gen.eu_case_gen)
     (fun c ->
       Bytes.equal
         (run_eu_case ~fallback:false c)
