@@ -79,16 +79,14 @@ let cvtfi v =
 (* Double-precision pair add (the [dpadd] instruction the X3K cannot
    execute natively): adjacent lane pairs (2p, 2p+1) hold the low/high
    32-bit words of an IEEE binary64 value. *)
-let dpadd_pairs a b =
-  let lanes = Array.length a in
-  let res = Array.make lanes 0 in
+let dpadd_pairs ~width a b res =
   let of_pair lo hi =
     Int64.float_of_bits
       (Int64.logor
          (Int64.shift_left (Int64.of_int (hi land 0xFFFFFFFF)) 32)
          (Int64.of_int (lo land 0xFFFFFFFF)))
   in
-  for p = 0 to (lanes / 2) - 1 do
+  for p = 0 to (width / 2) - 1 do
     let lo = 2 * p and hi = (2 * p) + 1 in
     let da = of_pair a.(lo) a.(hi) in
     let db = of_pair b.(lo) b.(hi) in
@@ -97,8 +95,7 @@ let dpadd_pairs a b =
     res.(hi) <- wrap32 (Int64.to_int (Int64.shift_right_logical bits 32))
   done;
   (* an odd trailing lane has no partner: pass it through unchanged *)
-  if lanes land 1 = 1 then res.(lanes - 1) <- a.(lanes - 1);
-  res
+  if width land 1 = 1 then res.(width - 1) <- a.(width - 1)
 
 (* ---- the opcode table ----
 
@@ -138,18 +135,36 @@ let unop = function
 
 (* The ops the EU escalates through CEH: a zero divisor or a negative
    square root in any lane, and every dpadd. *)
-let x3k_faults op a b =
+let rec zero_lane v j width =
+  j < width && (float_of_lane v.(j) = 0.0 || zero_lane v (j + 1) width)
+
+let rec negative_lane v j width =
+  j < width && (float_of_lane v.(j) < 0.0 || negative_lane v (j + 1) width)
+
+let x3k_faults op ~width a b =
   match op with
-  | Fdiv -> Array.exists (fun v -> float_of_lane v = 0.0) b
-  | Fsqrt -> Array.exists (fun v -> float_of_lane v < 0.0) a
+  | Fdiv -> zero_lane b 0 width
+  | Fsqrt -> negative_lane a 0 width
   | Dpadd -> true
   | _ -> false
 
-let ieee op a b =
+let ieee_into op ~width a b res =
   match op with
-  | Fdiv -> Array.map2 fdiv_ieee a b
-  | Fsqrt -> Array.map fsqrt_ieee a
-  | Dpadd -> dpadd_pairs a b
+  | Fdiv ->
+    for j = 0 to width - 1 do
+      res.(j) <- fdiv_ieee a.(j) b.(j)
+    done
+  | Fsqrt ->
+    for j = 0 to width - 1 do
+      res.(j) <- fsqrt_ieee a.(j)
+    done
+  | Dpadd -> dpadd_pairs ~width a b res
   | op ->
     invalid_arg
       (Printf.sprintf "Lane.ieee: unexpected faulting op %s" (opcode_name op))
+
+let ieee op a b =
+  let width = Array.length a in
+  let res = Array.make width 0 in
+  ieee_into op ~width a b res;
+  res

@@ -82,16 +82,22 @@ val binop : X3k_ast.opcode -> X3k_ast.dtype -> int -> int -> int
     [cvtif], [cvtfi]. Raises [Not_found] for any other opcode. *)
 val unop : X3k_ast.opcode -> X3k_ast.dtype -> int -> int
 
-(** [x3k_faults op a b]: the exo-sequencer cannot complete [op] on
-    source lanes [a], [b] and escalates it through CEH — a zero divisor
-    in any [fdiv] lane, a negative input in any [fsqrt] lane, and every
-    [dpadd]. [false] for all other opcodes. *)
-val x3k_faults : X3k_ast.opcode -> int array -> int array -> bool
+(** [x3k_faults op ~width a b]: the exo-sequencer cannot complete [op]
+    on the first [width] source lanes of [a], [b] and escalates it
+    through CEH — a zero divisor in any [fdiv] lane, a negative input in
+    any [fsqrt] lane, and every [dpadd]. [false] for all other
+    opcodes. *)
+val x3k_faults : X3k_ast.opcode -> width:int -> int array -> int array -> bool
 
 (** [ieee op a b]: all result lanes of [fdiv], [fsqrt] ([b] unused) or
     [dpadd] as the IA32 sequencer computes them, faulting lanes
     included. [dpadd] adds adjacent lane pairs (2p, 2p+1) holding the
     low/high words of a binary64 value; an odd trailing lane passes [a]
-    through. The CEH proxy handler, the IA32 fallback and the EU's
-    non-faulting path all return this. *)
+    through. The CEH proxy handler returns this; the EU and the IA32
+    fallback compute the same lanes with {!ieee_into}. *)
 val ieee : X3k_ast.opcode -> int array -> int array -> int array
+
+(** [ieee_into op ~width a b res] writes [ieee]'s first [width] lanes
+    into [res] without allocating. *)
+val ieee_into :
+  X3k_ast.opcode -> width:int -> int array -> int array -> int array -> unit

@@ -32,7 +32,6 @@ val create :
   unit ->
   t
 
-val aspace : t -> Exochi_memory.Address_space.t
 val clock : t -> Exochi_util.Timebase.clock
 val l1 : t -> Exochi_memory.Cache.t
 val l2 : t -> Exochi_memory.Cache.t
@@ -57,30 +56,25 @@ val add_overhead_ps : t -> int -> unit
 
 val get_reg : t -> Exochi_isa.Via32_ast.reg -> int32
 val set_reg : t -> Exochi_isa.Via32_ast.reg -> int32 -> unit
-val get_xmm_lane : t -> xmm:int -> lane:int -> int32
-val set_xmm_lane : t -> xmm:int -> lane:int -> int32 -> unit
 
-(** {1 Timed data access (cache + bus accounting)} *)
-
-val load : t -> vaddr:int -> size:int -> int32
-val store : t -> vaddr:int -> size:int -> int32 -> unit
-
-(** Flush both data caches, paying the write-back cost through the bus;
-    returns the number of dirty bytes written back. *)
-val flush_caches : t -> int
-
-(** Flush a virtual address range (CLFLUSH loop). *)
+(** Flush a virtual address range (CLFLUSH loop) through both data
+    caches, paying the write-back cost through the bus; returns the
+    number of dirty bytes written back. *)
 val flush_range : t -> vaddr:int -> len:int -> int
 
 (** {1 Program execution} *)
 
-(** A loaded program: code plus the data-symbol binding produced by the
-    loader. *)
-type loaded = {
-  prog : Exochi_isa.Via32_ast.program;
-  sym_addrs : (string * int) list;
-}
+(** A program decoded once for execution: operands as register indices
+    and addressing kinds, data symbols folded into displacements, call
+    targets resolved. *)
+type code
 
+(** A loaded program: the source program and its decoded code. *)
+type loaded = { prog : Exochi_isa.Via32_ast.program; code : code }
+
+(** [load_program prog ~symbols] binds every data symbol to its address
+    (raising [Unbound_symbol] for one [symbols] lacks) and decodes
+    [prog]. It expects a checked program ({!Exochi_isa.Via32_check}). *)
 val load_program :
   Exochi_isa.Via32_ast.program -> symbols:(string * int) list -> loaded
 
@@ -94,16 +88,16 @@ type stop_reason =
   | Fuel_exhausted
   | Paused of int (* on_instr returned `Pause; carries the pc *)
 
-(** The call stack survives across [run] calls, so a debugger can resume
-    a [Paused] machine by calling [run ~entry:pc] again. *)
-val call_stack : t -> int list
-
 (** [run t loaded ~entry ~intrinsics] executes from instruction index
     [entry] until [hlt] or a top-level [ret]. [intrinsics name t] is
     called for [call] instructions that target runtime intrinsics; it may
     read and modify machine state and charge time. [fuel] bounds the
     instruction count (default: unlimited). [poll] is invoked before each
-    instruction — the user-level-interrupt hook. *)
+    instruction — the user-level-interrupt hook. The call stack survives
+    across [run] calls, so a debugger can resume a [Paused] machine by
+    calling [run ~entry:pc] again. Apart from the hooks, a TLB miss, a
+    page fault, a call past 16 levels of nesting and an access that
+    crosses a page, an instruction allocates nothing. *)
 val run :
   ?fuel:int ->
   ?poll:(t -> unit) ->

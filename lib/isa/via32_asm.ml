@@ -15,5 +15,13 @@ let assemble_exn ~name src =
   | Error e -> failwith (Loc.error_to_string e)
 
 let to_binary = Via32_encode.encode_program
-let of_binary = Via32_encode.decode_program
+(* A decoded section is checked like an assembled one, so a corrupted
+   payload is refused here rather than reaching the interpreter. *)
+let of_binary ~name b =
+  match Via32_encode.decode_program ~name b with
+  | Error _ as e -> e
+  | Ok p -> (
+    match Via32_check.check p with
+    | Ok p -> Ok p
+    | Error es -> Error (String.concat "; " (List.map Loc.error_to_string es)))
 let disassemble p = Format.asprintf "%a" Via32_ast.pp_program p

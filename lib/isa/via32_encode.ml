@@ -360,41 +360,52 @@ let decode_program ~name b =
       let nsym = get_u32 () in
       let nlabel = get_u32 () in
       let ncall = get_u32 () in
-      let pname = get_str16 () in
-      let symbols = Array.init nsym (fun _ -> get_str16 ()) in
-      let labels =
-        List.init nlabel (fun _ ->
-            let l = get_str16 () in
-            let idx = get_u32 () in
-            (l, idx))
+      (* every entry takes at least this many bytes (a symbol its u16
+         length, a label that and its index, a call its index, kind and
+         target, an instruction its line and word), so a count the
+         payload cannot hold is refused before anything is allocated *)
+      let least =
+        (2 * nsym) + (6 * nlabel) + (10 * ncall) + ((4 + instr_bytes) * ninstr)
       in
-      let calls =
-        List.init ncall (fun _ ->
-            let idx = get_u32 () in
-            match get_u32 () with
-            | 0 ->
-              let t = get_u32 () in
-              (idx, Internal t)
-            | _ ->
-              let s = get_str16 () in
-              (idx, Intrinsic s))
-      in
-      let lines = Array.init ninstr (fun _ -> get_u32 ()) in
-      let dummy = { op = Nop; operands = []; line = 0 } in
-      let instrs = Array.make ninstr dummy in
-      let rec go i =
-        if i >= ninstr then Ok ()
-        else
-          match
-            decode_instr symbols b ~pos:(!pos + (i * instr_bytes))
-              ~line:lines.(i)
-          with
-          | Ok instr ->
-            instrs.(i) <- instr;
-            go (i + 1)
-          | Error e -> fail e
-      in
-      let* () = go 0 in
-      Ok { name = pname; instrs; labels; calls; symbols; source = "" }
+      if min (min ninstr nsym) (min nlabel ncall) < 0
+         || least > Bytes.length b - !pos
+      then fail "a count exceeds the payload"
+      else
+        let pname = get_str16 () in
+        let symbols = Array.init nsym (fun _ -> get_str16 ()) in
+        let labels =
+          List.init nlabel (fun _ ->
+              let l = get_str16 () in
+              let idx = get_u32 () in
+              (l, idx))
+        in
+        let calls =
+          List.init ncall (fun _ ->
+              let idx = get_u32 () in
+              match get_u32 () with
+              | 0 ->
+                let t = get_u32 () in
+                (idx, Internal t)
+              | _ ->
+                let s = get_str16 () in
+                (idx, Intrinsic s))
+        in
+        let lines = Array.init ninstr (fun _ -> get_u32 ()) in
+        let dummy = { op = Nop; operands = []; line = 0 } in
+        let instrs = Array.make ninstr dummy in
+        let rec go i =
+          if i >= ninstr then Ok ()
+          else
+            match
+              decode_instr symbols b ~pos:(!pos + (i * instr_bytes))
+                ~line:lines.(i)
+            with
+            | Ok instr ->
+              instrs.(i) <- instr;
+              go (i + 1)
+            | Error e -> fail e
+        in
+        let* () = go 0 in
+        Ok { name = pname; instrs; labels; calls; symbols; source = "" }
     with Invalid_argument _ -> fail "truncated program"
   end

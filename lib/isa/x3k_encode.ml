@@ -305,26 +305,33 @@ let decode_program ~name b =
       let ninstr = get_u32 () in
       let nsurf = get_u32 () in
       let nlabel = get_u32 () in
-      let pname = get_str16 () in
-      let surfaces = Array.init nsurf (fun _ -> get_str16 ()) in
-      let labels =
-        List.init nlabel (fun _ ->
-            let l = get_str16 () in
-            let idx = get_u32 () in
-            (l, idx))
-      in
-      let lines = Array.init ninstr (fun _ -> get_u32 ()) in
-      let instrs = Array.make ninstr X3k_ast.nop in
-      let rec go i =
-        if i >= ninstr then Ok ()
-        else
-          match decode_instr b ~pos:(!pos + (i * instr_bytes)) ~line:lines.(i) with
-          | Ok instr ->
-            instrs.(i) <- instr;
-            go (i + 1)
-          | Error e -> fail e
-      in
-      let* () = go 0 in
-      Ok { name = pname; instrs; surfaces; labels; source = "" }
+      (* a surface takes at least its u16 length, a label that and its
+         index, an instruction its line and word: a count the payload
+         cannot hold is refused before anything is allocated *)
+      let least = (2 * nsurf) + (6 * nlabel) + ((4 + instr_bytes) * ninstr) in
+      if min ninstr (min nsurf nlabel) < 0 || least > Bytes.length b - !pos
+      then fail "a count exceeds the payload"
+      else
+        let pname = get_str16 () in
+        let surfaces = Array.init nsurf (fun _ -> get_str16 ()) in
+        let labels =
+          List.init nlabel (fun _ ->
+              let l = get_str16 () in
+              let idx = get_u32 () in
+              (l, idx))
+        in
+        let lines = Array.init ninstr (fun _ -> get_u32 ()) in
+        let instrs = Array.make ninstr X3k_ast.nop in
+        let rec go i =
+          if i >= ninstr then Ok ()
+          else
+            match decode_instr b ~pos:(!pos + (i * instr_bytes)) ~line:lines.(i) with
+            | Ok instr ->
+              instrs.(i) <- instr;
+              go (i + 1)
+            | Error e -> fail e
+        in
+        let* () = go 0 in
+        Ok { name = pname; instrs; surfaces; labels; source = "" }
     with Invalid_argument _ -> fail "truncated program"
   end

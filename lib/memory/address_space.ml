@@ -62,10 +62,13 @@ let fault_in t ~vaddr =
     `Faulted
 
 let translate t ~vaddr ~write =
-  ignore (fault_in t ~vaddr);
-  match Page_table.translate ~set_dirty:write t.pt ~vaddr with
-  | Some pa -> pa
-  | None -> raise (Segfault vaddr)
+  let pa = Page_table.resolve t.pt ~vaddr ~write in
+  if pa >= 0 then pa
+  else begin
+    ignore (fault_in t ~vaddr);
+    let pa = Page_table.resolve t.pt ~vaddr ~write in
+    if pa < 0 then raise (Segfault vaddr) else pa
+  end
 
 (* Scalar accessors narrower than a page never straddle pages when
    naturally aligned; we handle the unaligned straddle case by splitting
@@ -77,44 +80,43 @@ let read_u8 t vaddr = Phys_mem.read_u8 t.mem (translate t ~vaddr ~write:false)
 let write_u8 t vaddr v =
   Phys_mem.write_u8 t.mem (translate t ~vaddr ~write:true) v
 
+(* [n <= 4] little-endian bytes as a non-negative int. *)
 let rec read_le t vaddr n =
-  if n = 0 then 0L
+  if n = 0 then 0
   else if page_off vaddr + n <= Phys_mem.page_size then begin
     let pa = translate t ~vaddr ~write:false in
-    let rec go i acc =
-      if i < 0 then acc
-      else
-        go (i - 1)
-          (Int64.logor (Int64.shift_left acc 8)
-             (Int64.of_int (Phys_mem.read_u8 t.mem (pa + i))))
-    in
-    go (n - 1) 0L
+    let b = Phys_mem.read_frame t.mem (pa lsr Phys_mem.page_shift) in
+    let o = page_off pa in
+    let v = ref 0 in
+    for i = n - 1 downto 0 do
+      v := (!v lsl 8) lor Bytes.get_uint8 b (o + i)
+    done;
+    !v
   end
   else begin
     let lo = read_le t vaddr 1 in
-    Int64.logor lo (Int64.shift_left (read_le t (vaddr + 1) (n - 1)) 8)
+    lo lor (read_le t (vaddr + 1) (n - 1) lsl 8)
   end
 
 let rec write_le t vaddr n v =
   if n > 0 then
     if page_off vaddr + n <= Phys_mem.page_size then begin
       let pa = translate t ~vaddr ~write:true in
+      let b = Phys_mem.write_frame t.mem (pa lsr Phys_mem.page_shift) in
+      let o = page_off pa in
       for i = 0 to n - 1 do
-        Phys_mem.write_u8 t.mem (pa + i)
-          (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
+        Bytes.set_uint8 b (o + i) ((v lsr (8 * i)) land 0xff)
       done
     end
     else begin
       write_le t vaddr 1 v;
-      write_le t (vaddr + 1) (n - 1) (Int64.shift_right_logical v 8)
+      write_le t (vaddr + 1) (n - 1) (v lsr 8)
     end
 
-let read_u16 t vaddr = Int64.to_int (read_le t vaddr 2)
-let read_u32 t vaddr = Int64.to_int32 (read_le t vaddr 4)
-let write_u16 t vaddr v = write_le t vaddr 2 (Int64.of_int (v land 0xffff))
-
-let write_u32 t vaddr v =
-  write_le t vaddr 4 (Int64.logand (Int64.of_int32 v) 0xFFFF_FFFFL)
+let read_u16 t vaddr = read_le t vaddr 2
+let read_u32 t vaddr = Int32.of_int (read_le t vaddr 4)
+let write_u16 t vaddr v = write_le t vaddr 2 (v land 0xffff)
+let write_u32 t vaddr v = write_le t vaddr 4 (Int32.to_int v land 0xFFFF_FFFF)
 
 let read_bytes t ~vaddr ~len =
   let buf = Bytes.create len in

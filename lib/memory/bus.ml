@@ -14,7 +14,7 @@ let create ~gbps ~latency_ps =
 
 let request ?(latency = true) t ~now_ps ~bytes =
   if bytes < 0 then invalid_arg "Bus.request";
-  let start = max now_ps t.busy_until in
+  let start = Int.max now_ps t.busy_until in
   let occupy = Timebase.transfer_ps ~bytes ~gbps:t.gbps in
   t.busy_until <- start + occupy;
   t.total_bytes <- t.total_bytes + bytes;

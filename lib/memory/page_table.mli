@@ -31,9 +31,14 @@ type walk_result =
     reads, reported in [walk_reads] for timing. *)
 val walk : t -> vpage:int -> walk_result
 
-(** [translate t ~vaddr] is the physical address for [vaddr], or [None]
-    if the page is unmapped. Sets the accessed bit as hardware would;
-    [set_dirty] also sets the dirty bit. *)
+(** [resolve t ~vaddr ~write] is the physical address for [vaddr], or
+    [-1] if the page is unmapped: one two-level walk, no allocation. Sets
+    the accessed bit as hardware would, and the dirty bit when [write];
+    the entry is written only when a bit changes. *)
+val resolve : t -> vaddr:int -> write:bool -> int
+
+(** [translate t ~vaddr] is {!resolve} as an option, with [set_dirty]
+    for [write]. *)
 val translate : ?set_dirty:bool -> t -> vaddr:int -> int option
 
 (** Number of physical reads issued by walks so far (for timing models). *)

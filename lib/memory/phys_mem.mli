@@ -39,6 +39,15 @@ val write_u16 : t -> int -> int -> unit
 val write_u32 : t -> int -> int32 -> unit
 val write_u64 : t -> int -> int64 -> unit
 
+(** Direct frame access for the simulators' per-element data paths, which
+    translate once and then read or write many bytes of one frame without
+    a lookup per element. [read_frame t f] is [f]'s backing store, or a
+    shared all-zero page when [f] has none — callers must not write to
+    it. [write_frame t f] is [f]'s backing store, materialised on demand. *)
+
+val read_frame : t -> int -> bytes
+val write_frame : t -> int -> bytes
+
 (** Bulk transfer helpers (may straddle frames). *)
 val blit_to_bytes : t -> src:int -> dst:bytes -> dst_off:int -> len:int -> unit
 val blit_of_bytes : t -> src:bytes -> src_off:int -> dst:int -> len:int -> unit

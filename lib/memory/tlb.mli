@@ -9,8 +9,9 @@ val create : entries:int -> 'a t
 
 val capacity : 'a t -> int
 
-(** [lookup t ~vpage] returns the payload and refreshes LRU state. *)
-val lookup : 'a t -> vpage:int -> 'a option
+(** [lookup t ~vpage] returns the payload and refreshes LRU state;
+    raises [Not_found] on a miss. A hit allocates nothing. *)
+val lookup : 'a t -> vpage:int -> 'a
 
 (** [insert t ~vpage payload] fills an entry, evicting the least recently
     used one when full. Re-inserting an existing vpage replaces it. *)

@@ -161,6 +161,204 @@ let test_kernel_on_tiled_surfaces () =
       check_int (name ^ " tiled output exact") 0 (Image.max_abs_diff expected got))
     golden
 
+(* ---- pinned interpreter identity ----
+
+   Every registry kernel runs on the X3K team and on the IA32 sequencer
+   from a fresh platform, over a prefix of its units, and the simulated
+   results are compared with values recorded before the interpreter
+   cores were rewritten: simulated time, retired instructions, the EU
+   counters, every cache's hits/misses/writebacks, TLB misses, bus bytes,
+   an FNV-1a digest of the output surfaces and one of every mapped PTE
+   word (which covers the accessed/dirty bits). A host-speed change to
+   either interpreter or to the memory path must leave all of them
+   equal. *)
+
+module Machine = Exochi_cpu.Machine
+module Gpu = Exochi_accel.Gpu
+open Exochi_memory
+open Exochi_core
+
+module Checksum = Exochi_guard.Checksum
+
+(* Units run per kernel: enough for every program path, little enough
+   that the whole group stays in the seconds. *)
+let pinned_units = 24
+
+let pinned_run (k : Kernel.t) ~x3k =
+  let io =
+    k.Kernel.make_io ~frames:(if k.Kernel.abbrev = "FMD" then 3 else 1)
+      (Exochi_util.Prng.create 7L) Kernel.Small
+  in
+  let units = min pinned_units io.Kernel.units in
+  let platform = Exo_platform.create ~devices:1 () in
+  let flush_policy =
+    if k.Kernel.band_ordered then None else Some Chi_runtime.Upfront
+  in
+  let rt = Chi_runtime.create ~platform ?flush_policy () in
+  let cpu = Exo_platform.cpu platform and gpu = Exo_platform.gpu platform in
+  let aspace = Exo_platform.aspace platform in
+  let inputs, outputs = Harness.materialise platform io in
+  List.iter (fun (_, d) -> Chi_runtime.produce rt d) inputs;
+  let descs = inputs @ outputs in
+  let t0 = Machine.now_ps cpu in
+  (if x3k then begin
+     let prog =
+       Exochi_isa.X3k_asm.assemble_exn ~name:k.Kernel.abbrev (k.Kernel.x3k_asm io)
+     in
+     let team =
+       Chi_runtime.parallel rt ~prog ~descriptors:(List.map snd descs)
+         ~num_threads:units
+         ~params:(fun i -> k.Kernel.unit_params io i)
+         ~master_nowait:false ()
+     in
+     Chi_runtime.wait rt team
+   end
+   else begin
+     let prog =
+       Exochi_isa.Via32_asm.assemble_exn ~name:k.Kernel.abbrev
+         (k.Kernel.via32_asm io ~lo:0 ~hi:units)
+     in
+     let pool = k.Kernel.cpool io in
+     let pool_base =
+       Address_space.alloc aspace ~name:"CPOOL"
+         ~bytes:(max 16 (4 * Array.length pool)) ~align:64
+     in
+     Array.iteri
+       (fun i v -> Address_space.write_u32 aspace (pool_base + (4 * i)) v)
+       pool;
+     let symbols =
+       ("CPOOL", pool_base)
+       :: List.map (fun (n, d) -> (n, d.Chi_descriptor.surface.Surface.base)) descs
+     in
+     let stack = Address_space.alloc aspace ~name:"stack" ~bytes:65536 ~align:4096 in
+     Machine.set_reg cpu Exochi_isa.Via32_ast.ESP (Int32.of_int (stack + 65536 - 16));
+     let loaded = Machine.load_program prog ~symbols in
+     match
+       Machine.run cpu loaded ~entry:0 ~intrinsics:(fun name _ ->
+           failwith ("unexpected intrinsic " ^ name))
+     with
+     | Machine.Halted | Machine.Ret_to_host -> ()
+     | Machine.Fuel_exhausted | Machine.Paused _ -> Alcotest.fail "IA32 run stopped"
+   end);
+  let time_ps = Machine.now_ps cpu - t0 in
+  (* PTE words first: reading the outputs below sets accessed bits *)
+  let pt = Address_space.page_table aspace in
+  let pte_digest =
+    List.fold_left
+      (fun h vpage ->
+        match Page_table.walk pt ~vpage with
+        | Page_table.Mapped pte ->
+          Checksum.add_int (Checksum.add_int h vpage) (Int32.to_int pte)
+        | Page_table.No_table | Page_table.Not_present -> h)
+      Checksum.offset_basis (Page_table.mapped_pages pt)
+  in
+  let out_digest =
+    List.fold_left
+      (fun h (_, d) ->
+        let s = d.Chi_descriptor.surface in
+        Checksum.add_bytes h
+          (Address_space.read_bytes aspace ~vaddr:s.Surface.base
+             ~len:(Surface.byte_size s)))
+      Checksum.offset_basis outputs
+  in
+  let c (cache : Cache.t) =
+    Printf.sprintf "%d/%d/%d" (Cache.hits cache) (Cache.misses cache)
+      (Cache.writebacks cache)
+  in
+  Printf.sprintf
+    "%s %s: time=%d instrs=%d/%d busy=%d stall=%d switches=%d l1=%s l2=%s \
+     gpu=%s gtlb_miss=%d bus=%d faults=%d out=%s pte=%s"
+    k.Kernel.abbrev
+    (if x3k then "x3k" else "ia32")
+    time_ps
+    (Gpu.instructions_retired gpu)
+    (Machine.instructions_retired cpu)
+    (Gpu.busy_cycles gpu) (Gpu.stall_cycles gpu) (Gpu.thread_switches gpu)
+    (c (Machine.l1 cpu)) (c (Machine.l2 cpu)) (c (Gpu.cache gpu))
+    (Tlb.misses (Gpu.tlb gpu))
+    (Bus.total_bytes (Exo_platform.bus platform))
+    (Address_space.minor_faults aspace)
+    (Checksum.to_hex out_digest) (Checksum.to_hex pte_digest)
+
+let pinned_expected =
+  [
+    ( "LinearFilter",
+      [
+        "LinearFilter x3k: time=9029429 instrs=4416/0 busy=6072 stall=1056332 switches=344"
+        ^ " l1=0/5302/4790 l2=0/5302/24 gpu=1498/50/0 gtlb_miss=4 bus=2048 faults=158 out=d6e5617a994e9165 pte=91c20bf92456b994";
+        "LinearFilter ia32: time=5560960 instrs=0/10876 busy=0 stall=0 switches=0"
+        ^ " l1=5241/5353/4841 l2=83/5321/0 gpu=0/0/0 gtlb_miss=0 bus=2432 faults=158 out=d6e5617a994e9165 pte=452527e08b3b9354";
+      ] );
+    ( "SepiaTone",
+      [
+        "SepiaTone x3k: time=21097459 instrs=4896/0 busy=6360 stall=1056042 switches=1864"
+        ^ " l1=0/14400/13888 l2=0/14400/72 gpu=1008/144/0 gtlb_miss=12 bus=4608 faults=450 out=a29b6918b1e57580 pte=f05631dfb80fcaec";
+        "SepiaTone ia32: time=17056992 instrs=0/17836 busy=0 stall=0 switches=0"
+        ^ " l1=15981/14547/14035 l2=219/14475/0 gpu=0/0/0 gtlb_miss=0 bus=9600 faults=451 out=a29b6918b1e57580 pte=bc8f05a5f214c57b";
+      ] );
+    ( "FGT",
+      [
+        "FGT x3k: time=145149991 instrs=328896/0 busy=427128 stall=636866 switches=48018"
+        ^ " l1=0/12288/11776 l2=0/12288/3072 gpu=43008/6144/2045 gtlb_miss=96 bus=327488 faults=384 out=24897ee5aa7a96b7 pte=474dd16523090715";
+        "FGT ia32: time=568080912 instrs=0/607228 busy=0 stall=0 switches=0"
+        ^ " l1=878782/18434/15104 l2=6400/15362/0 gpu=0/0/0 gtlb_miss=0 bus=393472 faults=385 out=24897ee5aa7a96b7 pte=c6c8d0659301fa0c";
+      ] );
+    ( "Bicubic",
+      [
+        "Bicubic x3k: time=203155422 instrs=296136/0 busy=789408 stall=276649 switches=48969"
+        ^ " l1=0/1464/952 l2=0/1464/402 gpu=925422/1938/0 gtlb_miss=32 bus=25728 faults=113 out=a03579c84a1a25f1 pte=dc87926c5102a314";
+        "Bicubic ia32: time=1800301488 instrs=0/5285980 busy=0 stall=0 switches=0"
+        ^ " l1=1591780/3404/2607 l2=2057/3002/0 gpu=0/0/0 gtlb_miss=0 bus=196864 faults=114 out=a03579c84a1a25f1 pte=ba3125f90138d0e5";
+      ] );
+    ( "Kalman",
+      [
+        "Kalman x3k: time=3770233 instrs=432/0 busy=648 stall=1061725 switches=112"
+        ^ " l1=0/2048/1536 l2=0/2048/12 gpu=168/24/0 gtlb_miss=2 bus=768 faults=64 out=fbbf22fec56f608a pte=8d79e20df4a12a95";
+        "Kalman ia32: time=2044112 instrs=0/3680 busy=0 stall=0 switches=0"
+        ^ " l1=366/2073/1561 l2=37/2061/0 gpu=0/0/0 gtlb_miss=0 bus=1664 faults=65 out=fbbf22fec56f608a pte=9d831d035343e45f";
+      ] );
+    ( "FMD",
+      [
+        "FMD x3k: time=168970491 instrs=179216/0 busy=373594 stall=689923 switches=29401"
+        ^ " l1=0/17280/17280 l2=0/17280/11520 gpu=31702/11542/8 gtlb_miss=219 bus=737792 faults=271 out=4c2762b3f27ca5b8 pte=c3d09ac9bf651316";
+        "FMD ia32: time=290521328 instrs=0/707787 busy=0 stall=0 switches=0"
+        ^ " l1=163221/28823/17300 l2=12052/17303/0 gpu=0/0/0 gtlb_miss=0 bus=2944 faults=272 out=4c2762b3f27ca5b8 pte=cc85ce66203d2f74";
+      ] );
+    ( "AlphaBlend",
+      [
+        "AlphaBlend x3k: time=17452173 instrs=2856/0 busy=6120 stall=1056254 switches=415"
+        ^ " l1=0/5792/5281 l2=0/5792/49 gpu=3359/97/0 gtlb_miss=4 bus=3136 faults=181 out=52e4573f8ede40b4 pte=bcb85189b237779c";
+        "AlphaBlend ia32: time=65138944 instrs=0/172326 busy=0 stall=0 switches=0"
+        ^ " l1=68879/5889/5377 l2=145/5841/0 gpu=0/0/0 gtlb_miss=0 bus=6272 faults=182 out=52e4573f8ede40b4 pte=a35f19d300230695";
+      ] );
+    ( "BOB",
+      [
+        "BOB x3k: time=37813906 instrs=44664/0 busy=102960 stall=959852 switches=5545"
+        ^ " l1=0/5760/5248 l2=0/5760/780 gpu=12084/2316/252 gtlb_miss=49 bus=66048 faults=180 out=71c7c489788a08be pte=1daf1397e11f7d45";
+        "BOB ia32: time=21310848 instrs=0/49852 busy=0 stall=0 switches=0"
+        ^ " l1=7860/6540/5760 l2=1292/5760/0 gpu=0/0/0 gtlb_miss=0 bus=184320 faults=181 out=71c7c489788a08be pte=8cd152e707e7dd9c";
+      ] );
+    ( "ADVDI",
+      [
+        "ADVDI x3k: time=69009752 instrs=73464/0 busy=177840 stall=885211 switches=10677"
+        ^ " l1=0/11520/11008 l2=0/11520/2328 gpu=19008/4032/878 gtlb_miss=74 bus=215936 faults=270 out=cdda91288716a7aa pte=f6d2a40b2a2ac758";
+        "ADVDI ia32: time=175907360 instrs=0/291772 busy=0 stall=0 switches=0"
+        ^ " l1=82528/15392/12846 l2=4173/13057/0 gpu=0/0/0 gtlb_miss=0 bus=196736 faults=271 out=cdda91288716a7aa pte=35d13cc6dd290e76";
+      ] );
+    ( "ProcAmp",
+      [
+        "ProcAmp x3k: time=152847928 instrs=146400/0 busy=347928 stall=715659 switches=24510"
+        ^ " l1=0/17280/16768 l2=0/17280/4608 gpu=24877/9683/3802 gtlb_miss=144 bus=554176 faults=540 out=6a5f704aeeadd37e pte=9c586d72e572daa9";
+        "ProcAmp ia32: time=575032032 instrs=0/580588 busy=0 stall=0 switches=0"
+        ^ " l1=957742/27218/21992 l2=10552/21890/0 gpu=0/0/0 gtlb_miss=0 bus=590080 faults=541 out=6a5f704aeeadd37e pte=9933ba948d0e1de8";
+      ] );
+  ]
+
+let pinned_case (k : Kernel.t) () =
+  let got = [ pinned_run k ~x3k:true; pinned_run k ~x3k:false ] in
+  Alcotest.(check (list string))
+    "simulated results" (List.assoc k.Kernel.abbrev pinned_expected) got
+
 let test_registry_complete () =
   check_int "ten kernels" 10 (List.length Registry.all);
   check_bool "lookup" true (Registry.find "bob" <> None);
@@ -206,8 +404,15 @@ let () =
           k.Kernel.scales)
       Registry.all
   in
+  let pinned =
+    List.map
+      (fun (k : Kernel.t) ->
+        Alcotest.test_case (k.Kernel.abbrev ^ " pinned") `Quick (pinned_case k))
+      Registry.all
+  in
   Alcotest.run "kernels"
     [
+      ("interp-pinned", pinned);
       ("golden-vs-targets", per_kernel);
       ("cooperative", coop);
       ("memory-models", memmodels);
