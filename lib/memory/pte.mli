@@ -40,10 +40,13 @@ module Ia32 : sig
   val present : t -> bool
   val frame : t -> int
 
-  (** Set the accessed / dirty bits (used by the walker on access). *)
-  val with_accessed : t -> t
+  (** The same layout on an entry word read as an [int], for walkers
+      that must not box an [int32]. *)
+  val present_bit : int (* 0x01 *)
 
-  val with_dirty : t -> t
+  val accessed_bit : int (* 0x20 *)
+  val dirty_bit : int (* 0x40 *)
+  val frame_of_word : int -> int
   val pp : Format.formatter -> t -> unit
 end
 

@@ -343,6 +343,79 @@ let test_overhead_folded_in () =
   check_bool "overhead charged before next instr" true
     (Machine.now_ps cpu - t0 >= 1_000_000)
 
+(* ---- accesses straddling a page ---- *)
+
+(* A scalar, SSE and non-temporal access that crosses into the next page
+   reaches that page through the address space, faulting it in. The
+   loaded values, memory, every page's PTE word (accessed/dirty bits
+   included) and the timing below were recorded before the data path
+   read frames directly. *)
+let test_page_crossing () =
+  let mem = Phys_mem.create ~frames:1024 in
+  let aspace = Address_space.create mem in
+  let bus = Bus.create ~gbps:8.0 ~latency_ps:90_000 in
+  let cpu = Machine.create ~aspace ~bus () in
+  let page = Phys_mem.page_size in
+  let data = Address_space.alloc aspace ~name:"DATA" ~bytes:(6 * page) ~align:page in
+  (* pages 0..5 of DATA start untouched; 287454020 = 0x11223344 and
+     1432778632 = 0x55667788 *)
+  run_src cpu data
+    {|
+  mov.d ebx, [DATA + 4092]
+  mov.d eax, 287454020
+  mov.d [DATA + 4092], eax
+  mov.d eax, 1432778632
+  mov.d [DATA + 4096], eax
+  mov.d ecx, [DATA + 4094]
+  movdqu xmm0, [DATA + 4087]
+  movdqu [DATA + 8186], xmm0
+  movntdq [DATA + 12283], xmm0
+  mov.d edx, [DATA + 12286]
+  mov.d [DATA + 16382], ecx
+  mov.d esi, [DATA + 16388]
+  mov.d edi, [DATA + 20478]
+  hlt
+|};
+  (* PTE words first: reading memory below sets accessed bits *)
+  let pte k =
+    match Page_table.walk (Address_space.page_table aspace) ~vpage:((data / page) + k) with
+    | Page_table.Mapped e -> Printf.sprintf "%08lx" e
+    | Page_table.No_table | Page_table.Not_present -> "unmapped"
+  in
+  let ptes = String.concat " " (List.init 6 pte) in
+  let reg r = Printf.sprintf "%08lx" (Machine.get_reg cpu r) in
+  let hex off len =
+    String.concat ""
+      (List.init len (fun i -> Printf.sprintf "%02x" (Address_space.read_u8 aspace (data + off + i))))
+  in
+  let got =
+    [
+      ("pte words", ptes);
+      ("ecx edx esi edi", String.concat " " (List.map reg Via32_ast.[ ECX; EDX; ESI; EDI ]));
+      ("movdqu store", hex 8186 16);
+      ("movntdq", hex 12283 16);
+      ("mov.d store", hex 16382 4);
+      ("time ps", string_of_int (Machine.now_ps cpu));
+      ( "l1 l2 bus",
+        Printf.sprintf "%d/%d %d/%d %d"
+          (Cache.hits (Machine.l1 cpu)) (Cache.misses (Machine.l1 cpu))
+          (Cache.hits (Machine.l2 cpu)) (Cache.misses (Machine.l2 cpu))
+          (Bus.total_bytes bus) );
+    ]
+  in
+  List.iter2
+    (fun (k, v) want -> Alcotest.(check string) k want v)
+    got
+    [
+      "00001067 00003067 00004067 00005067 00006067 00007027";
+      "77881122 33440000 00000000 00000000";
+      "00000000004433221188776655000000";
+      "00000000004433221188776655000000";
+      "22118877";
+      "3781984";
+      "5/11 0/11 1440";
+    ]
+
 let () =
   Alcotest.run "cpu"
     [
@@ -379,4 +452,5 @@ let () =
           Alcotest.test_case "time advances" `Quick test_time_advances;
           Alcotest.test_case "overhead" `Quick test_overhead_folded_in;
         ] );
+      ("pages", [ Alcotest.test_case "page crossing" `Quick test_page_crossing ]);
     ]
