@@ -59,10 +59,15 @@ let rate_of rates = function
   | Ceh_spurious -> rates.ceh_spurious
   | Gtt_corrupt -> rates.gtt_corrupt
 
+(* A class's stream and its rate. The rate sits boxed in this mixed
+   record, so [decide] hands it to [Prng.bernoulli] without boxing a
+   float per draw. *)
+type stream = { prng : Prng.t; rate : float }
+
 type t = {
   seed : int64;
   rates : rates;
-  streams : Prng.t array;  (** one independent stream per fault class *)
+  streams : stream array;  (** one independent stream per fault class *)
   counts : int array;
   draws : int array;  (** decisions drawn per class (hits and misses) *)
 }
@@ -72,7 +77,10 @@ let create ~seed ~rates () =
   {
     seed;
     rates;
-    streams = Array.init nclasses (fun _ -> Prng.split master);
+    streams =
+      Array.init nclasses (fun i ->
+          let rate = rate_of rates (List.nth all_classes i) in
+          { prng = Prng.split master; rate });
     counts = Array.make nclasses 0;
     draws = Array.make nclasses 0;
   }
@@ -81,14 +89,14 @@ let seed t = t.seed
 let rates t = t.rates
 
 let decide t cls =
-  let rate = rate_of t.rates cls in
+  let i = index cls in
+  let s = t.streams.(i) in
   (* Zero-rate classes must not draw: a zero-rate plan has to leave the
      fault schedule (and thus the whole run) bit-identical to no plan. *)
-  if rate <= 0.0 then false
+  if s.rate <= 0.0 then false
   else begin
-    let i = index cls in
     t.draws.(i) <- t.draws.(i) + 1;
-    let hit = Prng.float t.streams.(i) < rate in
+    let hit = Prng.bernoulli s.prng s.rate in
     if hit then t.counts.(i) <- t.counts.(i) + 1;
     hit
   end

@@ -1,22 +1,27 @@
 (* 64-bit FNV-1a. Chosen for the guard layer because it is trivially
-   deterministic across platforms, incremental (surfaces hash one after
-   another into the same accumulator) and fast enough to run after every
-   batch without touching the simulated clock. *)
+   deterministic across platforms and incremental (parts hash one after
+   another into the same accumulator). *)
 
 let offset_basis = 0xcbf29ce484222325L
 let prime = 0x100000001b3L
 
-let fold_byte acc b =
+let[@inline] fold_byte acc b =
   Int64.mul (Int64.logxor acc (Int64.of_int (b land 0xff))) prime
 
+(* Plain loops: a closure passed to [String.iter] would keep the
+   accumulator in a captured ref and box it for every byte. *)
 let add_string acc s =
   let acc = ref acc in
-  String.iter (fun c -> acc := fold_byte !acc (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    acc := fold_byte !acc (Char.code (String.unsafe_get s i))
+  done;
   !acc
 
 let add_bytes acc b =
   let acc = ref acc in
-  Bytes.iter (fun c -> acc := fold_byte !acc (Char.code c)) b;
+  for i = 0 to Bytes.length b - 1 do
+    acc := fold_byte !acc (Char.code (Bytes.unsafe_get b i))
+  done;
   !acc
 
 (* Mix a 64-bit value in little-endian byte order, so checksums over

@@ -1,9 +1,8 @@
 (** Deterministic 64-bit FNV-1a checksums.
 
-    The guard layer's integrity primitive: output surfaces are hashed
-    after every batch and compared against a golden reference, turning
-    silent data corruption into a detected, countable event. Incremental
-    — feed surfaces one after another into the same accumulator. *)
+    The crash-safe journal's frame integrity check and the serve
+    journal's run fingerprint. Incremental — feed parts one after
+    another into the same accumulator. *)
 
 (** The FNV-1a initial accumulator. *)
 val offset_basis : int64

@@ -143,7 +143,12 @@ let rewrite_instr env i =
   in
   let i = { i with srcs; dst } in
   match fold_value env i with
-  | Some v when not (i.op = Mov && match i.srcs with [ Imm _ ] -> true | _ -> false)
+  (* the folded mov wraps its immediate by dtype, while ops such as
+     cvtfi, and/or/xor and the float ops write all 32 bits at .b/.w:
+     fold only a value the mov writes back unchanged *)
+  | Some v
+    when Lane.wrap i.dtype v = v
+         && not (i.op = Mov && match i.srcs with [ Imm _ ] -> true | _ -> false)
     ->
     { i with op = Mov; srcs = [ Imm (Int32.of_int (v land 0xFFFFFFFF)) ] }
   | _ -> i

@@ -12,15 +12,16 @@ module Harness = Exochi_kernels.Harness
 module Registry = Exochi_kernels.Registry
 module Prng = Exochi_util.Prng
 module Fault_plan = Exochi_faults.Fault_plan
-module Checksum = Exochi_guard.Checksum
+module Phys_mem = Exochi_memory.Phys_mem
 module Bound = Exochi_analysis.Bound
 
 (* End-to-end integrity checking (Exo-guard). With a guard installed,
    injected GTT-corruption and CEH-spurious faults additionally flip one
-   output byte each (the SDC model): the detection machinery — full
-   output checksums against a golden reference plus sampled golden-replay
-   audits — must then turn every one of them into a *detected* event and
-   repair it, so the server never acknowledges a wrong result. *)
+   output byte each (the SDC model): the detection machinery — every
+   output surface compared in place with its golden snapshot, plus
+   sampled golden-replay audits — must then turn every one of them into
+   a *detected* event and repair it, so the server never acknowledges a
+   wrong result. *)
 type guard = {
   g_audit_frac : float;  (** fraction of batch shreds golden-replayed *)
 }
@@ -63,6 +64,16 @@ let default_config =
     placement = Placement.Least_loaded;
   }
 
+(* An output surface's golden snapshot and, per heal chunk, whether the
+   chunk differed from it at the last scan and what it held when the
+   pre-audit scan found it damaged. *)
+type golden = {
+  base : int; (* surface base address *)
+  image : bytes;
+  damaged : bool array;
+  before : bytes option array;
+}
+
 (* A kernel's resident execution state: workload surfaces materialised in
    the shared address space, descriptors allocated, inputs produced and
    the X3K program assembled — once, at prepare time. Jobs then only pay
@@ -76,11 +87,10 @@ type arena = {
      parameter ranges; None when the analysis returns Unbounded/Unknown
      (such kernels are admitted — static admission never lies) *)
   a_bound_cycles : int option;
-  (* golden reference: checksum + byte snapshot of the output surfaces
-     after a prepare-time full golden replay (outputs are batch-size
-     independent — no kernel reads %sid/%nshred). None when no guard. *)
-  mutable a_ref_sum : int64 option;
-  mutable a_golden : (int * bytes) list; (* (surface base, bytes) *)
+  (* golden reference: the output surfaces after a prepare-time full
+     golden replay (outputs are batch-size independent — no kernel reads
+     %sid/%nshred). Empty when no guard. *)
+  mutable a_golden : golden array;
 }
 
 type t = {
@@ -213,14 +223,96 @@ let output_surfaces (a : arena) =
       | Surface.Input -> None)
     a.a_descriptors
 
-let arena_checksum t (a : arena) =
-  let aspace = Platform.aspace t.platform in
-  List.fold_left
-    (fun acc (s : Surface.t) ->
-      Checksum.add_bytes acc
-        (Address_space.read_bytes aspace ~vaddr:s.Surface.base
-           ~len:(Surface.byte_size s)))
-    Checksum.offset_basis (output_surfaces a)
+(* Repair granularity: damaged outputs are copied back from the golden
+   snapshot in chunks of this many bytes counted from the surface base,
+   which need not be page-aligned. *)
+let heal_chunk = Phys_mem.page_size
+
+let chunk_len (g : golden) c =
+  min heal_chunk (Bytes.length g.image - (c * heal_chunk))
+
+(* [len] bytes of [a] from [ao] equal [len] bytes of [b] from [bo]: a
+   word at a time, then byte by byte. *)
+let same_bytes a ao b bo len =
+  let k = ref 0 in
+  while
+    !k + 8 <= len
+    && Bytes.get_int64_ne a (ao + !k) = Bytes.get_int64_ne b (bo + !k)
+  do
+    k := !k + 8
+  done;
+  while !k < len && Bytes.get a (ao + !k) = Bytes.get b (bo + !k) do
+    incr k
+  done;
+  !k = len
+
+(* Set [g.damaged] to the heal chunks that differ from the golden image
+   and return how many do. Memory is compared where it lies, without a
+   copy: each page is translated once, in address order, exactly as
+   [Address_space.read_bytes] would, and its frame compared in place. *)
+let scan aspace (g : golden) =
+  let mem = Address_space.phys_mem aspace in
+  let page = Phys_mem.page_size in
+  let len = Bytes.length g.image in
+  Array.fill g.damaged 0 (Array.length g.damaged) false;
+  let n = ref 0 and off = ref 0 in
+  while !off < len do
+    let vaddr = g.base + !off in
+    let page_end = min len (!off + page - (vaddr land (page - 1))) in
+    let pa = Address_space.translate aspace ~vaddr ~write:false in
+    let frame = Phys_mem.read_frame mem (pa lsr Phys_mem.page_shift) in
+    (* frame offset of surface offset 0, as seen from this page *)
+    let shift = (pa land (page - 1)) - !off in
+    (* a page overlaps at most two heal chunks *)
+    while !off < page_end do
+      let c = !off / heal_chunk in
+      let stop = min page_end ((c + 1) * heal_chunk) in
+      if
+        (not g.damaged.(c))
+        && not (same_bytes frame (shift + !off) g.image !off (stop - !off))
+      then begin
+        g.damaged.(c) <- true;
+        incr n
+      end;
+      off := stop
+    done
+  done;
+  !n
+
+let read_chunk aspace (g : golden) c =
+  Address_space.read_bytes aspace ~vaddr:(g.base + (c * heal_chunk))
+    ~len:(chunk_len g c)
+
+(* Before the audits: scan, and keep a copy of every damaged chunk. *)
+let record_damage aspace (a : arena) =
+  Array.iter
+    (fun g ->
+      Array.fill g.before 0 (Array.length g.before) None;
+      if scan aspace g > 0 then
+        for c = 0 to Array.length g.damaged - 1 do
+          if g.damaged.(c) then g.before.(c) <- Some (read_chunk aspace g c)
+        done)
+    a.a_golden
+
+(* After the audits and the post-audit scan: whether the audits changed
+   the outputs. A chunk changed when it is damaged now but was clean
+   before, was damaged before and is clean now, or holds other damaged
+   bytes than the copy [record_damage] took. *)
+let audits_changed aspace (a : arena) =
+  Array.exists
+    (fun g ->
+      let changed = ref false in
+      for c = 0 to Array.length g.damaged - 1 do
+        if not !changed then
+          changed :=
+            match g.before.(c) with
+            | None -> g.damaged.(c)
+            | Some was ->
+              (not g.damaged.(c))
+              || not (Bytes.equal was (read_chunk aspace g c))
+      done;
+      !changed)
+    a.a_golden
 
 let bind_arena t (a : arena) =
   Gpu.bind
@@ -239,7 +331,7 @@ let bind_arena t (a : arena) =
          a.a_prog.Exochi_isa.X3k_ast.surfaces)
 
 (* Functionally replay every unit of the arena on the IA32 proxy and
-   record the output checksum plus a byte snapshot. Sound because no
+   record a byte snapshot of the outputs. Sound because no
    kernel reads %sid/%nshred (outputs are pure functions of the per-unit
    params), and serve arenas have no In_out surfaces. Repair restores
    the snapshot rather than replaying: kernels may never write padding
@@ -254,13 +346,18 @@ let golden_pass t (a : arena) =
   done;
   let aspace = Platform.aspace t.platform in
   a.a_golden <-
-    List.map
-      (fun (s : Surface.t) ->
-        ( s.Surface.base,
-          Address_space.read_bytes aspace ~vaddr:s.Surface.base
-            ~len:(Surface.byte_size s) ))
-      (output_surfaces a);
-  a.a_ref_sum <- Some (arena_checksum t a)
+    Array.of_list
+      (List.map
+         (fun (s : Surface.t) ->
+           let len = Surface.byte_size s in
+           let chunks = (len + heal_chunk - 1) / heal_chunk in
+           {
+             base = s.Surface.base;
+             image = Address_space.read_bytes aspace ~vaddr:s.Surface.base ~len;
+             damaged = Array.make chunks false;
+             before = Array.make chunks None;
+           })
+         (output_surfaces a))
 
 (* Launch-parameter environment for Exo-bound: the inclusive per-index
    min/max over every unit's actual parameter vector. *)
@@ -320,8 +417,7 @@ let ensure_arena t abbrev =
           a_prog = prog;
           a_descriptors = inputs @ outputs;
           a_bound_cycles = bound_cycles;
-          a_ref_sum = None;
-          a_golden = [];
+          a_golden = [||];
         }
       in
       if t.cfg.guard <> None then golden_pass t a;
@@ -426,8 +522,9 @@ let submit t (job : Job.t) =
    the previous batch flips one output byte — the silent-data-corruption
    footprint the legacy recovery path would have acknowledged as a
    correct result. Then detection: sampled golden-replay audits (each
-   charged at ULI + CEH emulation cost) and a full output checksum
-   against the golden reference. Any mismatch restores the golden byte
+   charged at ULI + CEH emulation cost) and a comparison of every output
+   surface with its golden snapshot, charged zero like a checksum folded
+   into the output DMA. Damaged heal chunks are copied back from the
    snapshot, charged at the memory model's copy bandwidth. *)
 let guard_verify t (arena : arena) ~batch ~shreds =
   match t.cfg.guard with
@@ -435,7 +532,7 @@ let guard_verify t (arena : arena) ~batch ~shreds =
   | Some g ->
     let aspace = Platform.aspace t.platform in
     let cpu = Platform.cpu t.platform in
-    let outs = Array.of_list (output_surfaces arena) in
+    let outs = arena.a_golden in
     (* 1. corruption: one flipped byte per new injection *)
     let delta =
       match (Platform.fault_plan t.platform, t.corrupt_prng) with
@@ -459,13 +556,10 @@ let guard_verify t (arena : arena) ~batch ~shreds =
         t.g_last_inj <- inj;
         if delta > 0 && Array.length outs > 0 then begin
           for _ = 1 to delta do
-            let s = outs.(Prng.int cp (Array.length outs)) in
-            let vaddr = s.Surface.base + Prng.int cp (Surface.byte_size s) in
-            let b = Address_space.read_bytes aspace ~vaddr ~len:1 in
-            Bytes.set b 0
-              (Char.chr
-                 (Char.code (Bytes.get b 0) lxor (1 + Prng.int cp 255)));
-            Address_space.write_bytes aspace ~vaddr b
+            let g = outs.(Prng.int cp (Array.length outs)) in
+            let vaddr = g.base + Prng.int cp (Bytes.length g.image) in
+            let v = Address_space.read_u8 aspace vaddr in
+            Address_space.write_u8 aspace vaddr (v lxor (1 + Prng.int cp 255))
           done;
           t.g_corrupted <- t.g_corrupted + delta;
           delta
@@ -474,15 +568,16 @@ let guard_verify t (arena : arena) ~batch ~shreds =
       | _ -> 0
     in
     (* 2. sampled golden-replay audits; replaying a unit rewrites its
-       outputs with golden values, so a checksum change across the audit
-       means the audit itself caught (and partially healed) corruption *)
-    let audit_hit =
+       outputs with golden values, so outputs that change across the
+       audits mean an audit itself caught (and partially healed)
+       corruption *)
+    let audited =
       match t.audit_prng with
       | Some ap when g.g_audit_frac > 0.0 ->
         let naudit =
           int_of_float (Float.ceil (g.g_audit_frac *. float_of_int shreds))
         in
-        let sum0 = arena_checksum t arena in
+        record_damage aspace arena;
         let gpu = Platform.gpu t.platform in
         let costs = Platform.costs t.platform in
         bind_arena t arena;
@@ -497,37 +592,31 @@ let guard_verify t (arena : arena) ~batch ~shreds =
             + (lane_ops * costs.Platform.ceh_per_lane_ps))
         done;
         t.g_audit_shreds <- t.g_audit_shreds + naudit;
-        arena_checksum t arena <> sum0
+        true
       | _ -> false
     in
-    (* 3. full checksum against the golden reference; heal on mismatch *)
+    (* 3. every output surface against its golden snapshot *)
     let mismatch =
-      match arena.a_ref_sum with
-      | Some ref_sum -> arena_checksum t arena <> ref_sum
-      | None -> false
+      Array.fold_left (fun n g -> n + scan aspace g) 0 outs > 0
     in
-    (* page-granular heal: corruption is a handful of bytes, so diff the
-       snapshot page by page and copy back only damaged pages — the data
-       movement is what the memory model charges, the compare rides the
-       checksum pass (charged zero, like all guard hashing) *)
+    let audit_hit = audited && audits_changed aspace arena in
+    (* chunk-granular heal: corruption is a handful of bytes, so only
+       the damaged chunks are copied back — the data movement is what
+       the memory model charges *)
     if mismatch then begin
-      let page = Exochi_memory.Phys_mem.page_size in
       let restored = ref 0 in
-      List.iter
-        (fun (base, img) ->
-          let len = Bytes.length img in
-          let cur = Address_space.read_bytes aspace ~vaddr:base ~len in
-          let off = ref 0 in
-          while !off < len do
-            let n = min page (len - !off) in
-            if Bytes.sub cur !off n <> Bytes.sub img !off n then begin
-              Address_space.write_bytes aspace ~vaddr:(base + !off)
-                (Bytes.sub img !off n);
+      Array.iter
+        (fun g ->
+          for c = 0 to Array.length g.damaged - 1 do
+            if g.damaged.(c) then begin
+              let n = chunk_len g c in
+              Address_space.write_bytes aspace
+                ~vaddr:(g.base + (c * heal_chunk))
+                (Bytes.sub g.image (c * heal_chunk) n);
               restored := !restored + n
-            end;
-            off := !off + page
+            end
           done)
-        arena.a_golden;
+        outs;
       Machine.add_time_ps cpu
         (Memmodel.copy_ps (Platform.model_costs t.platform) ~bytes:!restored)
     end;

@@ -36,9 +36,11 @@
     model), and after every batch the server verifies the output
     surfaces: a fraction [g_audit_frac] of the batch's shreds are
     golden-replayed on the IA32 proxy (audit, charged at CEH emulation
-    cost) and a full FNV-1a checksum is compared against the arena's
-    golden reference; mismatches are healed from a byte snapshot
-    (charged at copy bandwidth) and counted as detected SDC. *)
+    cost) and every output surface is compared in place with the
+    arena's golden snapshot (charged zero, like a checksum folded into
+    the output DMA); damaged 4 KiB chunks, counted from the surface
+    base, are copied back from the snapshot (charged at copy bandwidth)
+    and counted as detected SDC. *)
 type guard = { g_audit_frac : float }
 
 type config = {

@@ -19,6 +19,10 @@ val int : t -> int -> int
 (** Uniform float in [\[0, 1)]. *)
 val float : t -> float
 
+(** [bernoulli t p] is [float t < p]: true with probability [p], for
+    the same one draw. *)
+val bernoulli : t -> float -> bool
+
 (** [byte t] is uniform in [\[0, 255\]]. *)
 val byte : t -> int
 

@@ -347,6 +347,55 @@ let test_breaker_gauges_agree () =
     (Printf.sprintf "global = per-device sum at all %d cycles" !cycles)
     0 !disagree
 
+(* ---- pinned SDC detections ----
+
+   Guarded, faulted serve runs over the default SepiaTone:3/LinearFilter:1
+   mix at 1 and 2 devices, with values recorded from the earlier
+   detector that hashed copies of the outputs: corruptions, detections,
+   audited shreds, the detection events by source (through a trace tap)
+   and the final simulated time, which carries the audit and heal
+   charges. *)
+
+let sdc_pins ~devices ~fault_seed ~jobs =
+  let fault_plan =
+    Fault_plan.create ~seed:fault_seed ~rates:(Fault_plan.uniform_rates 0.001)
+      ()
+  in
+  let trace = Exochi_obs.Trace.create ~capacity:16 () in
+  let audit = ref (0, 0) and checksum = ref (0, 0) in
+  Exochi_obs.Trace.set_tap trace (fun ev ->
+      match ev.Exochi_obs.Trace.kind with
+      | Exochi_obs.Trace.Sdc_detected { corruptions; source; _ } ->
+        let r = if source = "audit" then audit else checksum in
+        let n, c = !r in
+        r := (n + 1, c + corruptions)
+      | _ -> ());
+  let config = { (guarded ~audit:0.5 ()) with Server.devices } in
+  let server = Server.create ~config ~fault_plan ~trace () in
+  let wl =
+    Workload.create
+      (Workload.default_spec ~seed:42L ~tenants:2 ~jobs (closed ()))
+  in
+  let r = (Server.run server wl).Server_stats.recovery in
+  Printf.sprintf
+    "corrupted=%d detected=%d audit_shreds=%d audit=%d/%d checksum=%d/%d \
+     now_ps=%d"
+    r.Server_stats.r_sdc_corrupted r.Server_stats.r_sdc_detected
+    r.Server_stats.r_audit_shreds (fst !audit) (snd !audit) (fst !checksum)
+    (snd !checksum) (Server.now_ps server)
+
+let test_sdc_pinned_1dev () =
+  check_string "1 device, faults 3:0.001, audit 0.5, 80 jobs"
+    "corrupted=266 detected=266 audit_shreds=731 audit=3/50 checksum=17/216 \
+     now_ps=27371427414"
+    (sdc_pins ~devices:1 ~fault_seed:3L ~jobs:80)
+
+let test_sdc_pinned_2dev () =
+  check_string "2 devices, faults 5:0.001, audit 0.5, 80 jobs"
+    "corrupted=303 detected=303 audit_shreds=729 audit=3/102 checksum=12/201 \
+     now_ps=28511014951"
+    (sdc_pins ~devices:2 ~fault_seed:5L ~jobs:80)
+
 (* ---- crash recovery end to end ---- *)
 
 let test_recovery_reproduces_run () =
@@ -455,6 +504,11 @@ let () =
         ] );
       ( "fault streams",
         [ Alcotest.test_case "drawn counts" `Quick test_drawn_counts ] );
+      ( "sdc-pinned",
+        [
+          Alcotest.test_case "1 device" `Quick test_sdc_pinned_1dev;
+          Alcotest.test_case "2 devices" `Quick test_sdc_pinned_2dev;
+        ] );
       ( "serving",
         [
           Alcotest.test_case "SDC: zero escapes" `Quick test_sdc_zero_escapes;

@@ -418,6 +418,79 @@ let test_registry_bounds_sound_optimized () =
           k.abbrev (Bound.verdict_to_string v))
     Registry.all
 
+(* ---- equivalence on generated programs ----
+
+   Each generated shred ([X3k_gen]) runs on the EU at -O0, -O1 and -O2,
+   each on a fresh platform: the optimized programs must store the same
+   output bytes as -O0 and must not take more busy cycles. *)
+
+(* the first level whose output or busy cycles betray -O0, if any *)
+let level_mismatch src c =
+  let out0, gpu0 = X3k_gen.run ~fallback:false src c in
+  let busy0 = Exochi_accel.Gpu.busy_cycles gpu0 in
+  List.find_map
+    (fun level ->
+      let out, gpu = X3k_gen.run ~level ~fallback:false src c in
+      let busy = Exochi_accel.Gpu.busy_cycles gpu in
+      if not (Bytes.equal out out0) then
+        Some (Opt.level_name level ^ " stores different bytes")
+      else if busy > busy0 then
+        Some
+          (Printf.sprintf "%s busy %d cycles > -O0 busy %d cycles"
+             (Opt.level_name level) busy busy0)
+      else None)
+    [ Opt.O1; Opt.O2 ]
+
+let levels_agree src c =
+  match level_mismatch src c with
+  | None -> true
+  | Some msg -> QCheck.Test.fail_report msg
+
+let prop_levels_agree_eu =
+  QCheck.Test.make ~name:"O0 = O1 = O2 on generated programs" ~count:400
+    (QCheck.make ~print:X3k_gen.eu_case_src ~shrink:X3k_gen.eu_case_shrink
+       X3k_gen.eu_case_gen)
+    (fun c -> levels_agree (X3k_gen.eu_case_src c) c)
+
+let prop_levels_agree_loops =
+  QCheck.Test.make ~name:"O0 = O1 = O2 on generated loops" ~count:400
+    (QCheck.make ~print:X3k_gen.loop_case_src ~shrink:X3k_gen.loop_case_shrink
+       X3k_gen.loop_case_gen)
+    (fun c -> levels_agree (X3k_gen.loop_case_src c) c)
+
+(* Shrunk failures of the two properties, and the case that exposed
+   the folder: an op whose lane function ignores the dtype, folded into
+   a [mov] that wraps by it. *)
+let straight_line lines =
+  let c =
+    { X3k_gen.body = [ X3k_gen.Lines lines ]; input = Array.make 256 0;
+      sid = 0; params = [||] }
+  in
+  (X3k_gen.eu_case_src c, c)
+
+let xor_w_in_loop =
+  let open X3k_gen in
+  let inner =
+    { depth = 1; start = "-2"; bound = "0"; bound_in_reg = false; step = 2;
+      cond = Le; swap = false; none_set = true; top_test = false; flag = 2;
+      pre = []; inner = None;
+      post = [ Lines [ "xor.4.w vr3 = -1678351455, 1" ] ] }
+  in
+  let c =
+    { body =
+        { depth = 0; start = "0"; bound = "0"; bound_in_reg = false;
+          step = 1; cond = Le; swap = true; none_set = false;
+          top_test = true; flag = 0; pre = []; inner = Some inner;
+          post = [] };
+      input = Array.make 256 0; sid = 0; params = Array.make 8 0 }
+  in
+  (loop_case_src c, c)
+
+let test_shrunk_case (src, c) () =
+  match level_mismatch src c with
+  | None -> ()
+  | Some msg -> Alcotest.fail msg
+
 let () =
   Alcotest.run "opt"
     [
@@ -455,6 +528,22 @@ let () =
             test_unsupported_unchanged;
           Alcotest.test_case "levels parse" `Quick test_levels_parse;
           Alcotest.test_case "diff report" `Quick test_diff_report_shape;
+        ] );
+      ( "generated",
+        [
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0x0E0 |])
+            prop_levels_agree_eu;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0x0E1 |])
+            prop_levels_agree_loops;
+          Alcotest.test_case "cvtif.4.w = 255 (shrunk)" `Quick
+            (test_shrunk_case (straight_line [ "cvtif.4.w vr9 = 255" ]));
+          Alcotest.test_case "cvtfi.1.b = inf bits" `Quick
+            (test_shrunk_case
+               (straight_line [ "cvtfi.1.b vr11 = 2139095040" ]));
+          Alcotest.test_case "xor.4.w in a loop (shrunk)" `Quick
+            (test_shrunk_case xor_w_in_loop);
         ] );
       ( "differential",
         [

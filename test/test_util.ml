@@ -44,6 +44,60 @@ let test_prng_gaussian_moments () =
   let mean = !sum /. float_of_int n in
   check_bool "mean near 5" true (abs_float (mean -. 5.0) < 0.1)
 
+(* The generator's streams, recorded before its state was kept unboxed:
+   next64, int, float and bernoulli draws interleaved on one generator
+   per seed, each rendered exactly (floats in hex). *)
+let prng_stream seed =
+  let p = Prng.create seed in
+  let b = Buffer.create 512 in
+  for _ = 1 to 3 do
+    let n = Prng.next64 p in
+    let i7 = Prng.int p 7 in
+    let imax = Prng.int p max_int in
+    let f = Prng.float p in
+    let rare = Prng.bernoulli p 0.002 in
+    let even = Prng.bernoulli p 0.5 in
+    let byte = Prng.byte p in
+    Printf.bprintf b "%Lx %d %d %h %b %b %d;" n i7 imax f rare even byte
+  done;
+  Buffer.contents b
+
+let prng_pinned =
+  [
+    ( 0L,
+      "e220a8397b1dcdaf 2 121904254867886419 0x1.f1177150e499p-1 false true \
+       184;c584133ac916ab3c 3 4390466628494765097 0x1.95fbb374f2c4ep-2 false \
+       false 75;b54e0f1600cc4d19 6 2254720765600760981 0x1.879e2e2056fefp-1 \
+       false false 181;" );
+    ( 7L,
+      "63cbe1e459320dd7 6 4154025436703902336 0x1.2a75d6e0ce7c5p-1 false true \
+       61;53fcd6513d02befe 3 1905278406105126106 0x1.a82e79b05b5f8p-4 false \
+       false 12;dd2f9b2d0b5f15e6 3 4056502190967420331 0x1.4e31a83369cc8p-2 \
+       false false 11;" );
+    ( 42L,
+      "bdd732262feb6e95 4 1284820937115690964 0x1.607387fc392b8p-2 false \
+       false 87;ccf635ee9e9e2fa4 3 2852245098062667243 0x1.a3a39253bad8cp-3 \
+       false false 109;aa47e31c02e78edc 6 477651854551395997 \
+       0x1.fb64000fd9fe6p-2 false false 250;" );
+    ( 0x00A7E7A5EEDL,
+      "6e529ae86fdffa81 1 4350036368585640044 0x1.f2d024a85a709p-1 false \
+       false 49;36fc78d4840f0f4c 6 4191756592489517772 0x1.1c2ea5cb26228p-1 \
+       false true 19;f87f95c407e7e236 2 1513776283149368327 \
+       0x1.5a676e1b44627p-1 false true 198;" );
+    ( -1L,
+      "e4d971771b652c20 0 1012181899581104250 0x1.b476cdb32ea6p-2 false false \
+       233;405da438a39e8064 3 56176521335757703 0x1.d91a4b0f38e4p-7 false \
+       true 34;354d0df8b25878c1 4 1883033129785587865 0x1.895aa52ca2b74p-3 \
+       false true 15;" );
+  ]
+
+let test_prng_pinned () =
+  List.iter
+    (fun (seed, expect) ->
+      Alcotest.(check string) (Printf.sprintf "seed %Ld" seed) expect
+        (prng_stream seed))
+    prng_pinned
+
 (* ---- Bits ---- *)
 
 let test_extract_insert64 () =
@@ -159,6 +213,7 @@ let () =
           Alcotest.test_case "float range" `Quick test_prng_float_range;
           Alcotest.test_case "split" `Quick test_prng_split_independent;
           Alcotest.test_case "gaussian moments" `Quick test_prng_gaussian_moments;
+          Alcotest.test_case "pinned streams" `Quick test_prng_pinned;
         ] );
       ( "bits",
         [

@@ -223,10 +223,11 @@ let eu_case_gen =
 let eu_case_shrink c =
   QCheck.Iter.map (fun body -> { c with body }) (QCheck.Shrink.list c.body)
 
-(* Run the shred [src] with [c]'s input, id and parameters on a fresh
-   platform, through the EU pipeline or the IA32 fallback; returns the
-   output surface's bytes and the device. *)
-let run ~fallback src c =
+(* Run the shred [src], optimized at [level] (default -O0), with [c]'s
+   input, id and parameters on a fresh platform, through the EU pipeline
+   or the IA32 fallback; returns the output surface's bytes and the
+   device. *)
+let run ?(level = Exochi_opt.Opt.O0) ~fallback src c =
   let platform = Exochi_core.Exo_platform.create () in
   let aspace = Exochi_core.Exo_platform.aspace platform in
   let surface name ~height mode =
@@ -247,7 +248,9 @@ let run ~fallback src c =
         (inp.Surface.base + (4 * k))
         (Int32.of_int w))
     c.input;
-  let prog = X3k_asm.assemble_exn ~name:"eu-case" src in
+  let prog =
+    Exochi_opt.Opt.optimize level (X3k_asm.assemble_exn ~name:"eu-case" src)
+  in
   let gpu = Exochi_core.Exo_platform.gpu platform in
   Gpu.bind gpu ~prog
     ~surfaces:
