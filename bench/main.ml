@@ -353,24 +353,22 @@ let metrics cfg =
         let scale = scale_of cfg k in
         let frames = frames_of cfg k in
         let sink = Exochi_obs.Trace.create () in
+        let live = Exochi_obs.Live.create () in
+        Exochi_obs.Live.attach live sink;
         let r = Harness.run ?frames ~trace:sink k scale in
         assert r.Harness.correct;
-        let m = Exochi_obs.Metrics.of_sink sink in
+        let lat p = Exochi_obs.Hist.quantile live.shred_lat p /. 1e9 in
         Printf.printf "%-14s %7.1f%% %10.3fms %10.3fms %8d %8d %8d\n%!"
           k.abbrev
-          (100.0 *. m.Exochi_obs.Metrics.occupancy)
-          (m.Exochi_obs.Metrics.lat_p50_ps /. 1e9)
-          (m.Exochi_obs.Metrics.lat_p99_ps /. 1e9)
-          m.Exochi_obs.Metrics.atr_gtt_hits.Exochi_obs.Metrics.count
-          m.Exochi_obs.Metrics.atr_proxies.Exochi_obs.Metrics.count
-          m.Exochi_obs.Metrics.events;
-        Exochi_obs.Metrics.to_json
+          (100.0 *. Exochi_obs.Live.occupancy live)
+          (lat 50.0) (lat 99.0) live.atr_gtt_hits live.atr_proxies live.events;
+        Exochi_obs.Live.to_json
           ~extra:
             [
               ("kernel", Printf.sprintf "%S" k.abbrev);
               ("time_ps", string_of_int r.Harness.time_ps);
             ]
-          m)
+          live)
       Registry.all
   in
   let oc = open_out "BENCH_metrics.json" in
@@ -841,13 +839,13 @@ let obs_bench _cfg =
     "untraced: %.3fs  ring: %.3fs (%+.1f%%)  ring+tap: %.3fs (tap %+.1f%%)  \
      (%d events tapped, %d jobs)\n"
     plain_s traced_s (100.0 *. ring_overhead) tapped_s (100.0 *. tap_overhead)
-    (O.Live.events live) (O.Live.jobs_done live);
+    (O.Live.events live) tapped_st.S.Server_stats.completed;
   (* the tap must be invisible to the simulation... *)
   assert (plain_st = traced_st);
   assert (plain_st = tapped_st);
   (* ...exact over the whole run whether or not the ring wrapped... *)
   assert (O.Live.events live = O.Trace.length sink + O.Trace.dropped sink);
-  assert (O.Live.jobs_done live = tapped_st.S.Server_stats.completed);
+  assert (live.shreds_retired = tapped_st.S.Server_stats.shreds_completed);
   (* ...and cheap: within 5% of the tap-free traced host time. *)
   assert (tap_overhead <= 0.05);
   let module J = O.Tiny_json in
@@ -864,9 +862,8 @@ let obs_bench _cfg =
         ("tap_overhead_budget", J.Num 0.05);
         ("events_tapped", J.Num (float_of_int (O.Live.events live)));
         ("events_dropped_by_ring", J.Num (float_of_int (O.Trace.dropped sink)));
-        ("jobs_done", J.Num (float_of_int (O.Live.jobs_done live)));
-        ( "job_lat_p99_us",
-          J.Num (O.Hist.quantile (O.Live.job_lat live) 99.0 /. 1e6) );
+        ("jobs_done", J.Num (float_of_int tapped_st.S.Server_stats.completed));
+        ("job_lat_p99_us", J.Num (tapped_st.S.Server_stats.lat_p99_ps /. 1e6));
         ("sim_identical", J.Bool (plain_st = tapped_st));
       ]
   in

@@ -57,38 +57,42 @@ let run_bench kernel_name split memmodel frames large trace_out metrics_out =
         Some (Exochi_obs.Trace.create ())
       else None
     in
+    let live =
+      match (trace, metrics_out) with
+      | Some sink, Some _ ->
+        let l = Exochi_obs.Live.create () in
+        Exochi_obs.Live.attach l sink;
+        Some l
+      | _ -> None
+    in
     let r = Harness.run ~memmodel ~split ~frames ?trace k scale in
-    Option.iter
-      (fun sink ->
-        (match trace_out with
-        | Some file ->
-          let oc = open_out file in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              output_string oc (Exochi_obs.Trace_export.to_chrome sink))
-        | None -> ());
-        match metrics_out with
-        | Some dest ->
-          let json =
-            Exochi_obs.Metrics.to_json
-              ~extra:
-                [
-                  ("kernel", Printf.sprintf "%S" k.Kernel.abbrev);
-                  ("memmodel", Printf.sprintf "%S" memmodel_name);
-                  ("time_ps", string_of_int r.time_ps);
-                ]
-              (Exochi_obs.Metrics.of_sink sink)
-          in
-          if dest = "-" then print_endline json
-          else begin
-            let oc = open_out dest in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () -> output_string oc (json ^ "\n"))
-          end
-        | None -> ())
-      trace;
+    (match (trace_out, trace) with
+    | Some file, Some sink ->
+      let oc = open_out file in
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () -> output_string oc (Exochi_obs.Trace_export.to_chrome sink))
+    | _ -> ());
+    (match (metrics_out, live) with
+    | Some dest, Some l ->
+      let json =
+        Exochi_obs.Live.to_json
+          ~extra:
+            [
+              ("kernel", Printf.sprintf "%S" k.Kernel.abbrev);
+              ("memmodel", Printf.sprintf "%S" memmodel_name);
+              ("time_ps", string_of_int r.time_ps);
+            ]
+          l
+      in
+      if dest = "-" then print_endline json
+      else begin
+        let oc = open_out dest in
+        Fun.protect
+          ~finally:(fun () -> close_out oc)
+          (fun () -> output_string oc (json ^ "\n"))
+      end
+    | _ -> ());
     Printf.printf "%s (%s, %s)\n" k.Kernel.name k.Kernel.abbrev
       k.Kernel.description;
     Printf.printf "  simulated time : %.3f ms\n" (float_of_int r.time_ps /. 1e9);

@@ -11,10 +11,11 @@
    trace-event file (open in about:tracing or ui.perfetto.dev), one track
    per exo-sequencer plus the IA32 proxy track; --capacity sets the event
    ring size. --metrics prints the aggregated per-run metrics (occupancy,
-   latency percentiles, proxy breakdowns) to stderr. --profile collects
-   an exact per-instruction cost profile (exo frames anchored to their
-   .chi sections) and writes speedscope JSON plus a
-   collapsed-stack .collapsed sibling. All flags may be combined. *)
+   latency percentiles, proxy breakdowns) to stderr, folded by a Live tap
+   over every event, so a wrapped ring does not change them. --profile
+   collects an exact per-instruction cost profile (exo frames anchored to
+   their .chi sections) and writes speedscope JSON plus a collapsed-stack
+   .collapsed sibling. All flags may be combined. *)
 
 open Exochi_core
 
@@ -147,6 +148,14 @@ let () =
         Some (Exochi_obs.Trace.create ?capacity ())
       else None
     in
+    let live =
+      match trace with
+      | Some sink when want_metrics ->
+        let l = Exochi_obs.Live.create () in
+        Exochi_obs.Live.attach l sink;
+        Some l
+      | _ -> None
+    in
     let profile = Option.map (fun _ -> Exochi_obs.Profile.create ()) profile_out in
     (match Chilite_compile.compile ~opt_level ~name src with
     | Error e ->
@@ -157,32 +166,20 @@ let () =
       let prog = Chilite_run.load ?profile ~platform compiled in
       Chilite_run.run prog;
       Exo_platform.emit_mem_counters platform;
-      Option.iter
-        (fun sink ->
-          (match trace_out with
-          | Some file ->
-            let oc = open_out file in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                output_string oc (Exochi_obs.Trace_export.to_chrome sink));
-            Printf.eprintf
-              "[exochi] trace: %d event(s) on %d track(s) written to %s\n"
-              (Exochi_obs.Trace.length sink)
-              (Exochi_obs.Trace_export.track_count sink)
-              file
-          | None -> ());
-          if want_metrics then begin
-            prerr_string
-              (Exochi_obs.Metrics.render (Exochi_obs.Metrics.of_sink sink));
-            let dropped = Exochi_obs.Trace.dropped sink in
-            if dropped > 0 then
-              Printf.eprintf
-                "WARNING: %d events dropped — windowed percentiles (raise \
-                 --capacity or attach a live tap for exact statistics)\n"
-                dropped
-          end)
-        trace;
+      (match (trace_out, trace) with
+      | Some file, Some sink ->
+        let oc = open_out file in
+        Fun.protect
+          ~finally:(fun () -> close_out oc)
+          (fun () ->
+            output_string oc (Exochi_obs.Trace_export.to_chrome sink));
+        Printf.eprintf
+          "[exochi] trace: %d event(s) on %d track(s) written to %s\n"
+          (Exochi_obs.Trace.length sink)
+          (Exochi_obs.Trace_export.track_count sink)
+          file
+      | _ -> ());
+      Option.iter (fun l -> prerr_string (Exochi_obs.Live.render l)) live;
       (match (profile, profile_out) with
       | Some p, Some file ->
         let write path s =

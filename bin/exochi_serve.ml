@@ -54,15 +54,16 @@
 
    Exo-scope live observability: --top prints a dashboard snapshot line
    to stderr every --obs-interval-us of simulated time (throughput,
-   goodput, per-tenant backlog, breaker states, p50/p99 from the exact
-   streaming tap); --prom FILE rewrites FILE with a Prometheus text
-   exposition at the same cadence. Both attach a Live aggregator to the
-   trace tap, so their statistics stay exact even after the bounded
-   event ring wraps. --capacity sets the ring size. --profile FILE
-   collects the exact per-instruction cost profile of every dispatched
-   kernel and writes speedscope JSON (+ a .collapsed flamegraph
-   sibling). None of these flags shape the schedule, so they are
-   excluded from the journal fingerprint.
+   goodput, per-tenant backlog, breaker states, p50/p99); --prom FILE
+   rewrites FILE with a Prometheus text exposition at the same cadence.
+   Both are views of Server.stats, the same always-on collector the
+   --metrics JSON prints, so they need no trace ring and agree with it.
+   --trace FILE writes the event ring as a Chrome/Perfetto trace;
+   --capacity sets the ring size. --profile FILE collects the exact
+   per-instruction cost profile of every dispatched kernel and writes
+   speedscope JSON (+ a .collapsed flamegraph sibling). None of these
+   flags shape the schedule, so they are excluded from the journal
+   fingerprint.
 
    --devices N runs the platform with an N-device X3K set: each dispatch
    cycle launches up to one batch per device, pinned by --placement
@@ -248,20 +249,8 @@ let () =
       | Some c when c > 0 -> Some c
       | _ -> die "--capacity requires a positive integer")
   in
-  (* the dashboard and exposition feed off the trace tap, so they need a
-     sink even when no trace file is written *)
   let trace =
-    if trace_out <> None || top || prom_out <> None then
-      Some (Exochi_obs.Trace.create ?capacity ())
-    else None
-  in
-  let live =
-    match trace with
-    | Some sink when top || prom_out <> None ->
-      let l = Exochi_obs.Live.create () in
-      Exochi_obs.Live.attach l sink;
-      Some l
-    | _ -> None
+    Option.map (fun _ -> Exochi_obs.Trace.create ?capacity ()) trace_out
   in
   (* Exo-guard stack: --guard is the umbrella; --audit implies the
      integrity checker; hedging/breakers can be tuned independently *)
@@ -412,16 +401,14 @@ let () =
       (* a real crash: no atexit, no flush beyond the journal's own *)
       Unix.kill (Unix.getpid ()) Sys.sigkill
   in
-  (* ---- Exo-scope dashboard & exposition (fed by the Live tap) ---- *)
+  (* ---- Exo-scope dashboard & exposition (views of Server.stats) ---- *)
   let write_file path s =
     let oc = open_out path in
     Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
         output_string oc s)
   in
-  let top_line l =
-    let st = Serve.Server.stats server in
-    let h = Exochi_obs.Live.job_lat l in
-    let us ps = ps /. 1e6 in
+  let us ps = ps /. 1e6 in
+  let top_line (st : Serve.Server_stats.t) =
     let depths =
       Serve.Server.tenant_depths server
       |> Array.to_list
@@ -432,20 +419,14 @@ let () =
       "[top] t=%9.3fms  done=%-5d shed=%-3d thr=%6.0f jobs/s  goodput=%6.0f  \
        p50=%7.1fus p99=%7.1fus  depth=%d [%s]  breakers=%d"
       (float_of_int (Serve.Server.now_ps server) /. 1e9)
-      (Exochi_obs.Live.jobs_done l)
-      (Exochi_obs.Live.jobs_shed l)
-      (Exochi_obs.Live.job_throughput_jps l)
-      st.Serve.Server_stats.goodput_jps
-      (us (Exochi_obs.Hist.quantile h 50.0))
-      (us (Exochi_obs.Hist.quantile h 99.0))
+      st.completed st.shed st.throughput_jps st.goodput_jps
+      (us st.lat_p50_ps) (us st.lat_p99_ps)
       (Serve.Server.queue_depth server)
       depths
       (Serve.Server.breakers_open server)
   in
-  let prom_text l =
+  let prom_text (st : Serve.Server_stats.t) =
     let open Exochi_obs in
-    let h = Live.job_lat l in
-    let us ps = ps /. 1e6 in
     let f = float_of_int in
     (* per-device families exist only under a multi-device topology, so
        single-device expositions stay byte-identical *)
@@ -471,26 +452,24 @@ let () =
         Prom.gauge "exochi_sim_time_ms" ~help:"Simulated time"
           (f (Serve.Server.now_ps server) /. 1e9);
         Prom.counter "exochi_jobs_arrived_total" ~help:"Jobs past admission"
-          (f (Live.jobs_arrived l));
+          (f st.admitted);
         Prom.counter "exochi_jobs_done_total" ~help:"Jobs completed"
-          (f (Live.jobs_done l));
+          (f st.completed);
         Prom.counter "exochi_jobs_shed_total" ~help:"Jobs rejected or dropped"
-          (f (Live.jobs_shed l));
+          (f st.shed);
         Prom.multi "exochi_jobs_shed_by_reason" ~help:"Sheds by typed reason"
           Prom.Counter
-          (Live.sheds_by_reason l
-          |> List.map (fun (r, n) -> ([ ("reason", r) ], f n)));
+          (List.map (fun (r, n) -> ([ ("reason", r) ], f n)) st.sheds);
         Prom.counter "exochi_batches_total" ~help:"Coalesced teams dispatched"
-          (f (Live.batches l));
+          (f st.batches);
         Prom.gauge "exochi_job_throughput_jps"
-          ~help:"Completed jobs per simulated second"
-          (Live.job_throughput_jps l);
+          ~help:"Completed jobs per simulated second" st.throughput_jps;
         Prom.gauge "exochi_job_latency_p50_us"
           ~help:"Job latency p50 (exact streaming histogram)"
-          (us (Hist.quantile h 50.0));
+          (us st.lat_p50_ps);
         Prom.gauge "exochi_job_latency_p99_us"
           ~help:"Job latency p99 (exact streaming histogram)"
-          (us (Hist.quantile h 99.0));
+          (us st.lat_p99_ps);
         Prom.multi "exochi_tenant_queue_depth" ~help:"Queued jobs per tenant"
           Prom.Gauge
           (Serve.Server.tenant_depths server
@@ -500,34 +479,34 @@ let () =
           (f (Serve.Server.breakers_open server));
         Prom.counter "exochi_sdc_detected_total"
           ~help:"Detected silent data corruptions"
-          (f (Live.sdc_detected l));
+          (f st.recovery.r_sdc_detected);
         Prom.counter "exochi_trace_dropped_total"
           ~help:"Events dropped by the bounded trace ring"
           (f (match trace with Some s -> Trace.dropped s | None -> 0));
       ]
       @ per_device)
   in
-  let snapshot l =
-    if top then prerr_endline (top_line l);
-    Option.iter (fun file -> write_file file (prom_text l)) prom_out
+  let snapshot st =
+    if top then prerr_endline (top_line st);
+    Option.iter (fun file -> write_file file (prom_text st)) prom_out
   in
+  let dashboards = top || prom_out <> None in
   (* last snapshot's simulated time; 0 also suppresses a t=0 snapshot *)
   let last_obs = ref 0 in
   let on_cycle () =
-    Option.iter
-      (fun l ->
-        let now = Serve.Server.now_ps server in
-        if now - !last_obs >= obs_interval_ps then begin
-          last_obs := now;
-          snapshot l
-        end)
-      live
+    let now = Serve.Server.now_ps server in
+    if now - !last_obs >= obs_interval_ps then begin
+      last_obs := now;
+      snapshot (Serve.Server.stats server)
+    end
   in
   let stats =
-    Serve.Server.run ~on_job_done ~on_cycle server (Serve.Workload.create spec)
+    Serve.Server.run ~on_job_done
+      ?on_cycle:(if dashboards then Some on_cycle else None)
+      server (Serve.Workload.create spec)
   in
   (* final snapshot so --prom always reflects the finished run *)
-  Option.iter snapshot live;
+  if dashboards then snapshot stats;
   Option.iter Serve.Serve_journal.close journal;
   if recover then begin
     let left = Serve.Server.unverified server in
@@ -547,13 +526,6 @@ let () =
   in
   if flag "--metrics" then print_endline json
   else print_string (Serve.Server_stats.render stats);
-  (match trace with
-  | Some sink when flag "--metrics" && Exochi_obs.Trace.dropped sink > 0 ->
-    Printf.eprintf
-      "WARNING: %d events dropped — windowed percentiles (raise --capacity; \
-       Live tap statistics above stay exact)\n"
-      (Exochi_obs.Trace.dropped sink)
-  | _ -> ());
   (match (profile, profile_out) with
   | Some p, Some file ->
     write_file file

@@ -1,14 +1,15 @@
 (** Log-bucketed streaming histogram: O(1) {!record}, fixed memory,
     deterministic quantiles and lossless {!merge}.
 
-    Values are bucketed by [Float.frexp]: each power-of-two octave is
-    split into [sub = 32] linear sub-buckets, so every bucket's relative
-    width is at most {!rel_error} (3.125%) and a quantile estimate is
+    Values are bucketed by their [Float.frexp] decomposition, read off
+    the float's bits: each power-of-two octave is split into [sub = 32]
+    linear sub-buckets, so every bucket's relative width is at most
+    {!rel_error} (3.125%) and a quantile estimate is
     never further than one bucket width from the exact sorted
     percentile at the same rank. Bucketing is pure integer/ldexp
     arithmetic — no logarithm — so identical value streams produce
     identical histograms on every platform, and the aggregators built on
-    this ({!Metrics}, {!Live}, [Server_stats]) stay bit-deterministic.
+    this ({!Live}, [Server_stats]) stay bit-deterministic.
 
     Non-positive values are counted in a dedicated zero bucket and
     reported as [0.]; the exact observed min/max/sum are tracked
@@ -19,8 +20,12 @@ type t
 
 val create : unit -> t
 
-(** O(1): one frexp, one array increment. *)
+(** O(1): a bit extraction and one array increment. *)
 val record : t -> float -> unit
+
+(** [record t (float_of_int n)], without allocating: the bucket comes
+    from integer arithmetic (the trace tap's per-event path). *)
+val record_int : t -> int -> unit
 
 val count : t -> int
 val sum : t -> float

@@ -1024,9 +1024,10 @@ let test_analysis_outputs_pinned () =
 
 (* ---- soundness on generated loops ---- *)
 
-(* Counted loops around random bodies ([X3k_gen.loop_case_gen]): the
-   analyzers never raise, and a proven per-shred bound under the shred's
-   own parameters is at least the busy cycles the shred really takes. *)
+(* Counted loops around random bodies ([X3k_gen.loop_case_gen]), as
+   written and optimized at -O1 and -O2: the analyzers never raise, and
+   a proven per-shred bound under the shred's own parameters is at least
+   the busy cycles the shred really takes at that level. *)
 let prop_bound_sound_on_loops =
   QCheck.Test.make ~name:"Exo-bound is sound on generated loops" ~count:250
     (QCheck.make ~print:X3k_gen.loop_case_src ~shrink:X3k_gen.loop_case_shrink
@@ -1040,14 +1041,21 @@ let prop_bound_sound_on_loops =
         if i >= 0 && i < Array.length params then Some (params.(i), params.(i))
         else None
       in
-      match (Bound.analyze_x3k ~env prog).Bound.verdict with
-      | Bound.Cycles bound ->
-        let _, gpu = X3k_gen.run ~fallback:false src c in
-        let busy = Exochi_accel.Gpu.busy_cycles gpu in
-        if busy > bound then
-          QCheck.Test.fail_reportf "busy %d cycles > bound %d cycles" busy bound
-        else true
-      | Bound.Unbounded | Bound.Unknown _ -> true)
+      List.for_all
+        (fun level ->
+          match
+            (Bound.analyze_x3k ~env (Exochi_opt.Opt.optimize level prog))
+              .Bound.verdict
+          with
+          | Bound.Cycles bound ->
+            let _, gpu = X3k_gen.run ~level ~fallback:false src c in
+            let busy = Exochi_accel.Gpu.busy_cycles gpu in
+            if busy > bound then
+              QCheck.Test.fail_reportf "%s: busy %d cycles > bound %d cycles"
+                (Exochi_opt.Opt.level_name level) busy bound
+            else true
+          | Bound.Unbounded | Bound.Unknown _ -> true)
+        Exochi_opt.Opt.[ O0; O1; O2 ])
 
 let () =
   Alcotest.run "analysis"

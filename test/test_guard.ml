@@ -461,6 +461,136 @@ let test_recovery_divergence_detected () =
     check_bool "error names the divergence" true
       (Astring.String.is_infix ~affix:"divergence" msg)
 
+(* ---- damaged journals ---- *)
+
+let damage_fp = Journal.fingerprint [ "guard-damage-test" ]
+
+(* A guarded, faulted closed-loop run, journaled as the crash test
+   records it. *)
+let damage_run ?expect path =
+  let w = Journal.start path ~fingerprint:damage_fp in
+  let server =
+    Server.create ~config:(guarded ~hedge_us:300 ~cooldown_us:500 ())
+      ~fault_plan:
+        (Fault_plan.create ~seed:7L ~rates:(Fault_plan.uniform_rates 0.001) ())
+      ~journal:w ?expect ()
+  in
+  ignore
+    (Server.run server
+       (Workload.create
+          (Workload.default_spec ~seed:42L ~tenants:2 ~jobs:20 (closed ()))));
+  Journal.close w;
+  server
+
+(* The undamaged journal's bytes, and for each frame (u32 length, u64
+   checksum, payload) the offset where it ends and its record tag. *)
+let damage_baseline =
+  lazy
+    (let path = temp_path "damage" in
+     ignore (damage_run path);
+     let bytes = read_file path in
+     Sys.remove path;
+     let rec frames pos acc =
+       if pos >= String.length bytes then List.rev acc
+       else
+         let fin = pos + 12 + Int32.to_int (String.get_int32_le bytes pos) in
+         frames fin ((fin, bytes.[pos + 12]) :: acc)
+     in
+     (bytes, frames 0 []))
+
+let flip s off bit =
+  let b = Bytes.of_string s in
+  Bytes.set b off (Char.chr (Char.code s.[off] lxor (1 lsl bit)));
+  Bytes.to_string b
+
+(* What [load] must return for the journal's first [k] frames: the same
+   records the undamaged journal holds, cut after frame [k]. *)
+let replay_of_prefix whole frames k =
+  let take n l = List.filteri (fun i _ -> i < n) l in
+  let count tag =
+    List.length (List.filter (fun (_, t) -> t = tag) (take k frames))
+  in
+  {
+    whole with
+    Journal.rp_fingerprint =
+      (if k > 0 then whole.Journal.rp_fingerprint else None);
+    rp_admitted = take (count 'A') whole.Journal.rp_admitted;
+    rp_completed = take (count 'D') whole.Journal.rp_completed;
+    rp_shed = take (count 'S') whole.Journal.rp_shed;
+  }
+
+let test_damage_loads_prefix () =
+  let bytes, frames = Lazy.force damage_baseline in
+  let n = String.length bytes in
+  let path = temp_path "damaged" in
+  let whole = (write_file path bytes; Journal.load path) in
+  check_bool "undamaged journal is clean" false whole.Journal.rp_truncated;
+  check_int "every frame decodes" 0 whole.Journal.rp_garbled;
+  check_bool "completions recorded" true (whole.Journal.rp_completed <> []);
+  (* frames wholly before [off] *)
+  let before off =
+    List.length (List.filter (fun (fin, _) -> fin <= off) frames)
+  in
+  let expect ~what damaged k ~truncated =
+    write_file path damaged;
+    let rp =
+      try Journal.load path
+      with e -> Alcotest.failf "%s: load raised %s" what (Printexc.to_string e)
+    in
+    let want =
+      { (replay_of_prefix whole frames k) with rp_truncated = truncated }
+    in
+    if rp <> want then
+      Alcotest.failf "%s: %d admitted, %d completed, %d shed, truncated %b; \
+                      want the first %d frame(s)"
+        what
+        (List.length rp.Journal.rp_admitted)
+        (List.length rp.Journal.rp_completed)
+        (List.length rp.Journal.rp_shed)
+        rp.Journal.rp_truncated k
+  in
+  for len = 0 to n do
+    let k = before len in
+    let boundary = len = 0 || List.exists (fun (fin, _) -> fin = len) frames in
+    expect ~what:(Printf.sprintf "cut at %d" len) (String.sub bytes 0 len) k
+      ~truncated:(not boundary)
+  done;
+  for off = 0 to n - 1 do
+    for bit = 0 to 7 do
+      expect
+        ~what:(Printf.sprintf "bit %d of byte %d flipped" bit off)
+        (flip bytes off bit) (before off) ~truncated:true
+    done
+  done;
+  Sys.remove path
+
+let test_damage_redo_identical () =
+  let bytes, _ = Lazy.force damage_baseline in
+  let n = String.length bytes in
+  let rand = Random.State.make [| 0x10A7 |] in
+  let path = temp_path "redo" in
+  List.iter
+    (fun damage ->
+      let damaged, what =
+        match damage with
+        | `Cut ->
+          let len = Random.State.int rand n in
+          (String.sub bytes 0 len, Printf.sprintf "cut at %d" len)
+        | `Flip ->
+          let off = Random.State.int rand n in
+          let bit = Random.State.int rand 8 in
+          (flip bytes off bit, Printf.sprintf "bit %d of byte %d flipped" bit off)
+      in
+      write_file path damaged;
+      let rp = Journal.load path in
+      let server = damage_run ~expect:rp.Journal.rp_completed path in
+      check_int (what ^ ": every journaled completion retraced") 0
+        (Server.unverified server);
+      check_bool (what ^ ": journal rewritten byte-identical") true
+        (read_file path = bytes))
+    [ `Cut; `Flip; `Cut ];
+  Sys.remove path
+
 (* ---- guard counters surface in the stats JSON ---- *)
 
 let test_guard_json_fields () =
@@ -529,6 +659,13 @@ let () =
             test_recovery_reproduces_run;
           Alcotest.test_case "divergence detected" `Quick
             test_recovery_divergence_detected;
+        ] );
+      ( "journal-fuzz",
+        [
+          Alcotest.test_case "every cut and bit flip loads a prefix" `Quick
+            test_damage_loads_prefix;
+          Alcotest.test_case "seeded damage redoes identically" `Quick
+            test_damage_redo_identical;
         ] );
       ( "stats",
         [ Alcotest.test_case "JSON fields" `Quick test_guard_json_fields ] );

@@ -174,33 +174,35 @@ let test_tracing_is_free_under_faults () =
   in
   check_bool "identical result under fault injection" true (plain = traced)
 
-(* ---- metrics ---- *)
+(* ---- metrics: the views of the Live fold ---- *)
+
+let tapped_run name =
+  let sink = Trace.create () in
+  let live = Live.create () in
+  Live.attach live sink;
+  let r = Harness.run ~frames:2 ~trace:sink (kernel name) Kernel.Small in
+  (r, live)
 
 let test_metrics_agree_with_harness () =
-  let r, sink = traced_run "BOB" in
-  let m = Metrics.of_sink sink in
-  check_int "shreds retired" r.Harness.shreds m.Metrics.shreds_retired;
-  check_int "shreds enqueued" r.Harness.shreds m.Metrics.shreds_enqueued;
-  check_int "gtt hits" r.Harness.gtt_hits m.Metrics.atr_gtt_hits.Metrics.count;
-  check_int "atr proxies" r.Harness.atr_proxies
-    m.Metrics.atr_proxies.Metrics.count;
-  check_int "ceh proxies" r.Harness.ceh_proxies
-    m.Metrics.ceh_proxies.Metrics.count;
-  check_int "flush bytes" r.Harness.flush_bytes m.Metrics.flush_bytes;
-  check_int "copy bytes" r.Harness.copy_bytes m.Metrics.copy_bytes;
-  check_bool "occupancy in (0,1]" true
-    (m.Metrics.occupancy > 0.0 && m.Metrics.occupancy <= 1.0);
+  let r, l = tapped_run "BOB" in
+  check_int "shreds retired" r.Harness.shreds l.Live.shreds_retired;
+  check_int "shreds enqueued" r.Harness.shreds l.Live.shreds_enqueued;
+  check_int "gtt hits" r.Harness.gtt_hits l.Live.atr_gtt_hits;
+  check_int "atr proxies" r.Harness.atr_proxies l.Live.atr_proxies;
+  check_int "ceh proxies" r.Harness.ceh_proxies l.Live.ceh_proxies;
+  check_int "flush bytes" r.Harness.flush_bytes l.Live.flush_bytes;
+  check_int "copy bytes" r.Harness.copy_bytes l.Live.copy_bytes;
+  let occ = Live.occupancy l in
+  check_bool "occupancy in (0,1]" true (occ > 0.0 && occ <= 1.0);
+  let q = Hist.quantile l.Live.shred_lat in
   check_bool "latency percentiles ordered" true
-    (m.Metrics.lat_p50_ps <= m.Metrics.lat_p95_ps
-    && m.Metrics.lat_p95_ps <= m.Metrics.lat_p99_ps);
+    (q 50.0 <= q 95.0 && q 95.0 <= q 99.0);
   check_bool "render mentions occupancy" true
-    (Astring.String.is_infix ~affix:"occupancy" (Metrics.render m))
+    (Astring.String.is_infix ~affix:"occupancy" (Live.render l))
 
 let test_metrics_json_parses () =
-  let _, sink = traced_run "BOB" in
-  let json =
-    Metrics.to_json ~extra:[ ("kernel", {|"BOB"|}) ] (Metrics.of_sink sink)
-  in
+  let _, l = tapped_run "BOB" in
+  let json = Live.to_json ~extra:[ ("kernel", {|"BOB"|}) ] l in
   match Tiny_json.parse json with
   | Error msg -> Alcotest.fail ("metrics JSON malformed: " ^ msg)
   | Ok j ->
@@ -310,6 +312,50 @@ let test_hist_zero_bucket () =
       (Float.abs (m -. 4.0) <= Hist.width_at 4.0)
   | _ -> Alcotest.fail "unexpected bucket layout"
 
+(* The bucket [Float.frexp] assigns [v > 0]: octave [e] clamped into
+   [-16, 63], sub-bucket floor((m - 1/2) * 64) of 32, reported as the
+   bucket midpoint. *)
+let frexp_bucket_mid v =
+  let m, e = Float.frexp v in
+  let e, s =
+    if e < -16 then (-16, 0)
+    else if e > 63 then (63, 31)
+    else (e, min 31 (int_of_float ((m -. 0.5) *. 64.0)))
+  in
+  let edge s = Float.ldexp (1.0 +. (float_of_int s /. 32.0)) (e - 1) in
+  0.5 *. (edge s +. edge (s + 1))
+
+let test_hist_frexp_buckets () =
+  let ints =
+    List.init 5000 (fun i -> i + 1)
+    @ List.concat_map
+        (fun e -> let p = 1 lsl e in [ p - 1; p; p + 1; p + (p / 3) ])
+        (List.init 61 (fun e -> e + 1))
+    @ [ max_int; 123_456_789_012 ]
+  in
+  let floats =
+    List.concat_map
+      (fun e ->
+        let p = Float.ldexp 1.0 e in
+        [ Float.pred p; p; Float.succ p; p *. 1.3 ])
+      (List.init 200 (fun e -> e - 100))
+    @ [ Float.min_float; 4.9e-324; Float.max_float ]
+  in
+  let check_one what record v =
+    let h = Hist.create () in
+    record h;
+    Alcotest.(check (list (pair (float 0.0) int)))
+      what [ (frexp_bucket_mid v, 1) ] (Hist.nonzero h)
+  in
+  List.iter
+    (fun n ->
+      check_one (Printf.sprintf "record_int %d" n)
+        (fun h -> Hist.record_int h n) (float_of_int n))
+    ints;
+  List.iter
+    (fun v -> check_one (Printf.sprintf "record %h" v) (fun h -> Hist.record h v) v)
+    floats
+
 (* ---- Live: exact streaming aggregation past ring wrap ---- *)
 
 module Serve = Exochi_serving
@@ -328,54 +374,39 @@ let serve_traced ~capacity =
   let stats = Serve.Server.run server wl in
   (sink, live, stats)
 
+(* The report with the one note a wrapped ring adds taken out. *)
+let report_without_drop_note l =
+  let r = Live.render l in
+  let note = Printf.sprintf " (%d dropped from the ring)" (Live.dropped l) in
+  match Astring.String.cut ~sep:note r with Some (a, b) -> a ^ b | None -> r
+
 let test_live_exact_after_ring_wrap () =
   (* Same seed, same server: the only difference is the ring size. The
-     small ring wraps (windowed post-mortem metrics); the Live tap must
-     agree exactly with the unbounded-ring reference anyway. *)
+     small ring wraps; the Live tap must agree exactly with the
+     unbounded-ring reference anyway. *)
   let small_sink, small, s_stats = serve_traced ~capacity:256 in
   let ref_sink, live_ref, r_stats = serve_traced ~capacity:1_000_000 in
   check_bool "small ring wrapped" true (Trace.dropped small_sink > 0);
   check_int "reference ring did not" 0 (Trace.dropped ref_sink);
   check_int "tap saw every event despite the wrap"
     (Live.events live_ref) (Live.events small);
-  check_int "jobs done exact" (Live.jobs_done live_ref) (Live.jobs_done small);
-  check_int "jobs done agrees with server stats"
-    s_stats.Serve.Server_stats.completed (Live.jobs_done small);
-  check_int "identical sim either way" s_stats.Serve.Server_stats.completed
-    r_stats.Serve.Server_stats.completed;
-  check_int "shreds retired exact" (Live.shreds_retired live_ref)
-    (Live.shreds_retired small);
-  check_int "exo busy exact" (Live.exo_busy_ps live_ref)
-    (Live.exo_busy_ps small);
+  check_bool "identical sim either way" true (s_stats = r_stats);
+  check_int "shreds retired exact" live_ref.Live.shreds_retired
+    small.Live.shreds_retired;
+  check_int "shreds retired agree with server stats"
+    s_stats.Serve.Server_stats.shreds_completed small.Live.shreds_retired;
+  check_int "exo busy exact" live_ref.Live.exo_busy_ps small.Live.exo_busy_ps;
   check_int "span exact" (Live.span_ps live_ref) (Live.span_ps small);
-  check_int "batches exact" (Live.batches live_ref) (Live.batches small);
   List.iter
     (fun p ->
       check_bool
-        (Printf.sprintf "job latency p%.0f exact" p)
-        true
-        (Hist.quantile (Live.job_lat small) p
-        = Hist.quantile (Live.job_lat live_ref) p);
-      check_bool
         (Printf.sprintf "shred latency p%.0f exact" p)
         true
-        (Hist.quantile (Live.shred_lat small) p
-        = Hist.quantile (Live.shred_lat live_ref) p))
+        (Hist.quantile small.Live.shred_lat p
+        = Hist.quantile live_ref.Live.shred_lat p))
     [ 50.0; 99.0 ];
-  (* The unbounded-ring post-mortem fold is the reference: Live must
-     match it, while the wrapped ring's fold is only a tail window. *)
-  let m_ref = Metrics.of_sink ref_sink in
-  let m_small = Metrics.of_sink small_sink in
-  check_bool "reference fold not windowed" false m_ref.Metrics.windowed;
-  check_bool "wrapped fold windowed" true m_small.Metrics.windowed;
-  check_int "Live matches unbounded-ring reference"
-    m_ref.Metrics.jobs_done (Live.jobs_done small);
-  check_bool "Live p50 matches reference fold" true
-    (m_ref.Metrics.job_lat_p50_ps = Hist.quantile (Live.job_lat small) 50.0);
-  check_bool "Live p99 matches reference fold" true
-    (m_ref.Metrics.job_lat_p99_ps = Hist.quantile (Live.job_lat small) 99.0);
-  check_bool "windowed fold lost events" true
-    (m_small.Metrics.events < m_ref.Metrics.events)
+  check_string "same report apart from the drop note"
+    (Live.render live_ref) (report_without_drop_note small)
 
 let test_tap_is_free () =
   let k = kernel "BOB" in
@@ -390,7 +421,35 @@ let test_tap_is_free () =
     (Trace.length sink + Trace.dropped sink)
     (Live.events live);
   check_int "retired shreds agree" plain.Harness.shreds
-    (Live.shreds_retired live)
+    live.Live.shreds_retired
+
+let test_observe_allocates_nothing () =
+  let l = Live.create () in
+  let at ?(dev = 0) ?(dur = 0) kind =
+    { Trace.ts_ps = 1_000; dur_ps = dur; dev; seq = Trace.Ia32; kind }
+  in
+  let events =
+    [
+      at ~dur:12_345 (Trace.Shred_run { shred_id = 1 });
+      at ~dev:1 ~dur:999 (Trace.Shred_run { shred_id = 2 });
+      at (Trace.Shred_enqueue { shred_id = 1 });
+      at ~dur:45_000 (Trace.Atr_gtt_hit { vpage = 3 });
+      at (Trace.Signal_doorbell { shreds = 4; lost = true });
+      at (Trace.Fault_injected { cls = "shred-hang" });
+      at (Trace.Counter { counter = "bus_bytes"; value = 64 });
+      at (Trace.Hedge_dispatch { shred_id = 1; age_ps = 5 });
+      at (Trace.Job_done { job = 1; tenant = 0; latency_ps = 7 });
+    ]
+  in
+  let feed e = Live.observe l e in
+  (* first sight of a device, a fault class or a counter may allocate *)
+  List.iter feed events;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    List.iter feed events
+  done;
+  check_int "minor words over 9000 events" 0
+    (int_of_float (Gc.minor_words () -. before))
 
 let test_tap_is_free_under_faults () =
   let k = kernel "SepiaTone" in
@@ -403,7 +462,68 @@ let test_tap_is_free_under_faults () =
   check_bool "identical result with tap under fault injection" true
     (plain = tapped)
 
-(* ---- windowed metrics + export drop metadata ---- *)
+(* ---- serve views: trace-derived counts against their owners ---- *)
+
+(* [exochi_serve --faults 3:0.3 --guard --breaker-cooldown-us 200
+   --hedge-us 100 --devices 2]: guarded and faulted, with hedging and
+   breakers on two devices. The default ring wraps; the tap does not. *)
+let test_recovery_agrees_with_owners () =
+  let sink = Trace.create () in
+  let live = Live.create () in
+  Live.attach live sink;
+  let config =
+    {
+      Serve.Server.default_config with
+      tenants =
+        Array.init 2 (fun i ->
+            Serve.Tenant.make_config ~weight:1.0 ~queue_cap:64
+              (Printf.sprintf "tenant%d" i));
+      guard = Some { Serve.Server.g_audit_frac = 0.05 };
+      hedge_after_ps = 100_000_000;
+      breaker_cooldown_ps = 200_000_000;
+      devices = 2;
+    }
+  in
+  let fault_plan = Result.get_ok (Exochi_faults.Fault_plan.of_spec "3:0.3") in
+  let server = Serve.Server.create ~config ~fault_plan ~trace:sink () in
+  let wl =
+    Serve.Workload.create
+      (Serve.Workload.default_spec ~seed:42L ~tenants:2 ~jobs:200
+         (Serve.Workload.Closed { clients_per_tenant = 4; think_ps = 0 }))
+  in
+  let st = Serve.Server.run server wl in
+  check_int "every job served" 200 st.Serve.Server_stats.completed;
+  check_bool "the ring wrapped" true (Trace.dropped sink > 0);
+  let r = Exochi_core.Chi_runtime.recovery (Serve.Server.runtime server) in
+  let open Exochi_core.Chi_runtime in
+  List.iter
+    (fun (name, owner, view) ->
+      check_bool (name ^ " happened") true (owner > 0);
+      check_int name owner view)
+    [
+      ("watchdog kills", r.watchdog_kills, live.Live.watchdog_reaps);
+      ("redispatches", r.redispatches, live.Live.redispatches);
+      ("quarantines", r.quarantined_seqs, live.Live.quarantines);
+      ("IA32 fallbacks", r.fallback_shreds, live.Live.ia32_fallbacks);
+      ("doorbell re-rings", r.doorbell_redeliveries, live.Live.redeliveries);
+      ("breaker opens", r.breaker_opens, live.Live.breaker_opens);
+      ("breaker closes", r.breaker_closes, live.Live.breaker_closes);
+      ("hedge wins", r.hedge_wins, live.Live.hedge_wins);
+      ("hedge dispatches", r.hedges + r.cross_hedges, live.Live.hedges);
+    ];
+  let module P = Exochi_core.Exo_platform in
+  let p = Serve.Server.platform server in
+  check_int "GTT hits" (P.gtt_hits p) live.Live.atr_gtt_hits;
+  (* the platform counts every ATR round trip, including the ones an
+     injected transient lost and the proxy retried *)
+  check_bool "ATR transients happened" true (P.atr_transient_retries p > 0);
+  check_int "ATR transients" (P.atr_transient_retries p)
+    live.Live.atr_transients;
+  check_int "ATR proxies" (P.atr_proxies p)
+    (live.Live.atr_proxies + live.Live.atr_transients);
+  check_int "CEH proxies" (P.ceh_proxies p) live.Live.ceh_proxies
+
+(* ---- a wrapped ring + export drop metadata ---- *)
 
 let wrapped_sink () =
   let s = Trace.create ~capacity:4 () in
@@ -412,18 +532,43 @@ let wrapped_sink () =
   done;
   s
 
-let test_metrics_windowed_flag () =
-  let m = Metrics.of_sink (wrapped_sink ()) in
-  check_int "dropped" 6 m.Metrics.dropped;
-  check_bool "windowed set" true m.Metrics.windowed;
-  (match Tiny_json.parse (Metrics.to_json m) with
-  | Error msg -> Alcotest.fail msg
-  | Ok j -> (
-    match Tiny_json.member "windowed" j with
-    | Some (Tiny_json.Bool true) -> ()
-    | _ -> Alcotest.fail {|"windowed": true missing from JSON|}));
-  let fresh = Metrics.of_sink (Trace.create ()) in
-  check_bool "fresh sink not windowed" false fresh.Metrics.windowed
+(* [exochi_run examples/vadd.chi --faults 3:0.4 --metrics], with and
+   without [--capacity 64]: the 64-event ring keeps a sixth of the run,
+   and the report must not notice beyond its drop note. *)
+let vadd_report ?capacity () =
+  let dir = if Sys.file_exists "examples" then "examples" else "../examples" in
+  let src =
+    In_channel.with_open_bin (Filename.concat dir "vadd.chi")
+      In_channel.input_all
+  in
+  match Exochi_core.Chilite_compile.compile ~name:"vadd" src with
+  | Error e -> Alcotest.fail (Exochi_isa.Loc.error_to_string e)
+  | Ok compiled ->
+    let trace = Trace.create ?capacity () in
+    let live = Live.create () in
+    Live.attach live trace;
+    let fault_plan =
+      Result.get_ok (Exochi_faults.Fault_plan.of_spec "3:0.4")
+    in
+    let platform = Exochi_core.Exo_platform.create ~fault_plan ~trace () in
+    let prog = Exochi_core.Chilite_run.load ~platform compiled in
+    Exochi_core.Chilite_run.run prog;
+    Exochi_core.Exo_platform.emit_mem_counters platform;
+    live
+
+let test_wrapped_ring_same_report () =
+  let whole = vadd_report () and wrapped = vadd_report ~capacity:64 () in
+  check_int "whole run kept" 0 (Live.dropped whole);
+  check_int "ring wrapped" 339 (Live.dropped wrapped);
+  check_int "every event folded" 403 (Live.events wrapped);
+  check_int "retired" 30 wrapped.Live.shreds_retired;
+  check_int "enqueued" 32 wrapped.Live.shreds_enqueued;
+  check_int "watchdog reaps" 22 wrapped.Live.watchdog_reaps;
+  check_string "same report apart from the drop note" (Live.render whole)
+    (report_without_drop_note wrapped);
+  check_bool "drop note present" true
+    (Astring.String.is_infix ~affix:"(339 dropped from the ring)"
+       (Live.render wrapped))
 
 let test_export_reports_drops () =
   let json = Trace_export.to_chrome (wrapped_sink ()) in
@@ -549,7 +694,8 @@ let () =
           Alcotest.test_case "agree with harness" `Quick
             test_metrics_agree_with_harness;
           Alcotest.test_case "json parses" `Quick test_metrics_json_parses;
-          Alcotest.test_case "windowed flag" `Quick test_metrics_windowed_flag;
+          Alcotest.test_case "wrapped ring same report" `Quick
+            test_wrapped_ring_same_report;
           Alcotest.test_case "export reports drops" `Quick
             test_export_reports_drops;
         ] );
@@ -560,6 +706,8 @@ let () =
           Alcotest.test_case "merge associative" `Quick
             test_hist_merge_associative;
           Alcotest.test_case "zero bucket" `Quick test_hist_zero_bucket;
+          Alcotest.test_case "buckets follow frexp" `Quick
+            test_hist_frexp_buckets;
         ] );
       ( "live",
         [
@@ -568,6 +716,13 @@ let () =
           Alcotest.test_case "tap is free" `Quick test_tap_is_free;
           Alcotest.test_case "tap free under faults" `Quick
             test_tap_is_free_under_faults;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_observe_allocates_nothing;
+        ] );
+      ( "serve-views",
+        [
+          Alcotest.test_case "recovery agrees with owners" `Quick
+            test_recovery_agrees_with_owners;
         ] );
       ( "profile",
         [

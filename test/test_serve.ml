@@ -389,6 +389,8 @@ let test_fault_plan_recovery_in_metrics_json () =
 
 let test_trace_and_metrics () =
   let sink = Exochi_obs.Trace.create () in
+  let live = Exochi_obs.Live.create () in
+  Exochi_obs.Live.attach live sink;
   let server = Server.create ~trace:sink () in
   let wl =
     Workload.create
@@ -402,15 +404,13 @@ let test_trace_and_metrics () =
    with
   | Ok _ -> ()
   | Error m -> Alcotest.fail ("chrome export invalid: " ^ m));
-  let m = Exochi_obs.Metrics.of_sink sink in
-  check_int "metrics see every admission" st.Server_stats.admitted
-    m.Exochi_obs.Metrics.jobs_arrived;
-  check_int "metrics see every completion" st.Server_stats.completed
-    m.Exochi_obs.Metrics.jobs_done;
-  check_int "metrics see every batch" st.Server_stats.batches
-    m.Exochi_obs.Metrics.batches;
-  check_bool "job latency aggregated" true
-    (m.Exochi_obs.Metrics.job_lat_p50_ps > 0.0)
+  (* jobs are Server_stats' facts; the tap sees the shreds that served them *)
+  check_int "every job completed" 16 st.Server_stats.completed;
+  check_bool "job latency aggregated" true (st.Server_stats.lat_p50_ps > 0.0);
+  check_int "tap sees every served shred" st.Server_stats.shreds_completed
+    live.Exochi_obs.Live.shreds_retired;
+  check_int "tap sees every event" (Exochi_obs.Trace.length sink)
+    (Exochi_obs.Live.events live)
 
 let () =
   Alcotest.run "serve"
