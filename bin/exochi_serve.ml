@@ -486,8 +486,15 @@ let () =
       ]
       @ per_device)
   in
-  let snapshot st =
-    if top then prerr_endline (top_line st);
+  let last_top = ref "" in
+  let snapshot ~final st =
+    if top then begin
+      let line = top_line st in
+      (* the final snapshot repeats the last periodic one when that was
+         taken at the end of the run; print it once *)
+      if not (final && line = !last_top) then prerr_endline line;
+      last_top := line
+    end;
     Option.iter (fun file -> write_file file (prom_text st)) prom_out
   in
   let dashboards = top || prom_out <> None in
@@ -497,7 +504,7 @@ let () =
     let now = Serve.Server.now_ps server in
     if now - !last_obs >= obs_interval_ps then begin
       last_obs := now;
-      snapshot (Serve.Server.stats server)
+      snapshot ~final:false (Serve.Server.stats server)
     end
   in
   let stats =
@@ -506,7 +513,7 @@ let () =
       server (Serve.Workload.create spec)
   in
   (* final snapshot so --prom always reflects the finished run *)
-  if dashboards then snapshot stats;
+  if dashboards then snapshot ~final:true stats;
   Option.iter Serve.Serve_journal.close journal;
   if recover then begin
     let left = Serve.Server.unverified server in

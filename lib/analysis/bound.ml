@@ -9,9 +9,9 @@
    per-shred worst case composes [X3k_cost.worst_retire_cycles] with
    the product of enclosing trip counts, so it is directly comparable
    to the sequencer's [busy_cycles] accounting (the soundness gate in
-   test_analysis measures exactly that, and bench lint reports the
-   slack). Rules: EXO011 statically unbounded loop, EXO012 irreducible
-   control flow, EXO013 trip/cost overflow, EXO015 non-monotone
+   test_analysis measures exactly that). Rules: EXO011 statically
+   unbounded loop, EXO012 irreducible control flow, EXO013 trip/cost
+   overflow, EXO015 non-monotone
    induction variable. (EXO014 — bound vs declared deadline class — is
    applied per .chi section by Exo_check, through [wall_cycles].)
 

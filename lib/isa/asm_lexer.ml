@@ -2,6 +2,7 @@ type token =
   | IDENT of string
   | INT of int64
   | FLOAT of float
+  | FBITS of int32
   | LBRACK
   | RBRACK
   | LPAREN
@@ -24,6 +25,7 @@ let pp_token fmt = function
   | IDENT s -> Format.fprintf fmt "identifier %S" s
   | INT i -> Format.fprintf fmt "integer %Ld" i
   | FLOAT f -> Format.fprintf fmt "float %g" f
+  | FBITS b -> Format.fprintf fmt "float bits 0f%08lx" b
   | LBRACK -> Format.pp_print_string fmt "'['"
   | RBRACK -> Format.pp_print_string fmt "']'"
   | LPAREN -> Format.pp_print_string fmt "'('"
@@ -106,6 +108,24 @@ let lex_number t =
       | Some v -> Ok (INT v)
       | None -> Loc.error l "hex literal out of range: %s" s
     end
+  end
+  else if
+    (* 0f + 8 hex digits: the raw bits of a binary32 immediate *)
+    t.pos + 2 < String.length t.src
+    && t.src.[t.pos] = '0'
+    && t.src.[t.pos + 1] = 'f'
+    && is_hex_digit t.src.[t.pos + 2]
+  then begin
+    t.pos <- t.pos + 2;
+    while match peek t 0 with Some c -> is_ident_char c | None -> false do
+      t.pos <- t.pos + 1
+    done;
+    let digits = String.sub t.src (start + 2) (t.pos - start - 2) in
+    if String.length digits = 8 && String.for_all is_hex_digit digits then
+      Ok (FBITS (Int32.of_string ("0x" ^ digits)))
+    else
+      Loc.error l "malformed float-bits literal 0f%s (0f + 8 hex digits)"
+        digits
   end
   else begin
     while match peek t 0 with Some c when is_digit c -> true | _ -> false do

@@ -7,6 +7,7 @@ type token =
   | IDENT of string (* mnemonics, registers, labels, symbols *)
   | INT of int64 (* decimal or 0x hex *)
   | FLOAT of float
+  | FBITS of int32 (* 0f + 8 hex digits: raw binary32 bits, e.g. NaN *)
   | LBRACK
   | RBRACK
   | LPAREN

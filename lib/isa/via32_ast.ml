@@ -250,13 +250,50 @@ let frame_name pc instr = Format.asprintf "%03d %a" pc pp_instr instr
 
 let pp_program fmt p =
   Format.fprintf fmt "; program %s (%d instrs)@." p.name (Array.length p.instrs);
+  (* every jump or internal call target needs a label; make one up, not
+     clashing with a label or an intrinsic, where the target has none *)
+  let targets =
+    List.filter_map
+      (function _, Internal t -> Some t | _, Intrinsic _ -> None)
+      p.calls
+    @ List.concat_map
+        (fun i ->
+          match (i.op, i.operands) with
+          | (Jmp | Jcc _), [ I t ] -> [ Int32.to_int t ]
+          | _ -> [])
+        (Array.to_list p.instrs)
+  in
+  let taken =
+    List.map fst p.labels
+    @ List.filter_map
+        (function _, Intrinsic s -> Some s | _, Internal _ -> None)
+        p.calls
+  in
+  let labels =
+    List.fold_left
+      (fun labels t ->
+        if List.exists (fun (_, at) -> at = t) labels then labels
+        else
+          let rec fresh n = if List.mem n taken then fresh (n ^ "_") else n in
+          labels @ [ (fresh (Printf.sprintf "L%d" t), t) ])
+      (* definition order, so the text parses back to [p.labels] *)
+      (List.rev p.labels) targets
+  in
+  let label_of t = fst (List.find (fun (_, at) -> at = t) labels) in
+  let labels_at idx =
+    List.iter
+      (fun (l, at) -> if at = idx then Format.fprintf fmt "%s:@." l)
+      labels
+  in
   Array.iteri
     (fun idx i ->
-      List.iter
-        (fun (l, at) -> if at = idx then Format.fprintf fmt "%s:@." l)
-        p.labels;
-      (match call_target p idx with
-      | Some (Intrinsic s) -> Format.fprintf fmt "  call %s@." s
-      | Some (Internal t) -> Format.fprintf fmt "  call @%d@." t
-      | None -> Format.fprintf fmt "  %a@." pp_instr i))
-    p.instrs
+      labels_at idx;
+      match (call_target p idx, i.op, i.operands) with
+      | Some (Intrinsic s), _, _ -> Format.fprintf fmt "  call %s@." s
+      | Some (Internal t), _, _ -> Format.fprintf fmt "  call %s@." (label_of t)
+      | None, (Jmp | Jcc _), [ I t ] ->
+        Format.fprintf fmt "  %s %s@." (opcode_name i.op)
+          (label_of (Int32.to_int t))
+      | None, _, _ -> Format.fprintf fmt "  %a@." pp_instr i)
+    p.instrs;
+  labels_at (Array.length p.instrs)

@@ -139,4 +139,9 @@ val pp_instr : Format.formatter -> instr -> unit
 
 (** Profiler frame label for instruction [pc]: ["012 add eax, 4"]. *)
 val frame_name : int -> instr -> string
+
+(** Disassemble a whole program. The text assembles back to the same
+    instructions, labels, calls and symbols: jump and internal call
+    targets print as label names, with an [L<index>] label made up where
+    a target has none. *)
 val pp_program : Format.formatter -> program -> unit

@@ -184,6 +184,33 @@ let pp_operand ~surfaces fmt = function
     Format.fprintf fmt "(%s, vr%d, vr%d)" (surf_name surfaces slot) xreg yreg
   | Remote { shred_reg; reg } -> Format.fprintf fmt "@(vr%d, %d)" shred_reg reg
 
+(* A [.f] immediate as a literal the assembler reads back to the same
+   bits: the shortest decimal that round-trips through binary32, or the
+   raw bits as [0fXXXXXXXX] for a NaN or an infinity. *)
+let pp_float_imm fmt bits =
+  let f = Int32.float_of_bits bits in
+  if Float.is_finite f then begin
+    let sign = if Float.sign_bit f then "-" else "" in
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p (Float.abs f) in
+      if p >= 17 || Int32.bits_of_float (float_of_string (sign ^ s)) = bits
+      then s
+      else shortest (p + 1)
+    in
+    let s = shortest 1 in
+    (* the lexer reads a float only as digits '.' digits [exponent] *)
+    let s =
+      if String.contains s '.' then s
+      else
+        match String.index_opt s 'e' with
+        | Some e ->
+          String.sub s 0 e ^ ".0" ^ String.sub s e (String.length s - e)
+        | None -> s ^ ".0"
+    in
+    Format.fprintf fmt "%s%s" sign s
+  end
+  else Format.fprintf fmt "0f%08lx" bits
+
 let pp_instr ~surfaces fmt i =
   Option.iter
     (fun { flag; negate } ->
@@ -194,11 +221,16 @@ let pp_instr ~surfaces fmt i =
     | Jmp | End | Fence | Nop | Semacq | Semrel | Br _ | Spawn -> false
     | _ -> true
   in
-  if needs_shape then
-    Format.fprintf fmt "%s.%d.%s" (opcode_name i.op) i.width
-      (dtype_name i.dtype)
-  else Format.pp_print_string fmt (opcode_name i.op);
-  let pp_op = pp_operand ~surfaces in
+  Format.pp_print_string fmt (opcode_name i.op);
+  (* shapeless opcodes print only what differs from the parser's
+     defaults (1 lane, dw), so the text assembles back to [i] *)
+  if needs_shape || i.width <> 1 then Format.fprintf fmt ".%d" i.width;
+  if needs_shape || i.dtype <> DW then
+    Format.fprintf fmt ".%s" (dtype_name i.dtype);
+  let pp_op fmt = function
+    | Imm bits when i.dtype = F -> pp_float_imm fmt bits
+    | o -> pp_operand ~surfaces fmt o
+  in
   (match (i.dst, i.srcs) with
   | Some d, [] -> Format.fprintf fmt " %a" pp_op d
   | Some d, srcs ->
@@ -224,10 +256,16 @@ let pp_program fmt p =
   Format.fprintf fmt "; program %s (%d instrs, %d surfaces)@." p.name
     (Array.length p.instrs)
     (Array.length p.surfaces);
+  (* labels in definition order, so the text parses back to [p.labels];
+     a label may also follow the last instruction *)
+  let labels_at idx =
+    List.iter
+      (fun (l, at) -> if at = idx then Format.fprintf fmt "%s:@." l)
+      (List.rev p.labels)
+  in
   Array.iteri
     (fun idx i ->
-      List.iter
-        (fun (l, at) -> if at = idx then Format.fprintf fmt "%s:@." l)
-        p.labels;
+      labels_at idx;
       Format.fprintf fmt "  %a@." (pp_instr ~surfaces:p.surfaces) i)
-    p.instrs
+    p.instrs;
+  labels_at (Array.length p.instrs)

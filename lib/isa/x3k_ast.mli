@@ -158,5 +158,8 @@ val pp_instr : surfaces:string array -> Format.formatter -> instr -> unit
     zero-padded pc keeps frames in program order in flamegraphs. *)
 val frame_name : surfaces:string array -> int -> instr -> string
 
-(** Disassemble a whole program, with labels re-attached. *)
+(** Disassemble a whole program, with labels re-attached. The text
+    assembles back to the same instructions, surfaces and labels (a [.f]
+    immediate prints as a decimal that reads back to its bits, or as
+    [0fXXXXXXXX] for a NaN or an infinity). *)
 val pp_program : Format.formatter -> program -> unit

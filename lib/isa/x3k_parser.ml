@@ -147,6 +147,10 @@ let parse_operand st ~dtype =
     let* () = advance st in
     if dtype = F then Ok (Op (Imm (Int32.bits_of_float f)))
     else Loc.error loc "float immediate in non-.f instruction"
+  | Asm_lexer.FBITS bits ->
+    let* () = advance st in
+    if dtype = F then Ok (Op (Imm bits))
+    else Loc.error loc "float-bits immediate in non-.f instruction"
   | Asm_lexer.PERCENT -> (
     let* () = advance st in
     match st.tok with

@@ -87,5 +87,5 @@ val render : t -> string
 
 (** Deterministic flat JSON object. [extra] fields (already-serialised
     values) are emitted first — kernel name and configuration tags in
-    [exochi_bench --metrics] and [BENCH_metrics.json]. *)
+    [exochi_bench --metrics]. *)
 val to_json : ?extra:(string * string) list -> t -> string

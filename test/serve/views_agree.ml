@@ -1,6 +1,8 @@
 (* views_agree TOP PROM JSON: the last [top] line's thr=, the
    exochi_job_throughput_jps sample and the JSON throughput_jps must be
-   one number, each printed at its own precision. Exits 1 otherwise. *)
+   one number, each printed at its own precision, and the last two [top]
+   lines must differ (the final snapshot is not printed twice). Exits 1
+   otherwise. *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
@@ -31,6 +33,7 @@ let () =
     in
     let thr =
       match last_top with
+      | a :: b :: _ when a = b -> fail "%s: last [top] line printed twice" top
       | line :: _ -> word_after ~key:"thr=" line
       | [] -> fail "%s: no [top] line" top
     in

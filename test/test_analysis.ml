@@ -800,6 +800,27 @@ let test_cfg_unreachable_loop_via32 () =
 let frames_for (k : Exochi_kernels.Kernel.t) =
   match k.abbrev with "FMD" -> Some 6 | _ -> Some 3
 
+(* Per-parameter [min, max] over every unit's launch vector — the same
+   interval env the serve admission gate derives. *)
+let launch_env (k : Exochi_kernels.Kernel.t) io =
+  let units = io.Exochi_kernels.Kernel.units in
+  let lo = Array.copy (k.unit_params io 0) in
+  let hi = Array.copy (k.unit_params io 0) in
+  for u = 1 to units - 1 do
+    Array.iteri
+      (fun i v ->
+        lo.(i) <- min lo.(i) v;
+        hi.(i) <- max hi.(i) v)
+      (k.unit_params io u)
+  done;
+  fun i -> if i >= 0 && i < Array.length lo then Some (lo.(i), hi.(i)) else None
+
+let registry_x3k (k : Exochi_kernels.Kernel.t) ~frames ~seed =
+  let io =
+    k.make_io ?frames (Exochi_util.Prng.create seed) Exochi_kernels.Kernel.Small
+  in
+  (io, Exochi_isa.X3k_asm.assemble_exn ~name:k.abbrev (k.x3k_asm io))
+
 let test_registry_bounds_sound () =
   let cycle_ps =
     Exochi_util.Timebase.ps_per_cycle
@@ -808,32 +829,10 @@ let test_registry_bounds_sound () =
   in
   List.iter
     (fun (k : Exochi_kernels.Kernel.t) ->
-      let io =
-        k.make_io ?frames:(frames_for k)
-          (Exochi_util.Prng.create 42L)
-          Exochi_kernels.Kernel.Small
-      in
-      let xp = Exochi_isa.X3k_asm.assemble_exn ~name:k.abbrev (k.x3k_asm io) in
-      let units = io.Exochi_kernels.Kernel.units in
-      check_bool (k.abbrev ^ " has units") true (units > 0);
-      (* per-parameter min/max over every unit's launch vector — the same
-         interval env the serve admission gate derives *)
-      let nparams = Array.length (k.unit_params io 0) in
-      let lo = Array.copy (k.unit_params io 0) in
-      let hi = Array.copy (k.unit_params io 0) in
-      for u = 1 to units - 1 do
-        let ps = k.unit_params io u in
-        Array.iteri
-          (fun i v ->
-            if v < lo.(i) then lo.(i) <- v;
-            if v > hi.(i) then hi.(i) <- v)
-          ps
-      done;
-      let env i =
-        if i >= 0 && i < nparams then Some (lo.(i), hi.(i)) else None
-      in
-      let b = Bound.analyze_x3k ~env xp in
-      match b.Bound.verdict with
+      let io, xp = registry_x3k k ~frames:(frames_for k) ~seed:42L in
+      check_bool (k.abbrev ^ " has units") true
+        (io.Exochi_kernels.Kernel.units > 0);
+      (match (Bound.analyze_x3k ~env:(launch_env k io) xp).Bound.verdict with
       | Bound.Cycles c ->
         let r =
           Exochi_kernels.Harness.run ?frames:(frames_for k)
@@ -849,25 +848,22 @@ let test_registry_bounds_sound () =
             r.Exochi_kernels.Harness.shreds c
       | v ->
         Alcotest.failf "%s: expected a proven cycle bound, got %s" k.abbrev
-          (Bound.verdict_to_string v))
+          (Bound.verdict_to_string v));
+      (* [Bound] can return [Unbounded] depending on the env (a [!=] exit
+         that starts past its bound), so the verdict is also held under
+         the longer 16-frame launch vectors (FMD 32) *)
+      let io, xp =
+        registry_x3k k
+          ~frames:(Some (if k.abbrev = "FMD" then 32 else 16))
+          ~seed:1L
+      in
+      match (Bound.analyze_x3k ~env:(launch_env k io) xp).Bound.verdict with
+      | Bound.Unbounded ->
+        Alcotest.failf "%s: Unbounded under the 16-frame launch env" k.abbrev
+      | _ -> ())
     Exochi_kernels.Registry.all
 
 (* ---- pinned outputs: the static tools' report on every registry kernel ---- *)
-
-(* Per-parameter [min, max] over every unit's launch vector, as in
-   [test_registry_bounds_sound]. *)
-let launch_env (k : Exochi_kernels.Kernel.t) io =
-  let units = io.Exochi_kernels.Kernel.units in
-  let lo = Array.copy (k.unit_params io 0) in
-  let hi = Array.copy (k.unit_params io 0) in
-  for u = 1 to units - 1 do
-    Array.iteri
-      (fun i v ->
-        lo.(i) <- min lo.(i) v;
-        hi.(i) <- max hi.(i) v)
-      (k.unit_params io u)
-  done;
-  fun i -> if i >= 0 && i < Array.length lo then Some (lo.(i), hi.(i)) else None
 
 (* Findings in order, each loop's header line, depth and trip, and the
    verdict: for the X3K section under the kernel's launch env (and its
@@ -886,12 +882,7 @@ let pinned_report () =
   let findings fs = List.iter (fun f -> line "  %s" (Finding.to_string f)) fs in
   List.iter
     (fun (k : Exochi_kernels.Kernel.t) ->
-      let io =
-        k.make_io ?frames:(frames_for k)
-          (Exochi_util.Prng.create 42L)
-          Exochi_kernels.Kernel.Small
-      in
-      let xp = Exochi_isa.X3k_asm.assemble_exn ~name:k.abbrev (k.x3k_asm io) in
+      let io, xp = registry_x3k k ~frames:(frames_for k) ~seed:42L in
       let env = launch_env k io in
       line "%s x3k" k.abbrev;
       findings (Exo_check.check_x3k xp);

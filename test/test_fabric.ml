@@ -186,19 +186,41 @@ let serve_digests ~devices ~guard ~faults =
   (digest (Serve.Server_stats.to_json st), digest bytes)
 
 let test_devices_one_identity () =
+  let cc_times =
+    List.filter_map
+      (fun (abbrev, memmodel, devices, (time_ps, busy_ps, instrs, shreds)) ->
+        let k = Option.get (Registry.find abbrev) in
+        let r = Harness.run ~frames:2 ~memmodel ~devices k Kernel.Small in
+        let label =
+          Printf.sprintf "%s %s %d-dev" abbrev (Memmodel.name memmodel) devices
+        in
+        check_bool (label ^ " correct") true r.Harness.correct;
+        check_int (label ^ " time_ps") time_ps r.Harness.time_ps;
+        check_int (label ^ " gpu_busy_ps") busy_ps r.Harness.gpu_busy_ps;
+        check_int (label ^ " gpu_instrs") instrs r.Harness.gpu_instrs;
+        check_int (label ^ " shreds") shreds r.Harness.shreds;
+        if memmodel = Memmodel.Cc_shared then
+          Some ((abbrev, devices), r.Harness.time_ps)
+        else None)
+      pinned_kernels
+  in
+  (* The device-scaling gate, on the measured CC times: a re-recorded pin
+     must still keep these data-parallel kernels at least 1.8x faster on
+     2 devices and 3.2x on 4. Image kernels ignore the frame count, so
+     these are the runs of bench/main.exe -- scale. *)
   List.iter
-    (fun (abbrev, memmodel, devices, (time_ps, busy_ps, instrs, shreds)) ->
-      let k = Option.get (Registry.find abbrev) in
-      let r = Harness.run ~frames:2 ~memmodel ~devices k Kernel.Small in
-      let label =
-        Printf.sprintf "%s %s %d-dev" abbrev (Memmodel.name memmodel) devices
-      in
-      check_bool (label ^ " correct") true r.Harness.correct;
-      check_int (label ^ " time_ps") time_ps r.Harness.time_ps;
-      check_int (label ^ " gpu_busy_ps") busy_ps r.Harness.gpu_busy_ps;
-      check_int (label ^ " gpu_instrs") instrs r.Harness.gpu_instrs;
-      check_int (label ^ " shreds") shreds r.Harness.shreds)
-    pinned_kernels;
+    (fun ((abbrev, devices), t1) ->
+      if devices = 1 then begin
+        let speedup d =
+          float_of_int t1 /. float_of_int (List.assoc (abbrev, d) cc_times)
+        in
+        if speedup 2 < 1.8 || speedup 4 < 3.2 then
+          Alcotest.failf
+            "%s scales %.2fx at 2 devices and %.2fx at 4 (>= 1.8x and >= \
+             3.2x required)"
+            abbrev (speedup 2) (speedup 4)
+      end)
+    cc_times;
   List.iter
     (fun (devices, counters) ->
       let rt, _ = run_vadd ~fault_plan:(vadd_fault_plan ()) ~devices () in

@@ -212,9 +212,16 @@ let test_drawn_counts () =
 let closed ?(clients = 3) () =
   Workload.Closed { clients_per_tenant = clients; think_ps = 0 }
 
-let serve_once ?(jobs = 50) ?(seed = 42L) ?fault_plan config =
+let serve_once ?(jobs = 50) ?(seed = 42L) ?clients ?deadline_slack_ps
+    ?fault_plan config =
   let server = Server.create ~config ?fault_plan () in
-  let wl = Workload.create (Workload.default_spec ~seed ~tenants:2 ~jobs (closed ())) in
+  let wl =
+    Workload.create
+      {
+        (Workload.default_spec ~seed ~tenants:2 ~jobs (closed ?clients ())) with
+        deadline_slack_ps;
+      }
+  in
   Server.run server wl
 
 let guarded ?(audit = 0.05) ?(hedge_us = 0) ?(cooldown_us = 0) () =
@@ -276,6 +283,31 @@ let test_hedging_rescues_stragglers () =
   check_int "all jobs completed" st.Server_stats.submitted
     st.Server_stats.completed;
   check_int "nothing fatal" 0 r.Server_stats.r_fatal
+
+(* the headline of `bench/main.exe -- guard`: hedged re-dispatch keeps
+   at least 80 % of the fault-free goodput at a 1e-3 per-decision fault
+   rate, detecting every corrupted output on the way *)
+let test_hedged_goodput_under_faults () =
+  let goodput rate =
+    let fault_plan =
+      Fault_plan.create ~seed:7L ~rates:(Fault_plan.uniform_rates rate) ()
+    in
+    let st =
+      serve_once ~jobs:90 ~clients:6 ~deadline_slack_ps:2_000_000_000
+        ~fault_plan
+        (guarded ~hedge_us:300 ~cooldown_us:500 ())
+    in
+    let r = st.Server_stats.recovery in
+    check_int
+      (Printf.sprintf "every corruption detected at rate %g" rate)
+      r.Server_stats.r_sdc_corrupted r.Server_stats.r_sdc_detected;
+    st.Server_stats.goodput_jps
+  in
+  let base = goodput 0.0 in
+  let faulted = goodput 1e-3 in
+  if faulted /. base < 0.8 then
+    Alcotest.failf "hedged goodput at 1e-3 faults %.0f of %.0f jobs/s (< 80%%)"
+      faulted base
 
 let test_breakers_reinstate_within_run () =
   (* a hang burst trips breakers; the cool-down elapses within the run
@@ -652,6 +684,8 @@ let () =
             test_all_breakers_open_falls_back;
           Alcotest.test_case "breaker gauges agree" `Quick
             test_breaker_gauges_agree;
+          Alcotest.test_case "hedged goodput at 1e-3 faults" `Quick
+            test_hedged_goodput_under_faults;
         ] );
       ( "recovery",
         [

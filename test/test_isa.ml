@@ -47,9 +47,16 @@ let test_lexer_hex_and_floats () =
   | Ok (Asm_lexer.FLOAT f, _) when f = 2.5 -> ()
   | _ -> Alcotest.fail "float");
   (* 1e3 without a dot lexes as INT 1 followed by IDENT e3 *)
-  match Asm_lexer.next lx with
+  (match Asm_lexer.next lx with
   | Ok (Asm_lexer.INT 1L, _) -> ()
-  | _ -> Alcotest.fail "int before exponent needs a dot"
+  | _ -> Alcotest.fail "int before exponent needs a dot");
+  (* 0f + exactly 8 hex digits: raw binary32 bits *)
+  (match Asm_lexer.next (Asm_lexer.create ~file:"t" "0fffc00123") with
+  | Ok (Asm_lexer.FBITS 0xffc00123l, _) -> ()
+  | _ -> Alcotest.fail "float bits");
+  match Asm_lexer.next (Asm_lexer.create ~file:"t" "0f7fc0") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "short float bits accepted"
 
 let test_lexer_bad_char () =
   let lx = Asm_lexer.create ~file:"t" "mov $" in
@@ -297,6 +304,64 @@ let test_x3k_disassemble_contains_mnemonics () =
       check_bool m true (Astring.String.is_infix ~affix:m dis))
     [ "shl.1.dw"; "ld.8.dw"; "add.8.dw"; "st.8.dw"; "(A, vr1, 0)" ]
 
+(* [assemble (disassemble p)] gives back [p]'s instructions, surfaces and
+   labels; [line] and [source] may differ. *)
+let x3k_reassembles (p : X3k_ast.program) =
+  let text = X3k_asm.disassemble p in
+  match X3k_asm.assemble ~name:p.X3k_ast.name text with
+  | Error e -> Error (text ^ Loc.error_to_string e)
+  | Ok q ->
+    let code (p : X3k_ast.program) =
+      Array.map (fun i -> { i with X3k_ast.line = 0 }) p.X3k_ast.instrs
+    in
+    if code p = code q && p.surfaces = q.surfaces && p.labels = q.labels then
+      Ok ()
+    else Error (text ^ "assembles to a different program")
+
+let prop_x3k_disassembly_reassembles =
+  QCheck.Test.make ~name:"x3k disassembly reassembles" ~count:400
+    (QCheck.make ~print:Fun.id
+       QCheck.Gen.(
+         oneof
+           [
+             map X3k_gen.eu_case_src X3k_gen.eu_case_gen;
+             map X3k_gen.loop_case_src X3k_gen.loop_case_gen;
+           ]))
+    (fun src ->
+      match x3k_reassembles (x3k_ok src) with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_report msg)
+
+(* every binary32 class, as the immediate of a .f instruction *)
+let test_x3k_float_bits_reassemble () =
+  List.iter
+    (fun bits ->
+      let p =
+        {
+          X3k_ast.name = "f";
+          instrs =
+            [|
+              { X3k_ast.nop with op = Mov; dtype = F; dst = Some (Reg 2);
+                srcs = [ Imm bits ] };
+              { X3k_ast.nop with op = End };
+            |];
+          surfaces = [||];
+          labels = [];
+          source = "";
+        }
+      in
+      match x3k_reassembles p with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%08lx: %s" bits msg)
+    [
+      0x7fc00000l (* quiet NaN *); 0x7f800001l (* signalling NaN *);
+      0xffc00123l (* negative NaN with payload *); 0x7f800000l (* inf *);
+      0xff800000l (* -inf *); 0l; 0x80000000l (* -0 *); 1l (* least
+      subnormal *); 0x807fffffl (* -(greatest subnormal) *); 0x00800000l;
+      0x7f7fffffl (* max *); 0x3f800000l (* 1.0 *); 0x3dcccccdl (* 0.1 *);
+      0x4b800001l (* 2^24 + 2 *); 0xcf000000l (* -2^31 *);
+    ]
+
 (* ---- VIA32 ---- *)
 
 let via_prog =
@@ -440,6 +505,35 @@ let registry_sections () =
 
 let corpus = lazy (Array.of_list (registry_sections () @ example_sections ()))
 
+(* Every registry and example section, decoded from its fat-binary
+   payload, disassembles to text that assembles back to it. *)
+let test_sections_reassemble () =
+  Array.iter
+    (fun (label, isa, b) ->
+      let result =
+        match isa with
+        | Chi_fatbin.X3k ->
+          x3k_reassembles (Result.get_ok (X3k_asm.of_binary ~name:label b))
+        | Chi_fatbin.Via32 -> (
+          let p = Result.get_ok (Via32_asm.of_binary ~name:label b) in
+          let text = Via32_asm.disassemble p in
+          match Via32_asm.assemble ~name:label text with
+          | Error e -> Error (text ^ Loc.error_to_string e)
+          | Ok q ->
+            let code (p : Via32_ast.program) =
+              Array.map (fun i -> { i with Via32_ast.line = 0 }) p.instrs
+            in
+            if
+              code p = code q && p.labels = q.labels && p.calls = q.calls
+              && p.symbols = q.symbols
+            then Ok ()
+            else Error (text ^ "assembles to a different program"))
+      in
+      match result with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s: %s" label msg)
+    (Lazy.force corpus)
+
 (* [Ok] of a checked program or [Error]; an exception is a failure. *)
 let decodes_to_checked_or_error isa b =
   match isa with
@@ -547,6 +641,11 @@ let () =
           Alcotest.test_case "binary roundtrip" `Quick test_x3k_binary_roundtrip;
           QCheck_alcotest.to_alcotest prop_x3k_encode_roundtrip;
           Alcotest.test_case "disassembly" `Quick test_x3k_disassemble_contains_mnemonics;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0xD15A |])
+            prop_x3k_disassembly_reassembles;
+          Alcotest.test_case "float bits reassemble" `Quick
+            test_x3k_float_bits_reassemble;
         ] );
       ( "fuzz",
         [
@@ -571,5 +670,7 @@ let () =
           Alcotest.test_case "termination" `Quick test_via32_termination_required;
           Alcotest.test_case "binary roundtrip" `Quick test_via32_binary_roundtrip;
           Alcotest.test_case "pshufd arity" `Quick test_via32_pshufd_arity;
+          Alcotest.test_case "sections reassemble" `Quick
+            test_sections_reassemble;
         ] );
     ]

@@ -462,6 +462,46 @@ let test_tap_is_free_under_faults () =
   check_bool "identical result with tap under fault injection" true
     (plain = tapped)
 
+(* The tap's host cost: the events of a traced 240-job serve run (the
+   default ring holds them all), folded into a fresh [Live], take at most
+   5 % of the host time of the traced run itself. Both sides are the best
+   of several CPU-time measurements. *)
+let test_tap_cost () =
+  let best_of n f =
+    let best = ref infinity and last = ref None in
+    for _ = 1 to n do
+      let t0 = Sys.time () in
+      let r = f () in
+      best := Float.min !best (Sys.time () -. t0);
+      last := Some r
+    done;
+    (!best, Option.get !last)
+  in
+  let traced_s, sink =
+    best_of 3 (fun () ->
+        let sink = Trace.create () in
+        ignore
+          (Serve.Server.run
+             (Serve.Server.create ~trace:sink ())
+             (Serve.Workload.create
+                (Serve.Workload.default_spec ~seed:42L ~tenants:2 ~jobs:240
+                   (Serve.Workload.Closed
+                      { clients_per_tenant = 8; think_ps = 0 }))));
+        sink)
+  in
+  check_int "ring kept every event" 0 (Trace.dropped sink);
+  let events = Array.of_list (Trace.events sink) in
+  let fold_s, live =
+    best_of 5 (fun () ->
+        let l = Live.create () in
+        Array.iter (Live.observe l) events;
+        l)
+  in
+  check_int "fold saw every event" (Array.length events) (Live.events live);
+  if fold_s /. traced_s > 0.05 then
+    Alcotest.failf "tap costs %.4f of the traced run's host time (> 0.05)"
+      (fold_s /. traced_s)
+
 (* ---- serve views: trace-derived counts against their owners ---- *)
 
 (* [exochi_serve --faults 3:0.3 --guard --breaker-cooldown-us 200
@@ -718,6 +758,7 @@ let () =
             test_tap_is_free_under_faults;
           Alcotest.test_case "observe allocates nothing" `Quick
             test_observe_allocates_nothing;
+          Alcotest.test_case "tap costs at most 5%" `Quick test_tap_cost;
         ] );
       ( "serve-views",
         [

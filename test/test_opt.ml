@@ -335,28 +335,39 @@ let run_level ?fault_seed (k : Kernel.t) level =
   Harness.run ?frames:(frames_for k) ?fault_plan ~split:Harness.All_gpu
     ~opt_level:level k Kernel.Small
 
+(* The same runs also gate the -O2 win: the geomean busy-time reduction
+   over the registry stays at least 5 %. *)
 let test_registry_differential () =
-  List.iter
-    (fun (k : Kernel.t) ->
-      let r0 = run_level k Opt.O0 in
-      let r1 = run_level k Opt.O1 in
-      let r2 = run_level k Opt.O2 in
-      List.iter
-        (fun (lvl, r) ->
-          check_bool
-            (Printf.sprintf "%s %s output bit-identical to golden" k.abbrev lvl)
-            true
-            (r.Harness.correct && r.Harness.max_diff = 0);
-          check_bool (k.abbrev ^ " " ^ lvl ^ " ran shreds") true
-            (r.Harness.shreds > 0))
-        [ ("O0", r0); ("O1", r1); ("O2", r2) ];
-      if r1.Harness.gpu_busy_ps > r0.Harness.gpu_busy_ps then
-        Alcotest.failf "%s: O1 busy %d ps exceeds O0 busy %d ps" k.abbrev
-          r1.Harness.gpu_busy_ps r0.Harness.gpu_busy_ps;
-      if r2.Harness.gpu_busy_ps > r0.Harness.gpu_busy_ps then
-        Alcotest.failf "%s: O2 busy %d ps exceeds O0 busy %d ps" k.abbrev
-          r2.Harness.gpu_busy_ps r0.Harness.gpu_busy_ps)
-    Registry.all
+  let ratios =
+    List.map
+      (fun (k : Kernel.t) ->
+        let r0 = run_level k Opt.O0 in
+        let r1 = run_level k Opt.O1 in
+        let r2 = run_level k Opt.O2 in
+        List.iter
+          (fun (lvl, r) ->
+            check_bool
+              (Printf.sprintf "%s %s output bit-identical to golden" k.abbrev
+                 lvl)
+              true
+              (r.Harness.correct && r.Harness.max_diff = 0);
+            check_bool (k.abbrev ^ " " ^ lvl ^ " ran shreds") true
+              (r.Harness.shreds > 0))
+          [ ("O0", r0); ("O1", r1); ("O2", r2) ];
+        if r1.Harness.gpu_busy_ps > r0.Harness.gpu_busy_ps then
+          Alcotest.failf "%s: O1 busy %d ps exceeds O0 busy %d ps" k.abbrev
+            r1.Harness.gpu_busy_ps r0.Harness.gpu_busy_ps;
+        if r2.Harness.gpu_busy_ps > r0.Harness.gpu_busy_ps then
+          Alcotest.failf "%s: O2 busy %d ps exceeds O0 busy %d ps" k.abbrev
+            r2.Harness.gpu_busy_ps r0.Harness.gpu_busy_ps;
+        float_of_int r2.Harness.gpu_busy_ps
+        /. float_of_int r0.Harness.gpu_busy_ps)
+      Registry.all
+  in
+  let reduction = 1.0 -. Exochi_util.Stats.geomean ratios in
+  if reduction < 0.05 then
+    Alcotest.failf "geomean -O2 busy reduction %.1f%% is below 5%%"
+      (100.0 *. reduction)
 
 let test_registry_differential_faults () =
   (* the same gate under deterministic fault injection: recovery must

@@ -149,6 +149,47 @@ let test_batching_throughput_gain () =
     (batched.Server_stats.throughput_jps
     > solo.Server_stats.throughput_jps)
 
+(* ---- gates relative to the calibrated capacity ---- *)
+
+(* the workload of `bench/main.exe -- serve`: two tenants, seed 42,
+   open-loop runs of 300 jobs with 1 ms deadlines at multiples of the
+   closed-loop capacity *)
+let test_capacity_gates () =
+  let run ?(static_admission = false) ?(batch = Batcher.default) ~jobs
+      ~deadline_slack_ps mode =
+    let config = { Server.default_config with batch; static_admission } in
+    Server.run
+      (Server.create ~config ())
+      (Workload.create
+         {
+           (Workload.default_spec ~seed:42L ~tenants:2 ~jobs mode) with
+           deadline_slack_ps;
+         })
+  in
+  let capacity =
+    (run ~jobs:240 ~deadline_slack_ps:None (closed ~clients:8 ()))
+      .Server_stats.throughput_jps
+  in
+  let open_at ?static_admission ?batch mult =
+    run ?static_admission ?batch ~jobs:300
+      ~deadline_slack_ps:(Some 1_000_000_000)
+      (Workload.Open { rate_jps = mult *. capacity })
+  in
+  (* with feasible deadlines the Exo-bound admission gate sheds nothing,
+     so at 1.0x its goodput stays within 2 % of the analyzer-off run *)
+  let base = open_at 1.0 in
+  let admitted = open_at ~static_admission:true 1.0 in
+  let ratio =
+    admitted.Server_stats.goodput_jps /. base.Server_stats.goodput_jps
+  in
+  if ratio < 0.98 || ratio > 1.02 then
+    Alcotest.failf "static admission goodput %.3fx of admission off at 1.0x"
+      ratio;
+  let batched = open_at 2.0 in
+  let solo = open_at ~batch:{ Batcher.default with Batcher.max_jobs = 1 } 2.0 in
+  check_bool "batched beats one job per team at 2.0x" true
+    (batched.Server_stats.throughput_jps > solo.Server_stats.throughput_jps)
+
 (* ---- weighted fair sharing ---- *)
 
 let test_wfq_weights_respected () =
@@ -431,6 +472,7 @@ let () =
             test_wfq_weights_respected;
           Alcotest.test_case "priority leads" `Quick
             test_priority_leads_dispatch;
+          Alcotest.test_case "capacity gates" `Quick test_capacity_gates;
         ] );
       ( "admission",
         [
