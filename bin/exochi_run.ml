@@ -15,7 +15,12 @@
    over every event, so a wrapped ring does not change them. --profile
    collects an exact per-instruction cost profile (exo frames anchored to
    their .chi sections) and writes speedscope JSON plus a collapsed-stack
-   .collapsed sibling. All flags may be combined. *)
+   .collapsed sibling. All flags may be combined.
+
+   A program Exo-bound proves unbounded (an EXO011 finding) is not
+   simulated, since nothing stops a fault-free shred that never exits:
+   the findings print as exochi_lint prints them and the exit status
+   is 2. *)
 
 open Exochi_core
 
@@ -162,6 +167,25 @@ let () =
       prerr_endline (Exochi_isa.Loc.error_to_string e);
       exit 1
     | Ok compiled ->
+      let unbounded =
+        List.filter
+          (fun f -> f.Exochi_analysis.Finding.rule = "EXO011")
+          (Exochi_analysis.Exo_check.check_compiled compiled)
+      in
+      if unbounded <> [] then begin
+        List.iter
+          (fun (f : Exochi_analysis.Finding.t) ->
+            prerr_endline (Exochi_analysis.Finding.to_string f);
+            if f.loc.Exochi_isa.Loc.file = name then
+              Option.iter
+                (fun line -> Printf.eprintf "%5d | %s\n" f.loc.line line)
+                (Exochi_isa.Loc.source_line src f.loc.line))
+          unbounded;
+        Printf.eprintf
+          "[exochi] %s: not simulated: Exo-bound proves a section unbounded\n"
+          name;
+        exit 2
+      end;
       let platform = Exo_platform.create ~memmodel ?fault_plan ?trace () in
       let prog = Chilite_run.load ?profile ~platform compiled in
       Chilite_run.run prog;

@@ -31,7 +31,10 @@
    checking with golden-replay audits (fraction --audit, default 0.05),
    hedged re-dispatch of stragglers (--hedge-us, default 300; --no-hedge
    disables) and circuit-breaker quarantine with probationary
-   reinstatement (--breaker-cooldown-us, default 2000).
+   reinstatement (--breaker-cooldown-us, default 2000). Every slot has a
+   breaker; a cool-down of 0 (the default without --guard or
+   --breaker-cooldown-us) keeps a tripped slot quarantined for the rest
+   of the run.
 
    --static-admission turns on Exo-bound static admission control: each
    kernel arena carries the analyzer's proven worst-case cycle bound,

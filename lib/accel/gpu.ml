@@ -88,7 +88,6 @@ type ctx = {
   mutable shred : shred option;
   mutable store_done : int; (* last posted store completion *)
   mutable started : int; (* dispatch timestamp, for the watchdog *)
-  mutable fails : int; (* consecutive reaps on this slot *)
   mutable completions : int; (* shreds retired by this slot, ever *)
   mutable disabled : bool; (* quarantined: removed from the eligible set *)
   mutable sems_held : int list;
@@ -278,7 +277,6 @@ let mk_ctx () =
     shred = None;
     store_done = 0;
     started = 0;
-    fails = 0;
     completions = 0;
     disabled = false;
     sems_held = [];
@@ -1175,8 +1173,7 @@ let next_event eu =
    resident contexts and purge queued duplicates. Safe mid-race because
    hedged copies are pure functions of their (identical) params — any
    stores the losing copy already performed wrote the same values the
-   winner writes. A cancelled Hung copy bumps the slot's fail count: the
-   wedge was real even though the watchdog never had to fire. *)
+   winner writes. *)
 let cancel_hedge_copies t shred_id ~except_eu ~except_slot =
   Array.iter
     (fun eu ->
@@ -1188,9 +1185,6 @@ let cancel_hedge_copies t shred_id ~except_eu ~except_slot =
                  && not (eu.eu_id = except_eu && slot = except_slot) ->
             List.iter (fun s -> sem_release t s) ctx.sems_held;
             ctx.sems_held <- [];
-            (match ctx.state with
-            | Hung -> ctx.fails <- ctx.fails + 1
-            | _ -> ());
             ctx.shred <- None;
             ctx.state <- Idle
           | _ -> ())
@@ -1236,7 +1230,6 @@ let finish_shred t eu slot =
     end
   | None -> ());
   ctx.shred <- None;
-  ctx.fails <- 0;
   ctx.sems_held <- [];
   ctx.state <- Idle
 
@@ -1400,11 +1393,10 @@ let reap_overdue t ~watchdog_ps =
             ctx.sems_held <- [];
             ctx.shred <- None;
             ctx.state <- Idle;
-            ctx.fails <- ctx.fails + 1;
             trace_emit t ~ts:eu.now
               ~seq:(Trace.Exo { eu = eu.eu_id; slot })
-              (Trace.Watchdog_reap { shred_id = sh.shred_id; fails = ctx.fails });
-            reaped := (eu.eu_id, slot, sh, ctx.fails) :: !reaped
+              (Trace.Watchdog_reap { shred_id = sh.shred_id });
+            reaped := (eu.eu_id, slot, sh) :: !reaped
           | _ -> ())
         eu.ctxs)
     t.eus;
@@ -1420,10 +1412,7 @@ let active_slots t =
       Array.fold_left (fun a c -> if c.disabled then a else a + 1) acc eu.ctxs)
     0 t.eus
 
-let reinstate t ~eu ~slot =
-  let ctx = t.eus.(eu).ctxs.(slot) in
-  ctx.disabled <- false;
-  ctx.fails <- 0
+let reinstate t ~eu ~slot = t.eus.(eu).ctxs.(slot).disabled <- false
 
 let slot_completions t ~eu ~slot = t.eus.(eu).ctxs.(slot).completions
 

@@ -175,20 +175,20 @@ exception
 
 (** Kill hung contexts whose shred has made no progress for
     [watchdog_ps] of simulated time. Each reaped entry is
-    [(eu, slot, shred, consecutive_fails_on_slot)]; the slot is freed
-    (and its semaphores released) so it can accept new work. *)
-val reap_overdue :
-  t -> watchdog_ps:int -> (int * int * shred * int) list
+    [(eu, slot, shred)]; the slot is freed (and its semaphores
+    released) so it can accept new work. The caller keeps the slot's
+    failure history (its circuit breaker). *)
+val reap_overdue : t -> watchdog_ps:int -> (int * int * shred) list
 
-(** Remove a HW-thread slot from the eligible set. Permanent unless the
-    runtime later calls {!reinstate} (circuit-breaker probation). *)
+(** Remove a HW-thread slot from the eligible set until the runtime
+    calls {!reinstate} (its circuit breaker's cool-down expired). *)
 val quarantine : t -> eu:int -> slot:int -> unit
 
 (** Slots still eligible for dispatch. *)
 val active_slots : t -> int
 
-(** Return a quarantined slot to the eligible set and clear its
-    consecutive-fail count (a circuit breaker entering half-open). *)
+(** Return a quarantined slot to the eligible set (its circuit breaker
+    entering half-open). *)
 val reinstate : t -> eu:int -> slot:int -> unit
 
 (** Shreds this slot has ever retired (includes suppressed hedge

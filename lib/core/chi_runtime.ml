@@ -8,47 +8,49 @@ module Prng = Exochi_util.Prng
 
 type flush_policy = Upfront | Upfront_naive | Interleaved
 
+(* The fields a runtime action bumps are mutable; the other three are
+   read from their owners by [recovery]. *)
 type recovery = {
   mutable redispatches : int;
   mutable doorbell_redeliveries : int;
   mutable watchdog_kills : int;
-  mutable quarantined_seqs : int;
+  quarantined_seqs : int;
   mutable fallback_shreds : int;
   mutable fatal : int;
   mutable hedges : int;
-  mutable hedge_wins : int;
+  hedge_wins : int;
   mutable cross_hedges : int;
-  mutable breaker_opens : int;
+  breaker_opens : int;
   mutable breaker_closes : int;
 }
+
+(* Recovery constants: a dispatched shred that retires nothing for 1 ms
+   is hung; a reaped shred is re-dispatched at most 3 times, after a
+   jittered backoff of 200 ns doubling per attempt, before it falls
+   back to IA32 proxy execution. A slot's trip rule is its breaker's. *)
+let watchdog_ps = 1_000_000_000
+let max_redispatch = 3
+let backoff_ps = 200_000
 
 type t = {
   platform : Exo_platform.t;
   features : Chi_descriptor.features;
   flush_policy : flush_policy;
-  watchdog_ps : int;
-  max_redispatch : int;
-  quarantine_after : int;
-  backoff_ps : int;
   hedge_after_ps : int;
-  breaker_cooldown_ps : int;
   slots_per_dev : int; (* eus * threads_per_eu of one device *)
   (* one breaker per exo-sequencer slot across the whole device set,
-     indexed dev * slots_per_dev + eu * threads_per_eu + slot; empty
-     array when breakers are disabled (legacy permanent quarantine) *)
+     indexed dev * slots_per_dev + eu * threads_per_eu + slot *)
   breakers : Breaker.t array;
   probe_base : int array; (* slot completions when its probe started *)
   last_comp : int array; (* slot completions at the previous quantum *)
   jitter : (int, Prng.t) Hashtbl.t; (* per device, lazily seeded *)
-  recovery : recovery;
+  counts : recovery; (* the actions only the runtime performs *)
   mutable last_flush_bytes : int;
   mutable last_copy_bytes : int;
   mutable dev_counter : int;
 }
 
-let create ~platform ?(flush_policy = Interleaved)
-    ?(watchdog_ps = 1_000_000_000) ?(max_redispatch = 3)
-    ?(quarantine_after = 3) ?(backoff_ps = 200_000) ?(hedge_after_ps = 0)
+let create ~platform ?(flush_policy = Interleaved) ?(hedge_after_ps = 0)
     ?(breaker_cooldown_ps = 0) () =
   let slots_per_dev =
     let cfg = Gpu.config (Exo_platform.gpu platform) in
@@ -59,23 +61,15 @@ let create ~platform ?(flush_policy = Interleaved)
     platform;
     features = Chi_descriptor.features ();
     flush_policy;
-    watchdog_ps;
-    max_redispatch;
-    quarantine_after;
-    backoff_ps;
     hedge_after_ps;
-    breaker_cooldown_ps;
     slots_per_dev;
     breakers =
-      (if breaker_cooldown_ps > 0 then
-         Array.init slots (fun _ ->
-             Breaker.create ~fail_threshold:quarantine_after
-               ~cooldown_ps:breaker_cooldown_ps)
-       else [||]);
+      Array.init slots (fun _ ->
+          Breaker.create ~cooldown_ps:breaker_cooldown_ps);
     probe_base = Array.make slots 0;
     last_comp = Array.make slots 0;
     jitter = Hashtbl.create 4;
-    recovery =
+    counts =
       {
         redispatches = 0;
         doorbell_redeliveries = 0;
@@ -106,7 +100,21 @@ let rev t ?(dev = 0) ~ts ?dur kind =
 let flush_policy t = t.flush_policy
 let last_flush_bytes t = t.last_flush_bytes
 let last_copy_bytes t = t.last_copy_bytes
-let recovery t = t.recovery
+
+(* A slot's breaker owns its trips, and a trip is what quarantines the
+   slot; the devices own their hedge wins. *)
+let recovery t =
+  let trips = Array.fold_left (fun n b -> n + Breaker.trips b) 0 t.breakers in
+  let wins = ref 0 in
+  for d = 0 to Exo_platform.devices t.platform - 1 do
+    wins := !wins + Gpu.hedge_wins (Exo_platform.gpu_dev t.platform d)
+  done;
+  {
+    t.counts with
+    quarantined_seqs = trips;
+    breaker_opens = trips;
+    hedge_wins = !wins;
+  }
 
 type team = {
   size : int;
@@ -125,13 +133,12 @@ let breaker_census t ~dev =
   if dev < 0 || dev >= Exo_platform.devices t.platform then
     invalid_arg "Chi_runtime.breaker_census: device out of range";
   let closed = ref 0 and opened = ref 0 and half = ref 0 in
-  if Array.length t.breakers > 0 then
-    for i = dev * t.slots_per_dev to ((dev + 1) * t.slots_per_dev) - 1 do
-      match Breaker.state t.breakers.(i) with
-      | Breaker.Closed -> incr closed
-      | Breaker.Open -> incr opened
-      | Breaker.Half_open -> incr half
-    done;
+  for i = dev * t.slots_per_dev to ((dev + 1) * t.slots_per_dev) - 1 do
+    match Breaker.state t.breakers.(i) with
+    | Breaker.Closed -> incr closed
+    | Breaker.Open -> incr opened
+    | Breaker.Half_open -> incr half
+  done;
   (!closed, !opened, !half)
 
 (* ---- binding descriptors to the program's surface slots ---- *)
@@ -307,7 +314,7 @@ let fallback_shred t ~dev sh =
   (* the shred is resolved off-GPU: a pending hedge race must not
      survive to hijack the next team's reuse of this shred id *)
   Gpu.hedge_resolve gpu ~shred_id:sh.Gpu.shred_id;
-  t.recovery.fallback_shreds <- t.recovery.fallback_shreds + 1;
+  t.counts.fallback_shreds <- t.counts.fallback_shreds + 1;
   let instrs, lane_ops = Gpu.emulate_shred gpu sh in
   let service =
     costs.Exo_platform.uli_ps + costs.Exo_platform.ceh_base_ps
@@ -335,9 +342,10 @@ type drain_ctx = {
    quanta and between quanta performs the recovery work the paper
    leaves to the application-level runtime: watchdog-reap hung
    contexts, re-dispatch their shreds with exponential backoff
-   (bounded), quarantine a slot after K consecutive failures, re-ring
-   lost doorbells, and fall back to IA32 proxy execution when retries
-   are exhausted or no slot is left. With a zero-rate plan none of the
+   (bounded), quarantine a slot whose breaker trips (and reinstate it
+   for a probe once a nonzero cool-down expires), re-ring lost
+   doorbells, and fall back to IA32 proxy execution when retries are
+   exhausted or no slot is left. With a zero-rate plan none of the
    recovery paths trigger and the [run_until] call sequence is
    identical to the unsupervised one — zero overhead when disabled.
 
@@ -353,7 +361,7 @@ let supervised_drain ?(cross = false) t =
     let costs = Exo_platform.costs t.platform in
     let quantum = 200_000_000 (* keep in lock-step with run_to_quiescence *) in
     let idle_rounds = ref 0 in
-    let max_idle = 8 + (t.watchdog_ps / quantum) + 1 in
+    let max_idle = 8 + (watchdog_ps / quantum) + 1 in
     let threads_per_eu =
       (Gpu.config (Exo_platform.gpu t.platform)).Gpu.threads_per_eu
     in
@@ -389,37 +397,21 @@ let supervised_drain ?(cross = false) t =
         Hashtbl.add t.jitter c.dc_dev p;
         p
     in
-    let sync_hedge_wins () =
-      let total = ref 0 in
-      List.iter (fun c -> total := !total + Gpu.hedge_wins c.dc_gpu) ctxs;
-      t.recovery.hedge_wins <- !total
-    in
-    let handle_reaped c (eu, slot, sh, fails) =
+    let handle_reaped c (eu, slot, sh) =
       let gpu = c.dc_gpu in
-      t.recovery.watchdog_kills <- t.recovery.watchdog_kills + 1;
-      (if Array.length t.breakers > 0 then begin
-         let b =
-           t.breakers.((c.dc_dev * t.slots_per_dev)
-                       + (eu * threads_per_eu) + slot)
-         in
-         Breaker.record_fail b;
-         (* a reap on a half-open slot is a failed probe: re-open with a
-            doubled cool-down rather than waiting for the threshold *)
-         let reopen = Breaker.state b = Breaker.Half_open in
-         if reopen || Breaker.should_open b then begin
-           Gpu.quarantine gpu ~eu ~slot;
-           t.recovery.quarantined_seqs <- t.recovery.quarantined_seqs + 1;
-           Breaker.trip b ~now_ps:(Gpu.now_ps gpu);
-           t.recovery.breaker_opens <- t.recovery.breaker_opens + 1;
-           rev t ~dev:c.dc_dev ~ts:(Gpu.now_ps gpu)
-             (Trace.Breaker_open
-                { eu; slot; cooldown_ps = Breaker.cooldown_ps b })
-         end
-       end
-       else if fails >= t.quarantine_after then begin
-         Gpu.quarantine gpu ~eu ~slot;
-         t.recovery.quarantined_seqs <- t.recovery.quarantined_seqs + 1
-       end);
+      t.counts.watchdog_kills <- t.counts.watchdog_kills + 1;
+      let b =
+        t.breakers.((c.dc_dev * t.slots_per_dev) + (eu * threads_per_eu) + slot)
+      in
+      Breaker.record_fail b;
+      (* a reap on a half-open slot is a failed probe: re-open with a
+         doubled cool-down rather than waiting for the threshold *)
+      if Breaker.state b = Breaker.Half_open || Breaker.should_open b then begin
+        Gpu.quarantine gpu ~eu ~slot;
+        Breaker.trip b ~now_ps:(Gpu.now_ps gpu);
+        rev t ~dev:c.dc_dev ~ts:(Gpu.now_ps gpu)
+          (Trace.Breaker_open { eu; slot; cooldown_ps = Breaker.cooldown_ps b })
+      end;
       if
         Gpu.hedge_pending gpu ~shred_id:sh.Gpu.shred_id
         && Gpu.hedge_live_copies gpu ~shred_id:sh.Gpu.shred_id > 0
@@ -435,11 +427,11 @@ let supervised_drain ?(cross = false) t =
               ~default:0
         in
         Hashtbl.replace c.dc_attempts sh.Gpu.shred_id a;
-        if a > t.max_redispatch || Gpu.active_slots gpu = 0 then
+        if a > max_redispatch || Gpu.active_slots gpu = 0 then
           fallback_shred t ~dev:c.dc_dev sh
         else begin
-          t.recovery.redispatches <- t.recovery.redispatches + 1;
-          let base = t.backoff_ps * (1 lsl min 8 (a - 1)) in
+          t.counts.redispatches <- t.counts.redispatches + 1;
+          let base = backoff_ps * (1 lsl min 8 (a - 1)) in
           (* full jitter over the top half of the window: concurrent
              reaps of a quarantine wave decorrelate instead of slamming
              the doorbell in lock-step *)
@@ -457,7 +449,7 @@ let supervised_drain ?(cross = false) t =
         List.iter
           (fun ((sh : Gpu.shred), age) ->
             if Gpu.hedge gpu sh then begin
-              t.recovery.hedges <- t.recovery.hedges + 1;
+              t.counts.hedges <- t.counts.hedges + 1;
               rev t ~dev:c.dc_dev ~ts:(Gpu.now_ps gpu)
                 (Trace.Hedge_dispatch
                    { shred_id = sh.Gpu.shred_id; age_ps = age });
@@ -473,35 +465,31 @@ let supervised_drain ?(cross = false) t =
     let poll_breakers c =
       let gpu = c.dc_gpu in
       let moved = ref false in
-      if Array.length t.breakers > 0 then begin
-        let base = c.dc_dev * t.slots_per_dev in
-        for i = base to base + t.slots_per_dev - 1 do
-          let local = i - base in
-          let eu = local / threads_per_eu
-          and slot = local mod threads_per_eu in
-          let b = t.breakers.(i) in
-          match Breaker.state b with
-          | Breaker.Open ->
-            if Breaker.poll b ~now_ps:(Gpu.now_ps gpu) then begin
-              Gpu.reinstate gpu ~eu ~slot;
-              t.probe_base.(i) <- Gpu.slot_completions gpu ~eu ~slot;
-              moved := true
-            end
-          | Breaker.Half_open ->
-            if Gpu.slot_completions gpu ~eu ~slot > t.probe_base.(i)
-            then begin
-              Breaker.close b;
-              t.recovery.breaker_closes <- t.recovery.breaker_closes + 1;
-              rev t ~dev:c.dc_dev ~ts:(Gpu.now_ps gpu)
-                (Trace.Breaker_close { eu; slot });
-              moved := true
-            end
-          | Breaker.Closed ->
-            let comp = Gpu.slot_completions gpu ~eu ~slot in
-            if comp > t.last_comp.(i) then Breaker.record_ok b;
-            t.last_comp.(i) <- comp
-        done
-      end;
+      let base = c.dc_dev * t.slots_per_dev in
+      for i = base to base + t.slots_per_dev - 1 do
+        let local = i - base in
+        let eu = local / threads_per_eu and slot = local mod threads_per_eu in
+        let b = t.breakers.(i) in
+        match Breaker.state b with
+        | Breaker.Open ->
+          if Breaker.poll b ~now_ps:(Gpu.now_ps gpu) then begin
+            Gpu.reinstate gpu ~eu ~slot;
+            t.probe_base.(i) <- Gpu.slot_completions gpu ~eu ~slot;
+            moved := true
+          end
+        | Breaker.Half_open ->
+          if Gpu.slot_completions gpu ~eu ~slot > t.probe_base.(i) then begin
+            Breaker.close b;
+            t.counts.breaker_closes <- t.counts.breaker_closes + 1;
+            rev t ~dev:c.dc_dev ~ts:(Gpu.now_ps gpu)
+              (Trace.Breaker_close { eu; slot });
+            moved := true
+          end
+        | Breaker.Closed ->
+          let comp = Gpu.slot_completions gpu ~eu ~slot in
+          if comp > t.last_comp.(i) then Breaker.record_ok b;
+          t.last_comp.(i) <- comp
+      done;
       !moved
     in
     let release_due c =
@@ -544,7 +532,7 @@ let supervised_drain ?(cross = false) t =
                   with
                   | Some peer ->
                     Hashtbl.replace cross_done id ();
-                    t.recovery.cross_hedges <- t.recovery.cross_hedges + 1;
+                    t.counts.cross_hedges <- t.counts.cross_hedges + 1;
                     Machine.add_overhead_ps cpu
                       (costs.Exo_platform.signal_ps
                       + costs.Exo_platform.dispatch_cpu_ps);
@@ -564,16 +552,14 @@ let supervised_drain ?(cross = false) t =
       let gpu = c.dc_gpu in
       let retired = Gpu.run_until gpu (Gpu.now_ps gpu + quantum) in
       hedge_overdue c;
-      let reaped = Gpu.reap_overdue gpu ~watchdog_ps:t.watchdog_ps in
+      let reaped = Gpu.reap_overdue gpu ~watchdog_ps in
       List.iter (handle_reaped c) reaped;
       let breakers_moved = poll_breakers c in
-      sync_hedge_wins ();
       (* shreds parked behind a lost doorbell and the machine has gone
          quiet: the master notices the missing completions and re-rings *)
       if Gpu.parked_count gpu > 0 && (retired = 0 || Gpu.quiescent gpu)
       then begin
-        t.recovery.doorbell_redeliveries <-
-          t.recovery.doorbell_redeliveries + 1;
+        t.counts.doorbell_redeliveries <- t.counts.doorbell_redeliveries + 1;
         Machine.add_overhead_ps cpu costs.Exo_platform.signal_ps;
         ignore (Gpu.redeliver_doorbell gpu)
       end;
@@ -599,14 +585,13 @@ let supervised_drain ?(cross = false) t =
         if not !progress then begin
           incr idle_rounds;
           if !idle_rounds > max_idle then begin
-            t.recovery.fatal <- t.recovery.fatal + 1;
+            t.counts.fatal <- t.counts.fatal + 1;
             raise (Gpu.Stuck "supervised drain: no progress")
           end
         end
         else idle_rounds := 0
       end
-    done;
-    sync_hedge_wins ()
+    done
 
 let wait t team =
   if not team.waited then begin

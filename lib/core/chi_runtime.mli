@@ -31,57 +31,57 @@
       the paper measures — the baseline of §5.2's flush experiment. *)
 type flush_policy = Upfront | Upfront_naive | Interleaved
 
-(** Recovery activity of the self-healing dispatcher (counters only grow
-    across constructs; read them, never write). *)
-type recovery = {
+(** Recovery activity of the self-healing dispatcher, as of the
+    {!recovery} call that returned it (counts only grow across
+    constructs). Each count has one owner: the runtime bumps the
+    mutable ones from the call that performs the action, the slots'
+    circuit breakers own the trips, and the devices own the hedge wins.
+    Callers read the fields; none can write one. *)
+type recovery = private {
   mutable redispatches : int;  (** shreds re-dispatched after a reap *)
   mutable doorbell_redeliveries : int;  (** lost SIGNALs re-rung *)
   mutable watchdog_kills : int;  (** hung contexts reaped *)
-  mutable quarantined_seqs : int;
-      (** HW-thread slots quarantined (permanently in legacy mode; until
-          their breaker's cool-down expires in breaker mode) *)
+  quarantined_seqs : int;
+      (** HW-thread slots taken out of service: every breaker trip
+          quarantines its slot, so this equals [breaker_opens] *)
   mutable fallback_shreds : int;  (** shreds proxy-executed on IA32 *)
   mutable fatal : int;  (** faults recovery could not absorb *)
   mutable hedges : int;  (** straggler shreds given a backup dispatch *)
-  mutable hedge_wins : int;  (** hedge races resolved by a retirement *)
+  hedge_wins : int;
+      (** hedge races resolved by a retirement, summed over the devices *)
   mutable cross_hedges : int;
       (** straggler copies re-enqueued on a quiescent peer device *)
-  mutable breaker_opens : int;  (** circuit-breaker trips *)
+  breaker_opens : int;  (** circuit-breaker trips, summed over the slots *)
   mutable breaker_closes : int;  (** probationary reinstatements *)
 }
 
 type t
 
-(** [watchdog_ps] (default 1 ms simulated): a dispatched shred that has
-    retired nothing for this long is declared hung and reaped.
-    [max_redispatch] (default 3): re-dispatch attempts per shred before
-    falling back to IA32 proxy execution. [quarantine_after] (default
-    3): consecutive failures on one HW-thread slot before it is removed
-    from the eligible set. [backoff_ps] (default 200 ns): base of the
-    exponential re-dispatch backoff; the actual delay is jittered over
-    the top half of the window by a dedicated PRNG stream derived from
-    the fault-plan seed, so concurrent retry waves decorrelate without
-    perturbing the per-class fault streams.
+(** Under a fault plan the runtime supervises every drain with fixed
+    constants: a dispatched shred that has retired nothing for 1 ms
+    (simulated) is declared hung and reaped; a reaped shred is
+    re-dispatched at most 3 times before it falls back to IA32 proxy
+    execution, after an exponential backoff with a 200 ns base, jittered
+    over the top half of the window by a dedicated PRNG stream derived
+    from the fault-plan seed (concurrent retry waves decorrelate without
+    perturbing the per-class fault streams). Every exo-sequencer slot
+    has a circuit breaker ({!Exochi_guard.Breaker}): 3 consecutive
+    reaps or EWMA health at or below 0.25 trip it and quarantine the
+    slot.
 
     [hedge_after_ps] (default 0 = off): a resident shred that has
     retired nothing for this long gets a backup dispatch; the first copy
-    to retire wins and the loser is cancelled. Pick a value below
-    [watchdog_ps] to shave straggler latency before the watchdog kills.
+    to retire wins and the loser is cancelled. Pick a value below the
+    1 ms watchdog to shave straggler latency before the watchdog kills.
 
-    [breaker_cooldown_ps] (default 0 = legacy permanent quarantine):
-    with a positive value each exo-sequencer slot is guarded by a
-    circuit breaker ({!Exochi_guard.Breaker}) — EWMA health scoring
-    trips the slot into quarantine, the cool-down expires into a
-    half-open probe, and a retiring probe reinstates the slot.
+    [breaker_cooldown_ps] (default 0): how long a tripped slot sits out
+    before a half-open probe, which reinstates it if it retires. 0 keeps
+    a tripped slot quarantined for the rest of the run.
 
-    All are inert without a fault plan on the platform. *)
+    Both are inert without a fault plan on the platform. *)
 val create :
   platform:Exo_platform.t ->
   ?flush_policy:flush_policy ->
-  ?watchdog_ps:int ->
-  ?max_redispatch:int ->
-  ?quarantine_after:int ->
-  ?backoff_ps:int ->
   ?hedge_after_ps:int ->
   ?breaker_cooldown_ps:int ->
   unit ->
@@ -190,6 +190,5 @@ val last_flush_bytes : t -> int
 val last_copy_bytes : t -> int
 
 (** Per-device circuit-breaker census as [(closed, open_, half_open)]
-    slot counts. All zeros when breakers are disabled
-    ([breaker_cooldown_ps] = 0). *)
+    slot counts; they sum to the device's slot count. *)
 val breaker_census : t -> dev:int -> int * int * int

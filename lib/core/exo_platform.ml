@@ -101,7 +101,6 @@ let tiling_for t ~vaddr =
    loses the round trip in flight; the proxy handler notices and
    retries (bounded, so a pathological plan cannot live-lock it). *)
 let rec atr_proxy ?(attempt = 0) t ~dev ~vpage ~now_ps =
-  t.atr_proxies <- t.atr_proxies + 1;
   let transient =
     attempt < 5
     &&
@@ -132,6 +131,7 @@ let rec atr_proxy ?(attempt = 0) t ~dev ~vpage ~now_ps =
       let x3k = Pte.transcode pte ~tiling:(tiling_for t ~vaddr) in
       if t.gtt_enabled then Hashtbl.replace t.gtt vpage x3k;
       let service = t.costs.uli_ps + t.costs.atr_service_ps + fault_ps in
+      t.atr_proxies <- t.atr_proxies + 1;
       pev t ~dev ~ts:now_ps ~dur:service
         (Trace.Atr_proxy { vpage; faulted_in = fault_ps > 0 });
       (* the CPU pays for servicing the interrupt *)

@@ -170,7 +170,11 @@ val barrier : t -> int
 
 (** {1 Counters} *)
 
-val atr_proxies : t -> int (* full proxy round trips *)
+(** Completed ATR proxy walks (one [Atr_proxy] trace event each). A
+    round trip an injected transient lost counts in
+    {!atr_transient_retries} instead, and an attempt that ends in a
+    segfault or an unmapped page counts in neither. *)
+val atr_proxies : t -> int
 val gtt_hits : t -> int
 val ceh_proxies : t -> int
 val protocol_violations : t -> int

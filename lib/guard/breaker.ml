@@ -1,40 +1,37 @@
 (* Circuit breaker with EWMA health scoring.
 
-   One breaker guards one exo-sequencer slot. Instead of the legacy
-   permanent quarantine ("three strikes and the slot is dead for the
-   rest of the run"), a tripped breaker cools down, lets one probe
-   through (half-open), and reinstates the slot if the probe retires.
-   A failed probe re-opens the breaker with a doubled cool-down, so a
-   genuinely dead slot converges back to quarantine while a slot that
-   merely ate a transient burst returns to service. *)
+   One breaker guards one exo-sequencer slot. A tripped breaker cools
+   down, lets one probe through (half-open), and reinstates the slot if
+   the probe retires. A failed probe re-opens the breaker with a
+   doubled cool-down, so a genuinely dead slot converges back to
+   quarantine while a slot that merely ate a transient burst returns to
+   service. A zero cool-down never expires: the tripped slot stays
+   quarantined for the rest of the run. *)
 
 type state = Closed | Open | Half_open
 
 type t = {
-  fail_threshold : int;
   base_cooldown_ps : int;
   mutable state : state;
   mutable ewma : float;  (** health in [0,1]; 1 = perfectly healthy *)
   mutable consec_fails : int;
   mutable cooldown_ps : int;  (** current cool-down (doubles on re-trip) *)
   mutable opened_at_ps : int;
-  mutable probed : bool;  (** half-open probe already released *)
   mutable trips : int;
 }
 
 let alpha = 0.3
 let unhealthy = 0.25
+let fail_threshold = 3
 
-let create ~fail_threshold ~cooldown_ps =
+let create ~cooldown_ps =
   {
-    fail_threshold;
     base_cooldown_ps = cooldown_ps;
     state = Closed;
     ewma = 1.0;
     consec_fails = 0;
     cooldown_ps;
     opened_at_ps = 0;
-    probed = false;
     trips = 0;
   }
 
@@ -53,7 +50,7 @@ let record_fail t = observe t false
 
 let should_open t =
   t.state = Closed
-  && (t.consec_fails >= t.fail_threshold || t.ewma <= unhealthy)
+  && (t.consec_fails >= fail_threshold || t.ewma <= unhealthy)
 
 let trip t ~now_ps =
   (* A probe that fails proves the cool-down was too short: double it
@@ -62,14 +59,12 @@ let trip t ~now_ps =
     t.cooldown_ps <- min (t.cooldown_ps * 2) (t.base_cooldown_ps * 256);
   t.state <- Open;
   t.opened_at_ps <- now_ps;
-  t.probed <- false;
   t.trips <- t.trips + 1
 
 let poll t ~now_ps =
   match t.state with
-  | Open when now_ps - t.opened_at_ps >= t.cooldown_ps ->
+  | Open when t.cooldown_ps > 0 && now_ps - t.opened_at_ps >= t.cooldown_ps ->
       t.state <- Half_open;
-      t.probed <- true;
       true
   | _ -> false
 
@@ -77,5 +72,4 @@ let close t =
   t.state <- Closed;
   t.consec_fails <- 0;
   t.cooldown_ps <- t.base_cooldown_ps;
-  t.ewma <- max t.ewma 0.5;
-  t.probed <- false
+  t.ewma <- max t.ewma 0.5

@@ -1,26 +1,31 @@
 (** Per-sequencer circuit breaker with EWMA health scoring.
 
-    Replaces permanent slot quarantine: a slot whose shreds keep getting
-    watchdog-reaped trips its breaker ([Closed] → [Open]), sits out a
-    cool-down, then gets one probationary probe ([Half_open]). A probe
-    that retires closes the breaker and reinstates the slot; a probe
-    that fails re-opens it with a doubled cool-down (capped at 256× the
-    base), so genuinely dead hardware converges back to quarantine while
-    transient victims return to service.
+    One breaker guards each exo-sequencer slot. A slot whose shreds keep
+    getting watchdog-reaped trips its breaker ([Closed] → [Open]), sits
+    out a cool-down, then gets one probationary probe ([Half_open]). A
+    probe that retires closes the breaker and reinstates the slot; a
+    probe that fails re-opens it with a doubled cool-down (capped at
+    256× the base), so genuinely dead hardware converges back to
+    quarantine while transient victims return to service. A zero
+    cool-down never expires: a tripped breaker stays [Open] for good,
+    which is permanent quarantine.
 
     Health is an exponentially weighted moving average over per-slot
     success/failure observations (alpha 0.3, initial 1.0). The breaker
-    wants to open when consecutive failures reach the threshold {e or}
-    health drops to 0.25 or below. All time is simulated picoseconds;
-    the breaker itself is pure bookkeeping and fully deterministic. *)
+    wants to open when 3 consecutive failures are recorded {e or}
+    health drops to 0.25 or below. The breaker owns the slot's
+    consecutive-failure count and its trip count. All time is simulated
+    picoseconds; the breaker itself is pure bookkeeping and fully
+    deterministic. *)
 
 type state = Closed | Open | Half_open
 
 type t
 
-(** [create ~fail_threshold ~cooldown_ps] starts [Closed] at full
-    health. *)
-val create : fail_threshold:int -> cooldown_ps:int -> t
+(** [create ~cooldown_ps] starts [Closed] at full health. A
+    [cooldown_ps] of 0 makes every trip permanent ({!poll} never
+    fires). *)
+val create : cooldown_ps:int -> t
 
 val state : t -> state
 
@@ -45,7 +50,7 @@ val should_open : t -> bool
     probe) doubles the cool-down first. *)
 val trip : t -> now_ps:int -> unit
 
-(** [poll t ~now_ps] transitions [Open] → [Half_open] once the
+(** [poll t ~now_ps] transitions [Open] → [Half_open] once a nonzero
     cool-down has elapsed. Returns [true] exactly when that transition
     happens — the caller's cue to reinstate the slot for its probe. *)
 val poll : t -> now_ps:int -> bool

@@ -7,7 +7,7 @@ type kind =
   | Shred_dispatch of { shred_id : int }
   | Shred_start of { shred_id : int }
   | Shred_run of { shred_id : int }
-  | Watchdog_reap of { shred_id : int; fails : int }
+  | Watchdog_reap of { shred_id : int }
   | Redispatch of { shred_id : int; attempt : int; delay_ps : int }
   | Quarantine
   | Ia32_fallback of { shred_id : int; instrs : int; lane_ops : int }
@@ -146,10 +146,9 @@ let kind_detail = function
   | Doorbell_redeliver { shreds } -> Printf.sprintf "%d shred(s)" shreds
   | Shred_dispatch { shred_id }
   | Shred_start { shred_id }
-  | Shred_run { shred_id } ->
+  | Shred_run { shred_id }
+  | Watchdog_reap { shred_id } ->
     Printf.sprintf "shred %d" shred_id
-  | Watchdog_reap { shred_id; fails } ->
-    Printf.sprintf "shred %d (slot fails %d)" shred_id fails
   | Redispatch { shred_id; attempt; delay_ps } ->
     Printf.sprintf "shred %d attempt %d backoff %d ps" shred_id attempt
       delay_ps

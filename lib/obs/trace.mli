@@ -32,9 +32,9 @@ type kind =
   | Shred_start of { shred_id : int }  (** first instruction may issue *)
   | Shred_run of { shred_id : int }
       (** dispatch→retire slice on the executing exo-sequencer *)
-  | Watchdog_reap of { shred_id : int; fails : int }
+  | Watchdog_reap of { shred_id : int }
   | Redispatch of { shred_id : int; attempt : int; delay_ps : int }
-  | Quarantine  (** the HW-thread slot is retired for good *)
+  | Quarantine  (** the HW-thread slot's breaker tripped: out of service *)
   | Ia32_fallback of { shred_id : int; instrs : int; lane_ops : int }
       (** whole-shred proxy execution on the IA32 sequencer *)
   | Atr_tlb_miss of { vpage : int }  (** exo TLB miss, escalating *)

@@ -69,10 +69,9 @@ let kind_args : Trace.kind -> (string * arg) list = function
   | Doorbell_redeliver { shreds } -> [ ("shreds", I shreds) ]
   | Shred_dispatch { shred_id }
   | Shred_start { shred_id }
-  | Shred_run { shred_id } ->
+  | Shred_run { shred_id }
+  | Watchdog_reap { shred_id } ->
     [ ("shred", I shred_id) ]
-  | Watchdog_reap { shred_id; fails } ->
-    [ ("shred", I shred_id); ("slot_fails", I fails) ]
   | Redispatch { shred_id; attempt; delay_ps } ->
     [ ("shred", I shred_id); ("attempt", I attempt); ("backoff_ps", I delay_ps) ]
   | Quarantine -> []

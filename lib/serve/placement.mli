@@ -12,7 +12,11 @@
     - [Affinity]: each kernel sticks to the device that first ran it
       (arena cache locality); a kernel's first placement — and any
       overflow when its home device is saturated — falls back to
-      least-loaded. *)
+      least-loaded.
+
+    Under either policy a batch goes to a device with outstanding
+    batches only when they run the same kernel (a device binds one
+    program at a time), unless every device runs another kernel. *)
 
 type policy = Least_loaded | Affinity
 

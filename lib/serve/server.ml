@@ -36,7 +36,7 @@ type config = {
   memmodel : Memmodel.config;
   guard : guard option;
   hedge_after_ps : int;  (** 0 = hedged re-dispatch off *)
-  breaker_cooldown_ps : int;  (** 0 = legacy permanent quarantine *)
+  breaker_cooldown_ps : int;  (** 0 = a tripped slot stays quarantined *)
   static_admission : bool;
       (** shed deadline jobs whose Exo-bound WCET cannot fit the slack *)
   opt_level : Exochi_opt.Opt.level;

@@ -53,7 +53,9 @@ type config = {
   memmodel : Exochi_memory.Memmodel.config;
   guard : guard option;  (** integrity checking, [None] = off *)
   hedge_after_ps : int;  (** straggler hedging age, 0 = off *)
-  breaker_cooldown_ps : int;  (** breaker cooldown, 0 = legacy quarantine *)
+  breaker_cooldown_ps : int;
+      (** how long a tripped slot's breaker cools down before a
+          half-open probe; 0 = the slot stays quarantined for the run *)
   static_admission : bool;
       (** Exo-bound static admission: at arena build time each kernel's
           X3K program is run through {!Exochi_analysis.Bound} under the

@@ -134,13 +134,15 @@ let pinned_recovery =
   [ (1, [ 2; 0; 2; 0; 0; 0; 0; 0; 0; 0; 0 ]);
     (2, [ 4; 0; 4; 0; 0; 0; 0; 0; 0; 0; 0 ]) ]
 
-(* (run, devices, guard, faults, (stats JSON digest, journal digest)) *)
+(* (run, devices, guard, faults, (stats JSON digest, journal digest)).
+   The unguarded run keeps the default breaker cool-down 0, so a slot
+   whose breaker trips stays quarantined for the rest of the run. *)
 let pinned_serve =
   [
     ("guarded", 1, true, "7:0.02", ("fd11b916faaa4fc1", "d71ffa2fbe332578"));
     ("guarded", 2, true, "7:0.02", ("ed85433cce736ae6", "acf5eb216aa50782"));
-    ( "legacy-quarantine", 1, false, "3:0.3",
-      ("0e68738482d24bfa", "fe498a3bdb7cefe6") );
+    ( "permanent-quarantine", 1, false, "3:0.3",
+      ("c0a9997e754e898d", "3fa7fe19cb9e5a65") );
   ]
 
 let recovery_fields (r : Chi_runtime.recovery) =
@@ -327,6 +329,28 @@ let test_placement_affinity () =
        (Serve.Placement.policy_name Serve.Placement.Affinity)
     = Some Serve.Placement.Affinity)
 
+(* A device is bound to one program at a time: a breaker penalty may
+   steer a batch onto a busy device only when that device runs the same
+   kernel. *)
+let test_placement_one_kernel_per_device () =
+  let away_from_1 d = if d = 1 then 1000 else 0 in
+  let plc =
+    Serve.Placement.create ~devices:2 ~policy:Serve.Placement.Least_loaded
+  in
+  check_int "A on device 0" 0 (Serve.Placement.place plc ~kernel:"A" ~shreds:10);
+  check_int "a second A joins busy device 0" 0
+    (Serve.Placement.place plc ~penalty:away_from_1 ~kernel:"A" ~shreds:10);
+  check_int "B does not: device 0 runs A" 1
+    (Serve.Placement.place plc ~penalty:away_from_1 ~kernel:"B" ~shreds:10);
+  let aff = Serve.Placement.create ~devices:2 ~policy:Serve.Placement.Affinity in
+  check_int "B's home is device 0" 0
+    (Serve.Placement.place aff ~kernel:"B" ~shreds:8);
+  Serve.Placement.release aff ~dev:0 ~shreds:8;
+  check_int "A's home is device 0 too" 0
+    (Serve.Placement.place aff ~kernel:"A" ~shreds:8);
+  check_int "B leaves its home while A runs there" 1
+    (Serve.Placement.place aff ~penalty:away_from_1 ~kernel:"B" ~shreds:8)
+
 (* ---- multi-device serving ---- *)
 
 let test_multi_device_serve () =
@@ -348,6 +372,35 @@ let test_multi_device_serve () =
       check_int "no stranded shreds" 0 shreds;
       check_int "no stranded batches" 0 batches)
     rows
+
+(* Open breakers bias placement against a device. At [--devices 2
+   --faults 3:0.3] that bias used to put a second kernel's batch on a
+   device still running another's, whose queued shreds then ran against
+   the wrong surfaces and failed an out-of-range surface access; with
+   cool-down 0 and with the guard's 2000 us alike, every job must be
+   served. *)
+let test_breakers_keep_kernels_apart () =
+  List.iter
+    (fun cooldown_us ->
+      let config =
+        {
+          Serve.Server.default_config with
+          devices = 2;
+          breaker_cooldown_ps = cooldown_us * 1_000_000;
+        }
+      in
+      let fault_plan = Result.get_ok (Fault_plan.of_spec "3:0.3") in
+      let server = Serve.Server.create ~config ~fault_plan () in
+      let st =
+        Serve.Server.run server
+          (Serve.Workload.create
+             (Serve.Workload.default_spec ~seed:42L ~tenants:2 ~jobs:60
+                (Serve.Workload.Closed { clients_per_tenant = 2; think_ps = 0 })))
+      in
+      check_int
+        (Printf.sprintf "cool-down %d us: every job served" cooldown_us)
+        60 st.Serve.Server_stats.completed)
+    [ 0; 2000 ]
 
 (* ---- journal fingerprint refuses a different topology ---- *)
 
@@ -402,6 +455,8 @@ let () =
             `Quick test_placement_least_loaded;
           Alcotest.test_case "affinity sticks and overflows" `Quick
             test_placement_affinity;
+          Alcotest.test_case "one kernel per busy device" `Quick
+            test_placement_one_kernel_per_device;
         ] );
       ( "serving",
         [
@@ -409,5 +464,7 @@ let () =
             test_multi_device_serve;
           Alcotest.test_case "journal refuses a different topology" `Quick
             test_journal_topology_fingerprint;
+          Alcotest.test_case "breakers keep kernels apart" `Quick
+            test_breakers_keep_kernels_apart;
         ] );
     ]

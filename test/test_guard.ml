@@ -43,7 +43,7 @@ let test_checksum_incremental () =
 (* ---- breaker state machine ---- *)
 
 let test_breaker_trips_on_burst () =
-  let b = Breaker.create ~fail_threshold:3 ~cooldown_ps:1_000 in
+  let b = Breaker.create ~cooldown_ps:1_000 in
   check_bool "starts closed" true (Breaker.state b = Breaker.Closed);
   check_bool "full health" true (Breaker.health b = 1.0);
   Breaker.record_fail b;
@@ -58,7 +58,7 @@ let test_breaker_trips_on_burst () =
 let test_breaker_trips_on_ewma () =
   (* a 2:1 fail/ok mix never reaches the consecutive threshold but
      grinds health down until the EWMA condition trips *)
-  let b = Breaker.create ~fail_threshold:1000 ~cooldown_ps:1_000 in
+  let b = Breaker.create ~cooldown_ps:1_000 in
   let tripped = ref false in
   for _ = 1 to 50 do
     if not !tripped then begin
@@ -75,7 +75,7 @@ let test_breaker_trips_on_ewma () =
   check_bool "EWMA condition eventually trips" true !tripped
 
 let test_breaker_probe_success_reinstates () =
-  let b = Breaker.create ~fail_threshold:2 ~cooldown_ps:1_000 in
+  let b = Breaker.create ~cooldown_ps:1_000 in
   Breaker.record_fail b;
   Breaker.record_fail b;
   Breaker.trip b ~now_ps:0;
@@ -90,7 +90,7 @@ let test_breaker_probe_success_reinstates () =
   check_int "cooldown reset" 1_000 (Breaker.cooldown_ps b)
 
 let test_breaker_probe_failure_doubles_cooldown () =
-  let b = Breaker.create ~fail_threshold:2 ~cooldown_ps:1_000 in
+  let b = Breaker.create ~cooldown_ps:1_000 in
   Breaker.record_fail b;
   Breaker.record_fail b;
   Breaker.trip b ~now_ps:0;
@@ -110,6 +110,25 @@ let test_breaker_probe_failure_doubles_cooldown () =
     ignore (Breaker.poll b ~now_ps:max_int)
   done;
   check_int "cooldown capped at 256x base" 256_000 (Breaker.cooldown_ps b)
+
+let test_breaker_zero_cooldown_is_permanent () =
+  (* cool-down 0 is permanent quarantine: the breaker never goes
+     half-open, so no later trip finds a failed probe to double *)
+  let b = Breaker.create ~cooldown_ps:0 in
+  Breaker.record_fail b;
+  Breaker.record_fail b;
+  Breaker.record_fail b;
+  Breaker.trip b ~now_ps:100;
+  check_bool "never half-opens" false (Breaker.poll b ~now_ps:max_int);
+  check_bool "stays open" true (Breaker.state b = Breaker.Open);
+  for i = 1 to 3 do
+    Breaker.record_fail b;
+    Breaker.trip b ~now_ps:(100 * (i + 1));
+    ignore (Breaker.poll b ~now_ps:max_int)
+  done;
+  check_bool "still open" true (Breaker.state b = Breaker.Open);
+  check_int "cooldown stays 0" 0 (Breaker.cooldown_ps b);
+  check_int "every trip counted" 4 (Breaker.trips b)
 
 (* ---- journal framing + replay ---- *)
 
@@ -657,6 +676,8 @@ let () =
             test_breaker_probe_success_reinstates;
           Alcotest.test_case "probe failure doubles cooldown" `Quick
             test_breaker_probe_failure_doubles_cooldown;
+          Alcotest.test_case "cool-down 0 never half-opens" `Quick
+            test_breaker_zero_cooldown_is_permanent;
         ] );
       ( "journal",
         [

@@ -554,14 +554,42 @@ let test_recovery_agrees_with_owners () =
   let module P = Exochi_core.Exo_platform in
   let p = Serve.Server.platform server in
   check_int "GTT hits" (P.gtt_hits p) live.Live.atr_gtt_hits;
-  (* the platform counts every ATR round trip, including the ones an
-     injected transient lost and the proxy retried *)
+  (* a round trip an injected transient lost is a retry, not a proxy:
+     the platform counts completed walks only *)
   check_bool "ATR transients happened" true (P.atr_transient_retries p > 0);
   check_int "ATR transients" (P.atr_transient_retries p)
     live.Live.atr_transients;
-  check_int "ATR proxies" (P.atr_proxies p)
-    (live.Live.atr_proxies + live.Live.atr_transients);
+  check_int "ATR proxies" (P.atr_proxies p) live.Live.atr_proxies;
   check_int "CEH proxies" (P.ceh_proxies p) live.Live.ceh_proxies
+
+(* The default policy, test_fabric's pinned [permanent-quarantine] run:
+   one device, [3:0.3], no guard, cool-down 0. Every quarantine is a
+   breaker trip that never half-opens, so the trace's opens, the
+   runtime's opens and its quarantines are one count. *)
+let test_permanent_quarantine_is_a_trip () =
+  let sink = Trace.create () in
+  let live = Live.create () in
+  Live.attach live sink;
+  let fault_plan = Result.get_ok (Exochi_faults.Fault_plan.of_spec "3:0.3") in
+  let server =
+    Serve.Server.create ~config:Serve.Server.default_config ~fault_plan
+      ~trace:sink ()
+  in
+  let wl =
+    Serve.Workload.create
+      (Serve.Workload.default_spec ~seed:42L ~tenants:2 ~jobs:60
+         (Serve.Workload.Closed { clients_per_tenant = 2; think_ps = 0 }))
+  in
+  let st = Serve.Server.run server wl in
+  check_int "every job served" 60 st.Serve.Server_stats.completed;
+  let r = Exochi_core.Chi_runtime.recovery (Serve.Server.runtime server) in
+  let open Exochi_core.Chi_runtime in
+  check_bool "slots quarantined" true (r.quarantined_seqs > 0);
+  check_int "breaker opens are the quarantines" r.quarantined_seqs
+    r.breaker_opens;
+  check_int "trace's breaker opens" r.breaker_opens live.Live.breaker_opens;
+  check_int "trace's quarantines" r.quarantined_seqs live.Live.quarantines;
+  check_int "no half-open probe ever closes" 0 live.Live.breaker_closes
 
 (* ---- a wrapped ring + export drop metadata ---- *)
 
@@ -764,6 +792,8 @@ let () =
         [
           Alcotest.test_case "recovery agrees with owners" `Quick
             test_recovery_agrees_with_owners;
+          Alcotest.test_case "permanent quarantine is a trip" `Quick
+            test_permanent_quarantine_is_a_trip;
         ] );
       ( "profile",
         [

@@ -366,6 +366,47 @@ let test_deadline_expires_while_queued () =
   check_bool "shed as expired deadline" true
     (List.mem_assoc "deadline" st.Server_stats.sheds)
 
+(* Static admission sheds a deadline job only when Exo-bound proves it
+   cannot finish within its slack. Per kernel, on an idle server: the
+   need a 1 ps slack reports is the exact boundary (a slack of the need
+   is admitted, one ps less is shed), and the same 8-shred job served
+   alone takes at least that long, so every job the gate sheds would
+   have missed. The need is 0.27 of the served latency on Bicubic and
+   0.19 on FGT, 0.028 on SepiaTone and 0.064 on LinearFilter. *)
+let test_static_shed_meets_latency () =
+  List.iter
+    (fun kernel ->
+      let config = { Server.default_config with static_admission = true } in
+      let server = Server.create ~config () in
+      Server.prepare server [ kernel ];
+      let submit slack =
+        Server.submit server
+          (Server.make_job server ~tenant:0 ~kernel ~shreds:8
+             ~deadline_ps:(Server.now_ps server + slack)
+             ())
+      in
+      let needed =
+        match submit 1 with
+        | Error (Job.Infeasible_deadline { needed_ps; _ }) -> needed_ps
+        | _ -> Alcotest.failf "%s: a 1 ps slack must shed as infeasible" kernel
+      in
+      (match submit (needed - 1) with
+      | Error (Job.Infeasible_deadline _) -> ()
+      | _ ->
+        Alcotest.failf "%s: a slack of %d ps must shed" kernel (needed - 1));
+      check_bool (kernel ^ ": a slack of the need is admitted") true
+        (submit needed = Ok ());
+      let latency = ref 0 in
+      ignore
+        (Server.dispatch_cycle server
+           ~on_done:(fun j -> latency := Server.now_ps server - j.Job.submit_ps)
+           ());
+      if !latency < needed then
+        Alcotest.failf
+          "%s: served alone in %d ps, below the %d ps it was shed for" kernel
+          !latency needed)
+    [ "Bicubic"; "FGT"; "SepiaTone"; "LinearFilter" ]
+
 (* ---- graceful degradation ---- *)
 
 let test_all_slots_quarantined_falls_back () =
@@ -484,6 +525,8 @@ let () =
           Alcotest.test_case "unknown kernel" `Quick test_unknown_kernel_sheds;
           Alcotest.test_case "expires while queued" `Quick
             test_deadline_expires_while_queued;
+          Alcotest.test_case "static shed meets latency" `Quick
+            test_static_shed_meets_latency;
         ] );
       ( "degradation",
         [
