@@ -17,10 +17,11 @@
    their .chi sections) and writes speedscope JSON plus a collapsed-stack
    .collapsed sibling. All flags may be combined.
 
-   A program Exo-bound proves unbounded (an EXO011 finding) is not
-   simulated, since nothing stops a fault-free shred that never exits:
-   the findings print as exochi_lint prints them and the exit status
-   is 2. *)
+   A program Exo-bound proves unbounded (an EXO011 finding), or whose
+   worst case overflows its cycle cap (EXO013), is not simulated, since
+   nothing stops a fault-free shred that never exits and an overflowing
+   one runs for hours: the findings print as exochi_lint prints them and
+   the exit status is 2. *)
 
 open Exochi_core
 
@@ -167,12 +168,14 @@ let () =
       prerr_endline (Exochi_isa.Loc.error_to_string e);
       exit 1
     | Ok compiled ->
-      let unbounded =
+      let refused =
         List.filter
-          (fun f -> f.Exochi_analysis.Finding.rule = "EXO011")
+          (fun f ->
+            let r = f.Exochi_analysis.Finding.rule in
+            r = "EXO011" || r = "EXO013")
           (Exochi_analysis.Exo_check.check_compiled compiled)
       in
-      if unbounded <> [] then begin
+      if refused <> [] then begin
         List.iter
           (fun (f : Exochi_analysis.Finding.t) ->
             prerr_endline (Exochi_analysis.Finding.to_string f);
@@ -180,10 +183,11 @@ let () =
               Option.iter
                 (fun line -> Printf.eprintf "%5d | %s\n" f.loc.line line)
                 (Exochi_isa.Loc.source_line src f.loc.line))
-          unbounded;
-        Printf.eprintf
-          "[exochi] %s: not simulated: Exo-bound proves a section unbounded\n"
-          name;
+          refused;
+        Printf.eprintf "[exochi] %s: not simulated: %s\n" name
+          (if List.exists (fun f -> f.Exochi_analysis.Finding.rule = "EXO011") refused
+           then "Exo-bound proves a section unbounded"
+           else "a section's worst-case bound overflows Exo-bound's cycle cap");
         exit 2
       end;
       let platform = Exo_platform.create ~memmodel ?fault_plan ?trace () in

@@ -17,7 +17,7 @@
 
    Both ISAs share one classifier ([loop_trip]) over a small per-ISA
    [decoder] of exit tests and IV updates, and the scalar interpreters
-   run on Dataflow's forward solver. The X3K one ([x3k_lane0]) also
+   run on Cfg's forward solver. The X3K one ([x3k_lane0]) also
    serves Exo-check's race/extent pass, which reads %p0 alone. *)
 
 module Loc = Exochi_isa.Loc
@@ -28,6 +28,7 @@ module VF = Exochi_isa.Via32_flow
 module Cfg = Exochi_isa.Cfg
 module Cost = Exochi_isa.X3k_cost
 module Gpu = Exochi_accel.Gpu
+module Lane = Exochi_accel.Lane
 
 let finding = Finding.make
 
@@ -144,10 +145,13 @@ let no_env : int -> (int * int) option = fun _ -> None
 (* A loop's trip bound: the number of times its header can execute per
    entry is at most [max 1 (ceil num / den) + extra]. [ne_exit] marks
    a != exit, where a negative [num] means the bound was overshot —
-   unbounded, not one trip. *)
+   unbounded, not one trip. The count is over unbounded integers, so it
+   holds only while the induction variable stays inside int32: each
+   [overshoot] is how far past the int32 limit it could get, and must
+   be at most 0. *)
 type trip =
   | T_const of int
-  | T_sym of { num : sym; den : int; extra : int; ne_exit : bool }
+  | T_sym of { num : sym; den : int; extra : int; ne_exit : bool; overshoot : sym list }
   | T_unbounded of string
   | T_unknown of string
 
@@ -158,12 +162,17 @@ let eval_trip t ~env =
   | T_const n -> `Trips n
   | T_unbounded why -> `Unbounded why
   | T_unknown why -> `Unknown why
-  | T_sym { num; den; extra; ne_exit } -> (
+  | T_sym { num; den; extra; ne_exit; overshoot } -> (
+    let past_limit o =
+      match eval_range o ~env with Some (_, hi) -> hi > 0 | None -> true
+    in
     match eval_range num ~env with
     | None -> `Unknown ("symbolic trip count " ^ sym_to_string num)
     | Some (nlo, nhi) ->
       if ne_exit && nlo < 0 then
         `Unbounded "a != exit can start past its bound"
+      else if List.exists past_limit overshoot then
+        `Unknown "the induction variable can wrap past int32 before its exit"
       else `Trips (max 1 (cdiv nhi den) + extra))
 
 let trip_to_string = function
@@ -221,9 +230,13 @@ let negate : X.cond -> X.cond = function
    [step] (constant, sign-normalised below) on every iteration, and the
    loop continues while IV <cond> bound. [pre_update] is true when the
    test reads the IV before the update in the iteration (while shape) —
-   one more header execution than bound-crossings. *)
-let trip_of_exit ~init ~step ~pre_update ~cond ~bound =
+   one more header execution than bound-crossings. [travel] is the most
+   one iteration's updates move the IV, [None] when an update sits in
+   an inner loop and may run any number of times. *)
+let trip_of_exit ~init ~step ~travel ~pre_update ~cond ~bound =
   let extra = if pre_update then 1 else 0 in
+  (* in the normalised direction the IV must stay at or below this *)
+  let limit = if step >= 0 then 0x7FFFFFFF else 0x80000000 in
   (* normalise to a positive step by reflecting the number line *)
   let init, bound, cond =
     if step >= 0 then (init, bound, cond)
@@ -231,9 +244,19 @@ let trip_of_exit ~init ~step ~pre_update ~cond ~bound =
   in
   let step = abs step in
   let diff adj = s_add (s_sub bound init) (s_const adj) in
+  (* the IV's last value inside the loop is below [bound + adj], or it
+     is [init]; one more iteration's updates take it [travel] further *)
+  let below adj =
+    match travel with
+    | None -> T_unknown "the induction variable steps in an inner loop and may wrap"
+    | Some travel ->
+      let over v = s_add v (s_const (travel - limit)) in
+      T_sym { num = diff adj; den = step; extra; ne_exit = false;
+              overshoot = [ over init; over (s_add bound (s_const (adj - 1))) ] }
+  in
   match cond with
-  | X.Lt -> T_sym { num = diff 0; den = step; extra; ne_exit = false }
-  | X.Le -> T_sym { num = diff 1; den = step; extra; ne_exit = false }
+  | X.Lt -> below 0
+  | X.Le -> below 1
   | X.Gt | X.Ge ->
     T_unbounded "induction variable steps away from the exit bound"
   | X.Eq ->
@@ -241,7 +264,8 @@ let trip_of_exit ~init ~step ~pre_update ~cond ~bound =
        within two header executions *)
     T_const (1 + extra)
   | X.Ne ->
-    if step = 1 then T_sym { num = diff 0; den = 1; extra; ne_exit = true }
+    (* a unit step lands on the bound: the IV never passes it *)
+    if step = 1 then T_sym { num = diff 0; den = 1; extra; ne_exit = true; overshoot = [] }
     else (
       (* init/bound are already sign-normalised: step > 0 *)
       match (s_is_const init, s_is_const bound) with
@@ -294,7 +318,7 @@ let interpret cfg ~nregs ~transfer =
     if !changed then Some st' else None
   in
   let entry =
-    Dataflow.forward cfg ~init:(Array.make nregs Bot) ~merge ~transfer
+    Cfg.forward cfg ~init:(Array.make nregs Bot) ~merge ~transfer
   in
   (entry, fun idx -> Option.map (transfer idx) entry.(idx))
 
@@ -323,6 +347,15 @@ let x3k_lane0 ~sreg (cfg : Cfg.t) (p : X.program) =
         | X.Mul, [ s1; s2 ] -> s_mul (value st s1) (value st s2)
         | X.Shl, [ s1; X.Imm k ] -> s_shl (value st s1) (Int32.to_int k)
         | _ -> Top
+      in
+      (* the lane holds the result as Lane.wrap leaves it: a constant
+         wraps to its dtype, and a symbolic value survives only a 32-bit
+         write *)
+      let v =
+        match (v, i.X.dtype) with
+        | Sym (k, []), d -> s_const (Lane.wrap d k)
+        | Sym _, (X.B | X.W) -> Top
+        | v, _ -> v
       in
       let st = Array.copy st in
       List.iter
@@ -421,7 +454,7 @@ let iv_steps (d : decoder) (l : Cfg.loop) r =
   match !bad with Some why -> Error why | None -> Ok !steps
 
 (* One loop's trip verdict. *)
-let loop_trip (d : decoder) (cfg : Cfg.t) out (l : Cfg.loop) =
+let loop_trip (d : decoder) (cfg : Cfg.t) out loops (l : Cfg.loop) =
   if l.Cfg.exits = [] then T_unbounded "the loop has no exit edges"
   else begin
     let decoded =
@@ -515,7 +548,14 @@ let loop_trip (d : decoder) (cfg : Cfg.t) out (l : Cfg.loop) =
                              (fun (idx, _) -> Cfg.dominates cfg idx u)
                              guaranteed)
                       in
-                      trip_of_exit ~init ~step ~pre_update ~cond ~bound
+                      let in_inner_loop (idx, _) =
+                        Array.exists (fun (m : Cfg.loop) -> m.Cfg.depth > l.Cfg.depth && m.Cfg.body.(idx)) loops
+                      in
+                      let travel =
+                        if List.exists in_inner_loop steps then None
+                        else Some (List.fold_left (fun acc (_, s) -> acc + abs s) 0 steps)
+                      in
+                      trip_of_exit ~init ~step ~travel ~pre_update ~cond ~bound
                 end))
         end
       in
@@ -530,7 +570,9 @@ let loop_trip (d : decoder) (cfg : Cfg.t) out (l : Cfg.loop) =
 (* ==================================================================== *)
 
 (* Exits: an unpredicated width-1 br whose flag has a unique reaching
-   width-1 unpredicated cmp. IV updates: add/sub r = r, imm. *)
+   width-1 unpredicated .dw cmp. IV updates: .dw add/sub r = r, imm —
+   a .b/.w step or compare wraps at 8 or 16 bits, outside the int32
+   count. *)
 let x3k_decoder (cfg : Cfg.t) (p : X.program) =
   let du = Array.map XF.def_use p.X.instrs in
   let operand = function
@@ -550,7 +592,8 @@ let x3k_decoder (cfg : Cfg.t) (p : X.program) =
       | Some d -> (
         let ci = p.X.instrs.(d) in
         match (ci.X.op, ci.X.srcs) with
-        | X.Cmp c, [ a; b ] when ci.X.pred = None && ci.X.width = 1 ->
+        | X.Cmp c, [ a; b ]
+          when ci.X.pred = None && ci.X.width = 1 && ci.X.dtype = X.DW ->
           (* taken when the flag is set (any/all over one lane) or clear
              (none_set) *)
           let taken = match mode with X.None_set -> negate c | _ -> c in
@@ -562,7 +605,7 @@ let x3k_decoder (cfg : Cfg.t) (p : X.program) =
     let i = p.X.instrs.(idx) in
     match (i.X.op, i.X.dst, i.X.srcs) with
     | (X.Add | X.Sub), Some (X.Reg d), [ X.Reg s; X.Imm k ]
-      when d = r && s = r && i.X.pred = None ->
+      when d = r && s = r && i.X.pred = None && i.X.dtype = X.DW ->
       let k = Int32.to_int k in
       `Step (if i.X.op = X.Add then k else -k)
     | _ when i.X.pred <> None -> `Predicated
@@ -710,7 +753,8 @@ let analyze_x3k ?loc ?(env = no_env) (p : X.program) =
   let cfg = XF.cfg p in
   let _, out = x3k_lane0 ~sreg:launch_sreg cfg p in
   let d = x3k_decoder cfg p in
-  let loops = Array.map (fun l -> (l, loop_trip d cfg out l)) (Cfg.loops cfg) in
+  let loops = Cfg.loops cfg in
+  let loops = Array.map (fun l -> (l, loop_trip d cfg out loops l)) loops in
   let spawn_reachable =
     Array.exists
       (fun idx -> cfg.Cfg.reach.(idx) && p.X.instrs.(idx).X.op = X.Spawn)
@@ -733,7 +777,8 @@ let analyze_via32 ?loc (p : V.program) =
   let cfg = VF.cfg p in
   let _, out = via32_consts cfg p in
   let d = via32_decoder cfg p in
-  let loops = Array.map (fun l -> (l, loop_trip d cfg out l)) (Cfg.loops cfg) in
+  let loops = Cfg.loops cfg in
+  let loops = Array.map (fun l -> (l, loop_trip d cfg out loops l)) loops in
   let findings, infos, verdict =
     compose ~loc_of_line
       ~line_of:(fun idx -> p.V.instrs.(idx).V.line)

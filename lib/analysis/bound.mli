@@ -40,10 +40,12 @@ val eval_range : sym -> env:(int -> (int * int) option) -> (int * int) option
 val no_env : int -> (int * int) option
 
 (** Trip bound of one loop: header executions per loop entry are at
-    most [max 1 (ceil num/den) + extra]. *)
+    most [max 1 (ceil num/den) + extra], provided every [overshoot]
+    (how far past the int32 limit the induction variable could get) is
+    at most 0 under the environment; otherwise the trip is unknown. *)
 type trip =
   | T_const of int
-  | T_sym of { num : sym; den : int; extra : int; ne_exit : bool }
+  | T_sym of { num : sym; den : int; extra : int; ne_exit : bool; overshoot : sym list }
   | T_unbounded of string
   | T_unknown of string
 

@@ -1,36 +1,10 @@
-(* The dataflow engine behind Exo-check and Exo-bound, one for both ISAs
-   (DESIGN.md §9): a forward worklist solver, a backward liveness over
-   lane masks, the reaching-definition walk, and the def-use lint rules
-   EXO008–EXO010 written once over per-ISA facts. *)
+(* The def-use lint behind Exo-check, one for both ISAs (DESIGN.md §9):
+   the reaching-definition walk, and the rules EXO008–EXO010 written
+   once over per-ISA facts on Cfg's shared solvers. *)
 
 module Cfg = Exochi_isa.Cfg
 module Loc = Exochi_isa.Loc
 module ISet = Set.Make (Int)
-module IMap = Map.Make (Int)
-
-let forward (cfg : Cfg.t) ~init ~merge ~transfer =
-  let entry = Array.make cfg.Cfg.n None in
-  let work = Queue.create () in
-  let push idx st =
-    let next =
-      match entry.(idx) with None -> Some st | Some cur -> merge cur st
-    in
-    match next with
-    | None -> ()
-    | Some st ->
-      entry.(idx) <- Some st;
-      Queue.add idx work
-  in
-  List.iter (fun e -> push e init) cfg.Cfg.entries;
-  while not (Queue.is_empty work) do
-    let idx = Queue.pop work in
-    match entry.(idx) with
-    | None -> ()
-    | Some st ->
-      let out = transfer idx st in
-      List.iter (fun s -> push s out) cfg.Cfg.succ.(idx)
-  done;
-  entry
 
 let reaching_def (cfg : Cfg.t) ~defines u =
   let defs = ref [] in
@@ -57,8 +31,6 @@ let reaching_def (cfg : Cfg.t) ~defines u =
 (* Def-use lint                                                         *)
 (* ==================================================================== *)
 
-let all_lanes = -1
-
 type facts = {
   cfg : Cfg.t;
   uses : int list array;
@@ -83,7 +55,7 @@ let finding = Finding.make
    (DESIGN.md §9, EXO008). *)
 let uninit f =
   let entry =
-    forward f.cfg ~init:(ISet.of_list f.entry_defined)
+    Cfg.forward f.cfg ~init:(ISet.of_list f.entry_defined)
       ~merge:(fun cur st ->
         let st' = ISet.inter cur st in
         if ISet.equal st' cur then None else Some st')
@@ -107,41 +79,13 @@ let uninit f =
    of its slot; a write kills only the lanes it overwrites, and a
    predicated write may not happen, so it kills nothing. *)
 let live_out f =
-  let n = f.cfg.Cfg.n in
-  let live_in idx out =
-    let out =
-      if f.predicated.(idx) then out
-      else
-        List.fold_left
-          (fun m (s, lanes) ->
-            match IMap.find_opt s m with
-            | None -> m
-            | Some v ->
-              let v = v land lnot lanes in
-              if v = 0 then IMap.remove s m else IMap.add s v m)
-          out f.defs.(idx)
-    in
-    List.fold_left (fun m s -> IMap.add s all_lanes m) out f.uses.(idx)
-  in
-  let outs = Array.make n IMap.empty in
-  let ins = Array.init n (fun idx -> live_in idx IMap.empty) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for idx = n - 1 downto 0 do
-      let out =
-        List.fold_left
-          (fun acc s -> IMap.union (fun _ a b -> Some (a lor b)) acc ins.(s))
-          IMap.empty f.cfg.Cfg.succ.(idx)
-      in
-      if not (IMap.equal Int.equal out outs.(idx)) then begin
-        outs.(idx) <- out;
-        ins.(idx) <- live_in idx out;
-        changed := true
-      end
-    done
-  done;
-  outs
+  let lanes = List.fold_left (fun m (s, l) -> Cfg.add_lanes s l m) Cfg.Lanes.empty in
+  Cfg.live_out f.cfg
+    (Array.init f.cfg.Cfg.n (fun idx ->
+         {
+           Cfg.kill = (if f.predicated.(idx) then Cfg.Lanes.empty else lanes f.defs.(idx));
+           gen = lanes (List.map (fun s -> (s, Cfg.all_lanes)) f.uses.(idx));
+         }))
 
 (* A write none of whose lanes is read before being overwritten. *)
 let dead_stores f =
@@ -149,7 +93,7 @@ let dead_stores f =
   List.concat
     (List.init f.cfg.Cfg.n (fun idx ->
          let written (s, lanes) =
-           match IMap.find_opt s live.(idx) with
+           match Cfg.Lanes.find_opt s live.(idx) with
            | Some v -> v land lanes <> 0
            | None -> false
          in

@@ -1,23 +1,11 @@
-(** The one dataflow engine behind Exo-check and Exo-bound, shared by
-    the X3K and VIA32 control-flow graphs ({!Exochi_isa.Cfg}).
+(** The def-use lint behind Exo-check, shared by the X3K and VIA32
+    control-flow graphs and run on {!Exochi_isa.Cfg}'s solvers.
 
     The lint rules EXO008–EXO010 are written once here, over per-ISA
     {!facts}: which slots an instruction reads and writes, which lanes a
     write overwrites, the slots defined on entry, the uses that are not
     real reads, and which instructions have effects beyond their
     writes. Only the facts and the message text differ per ISA. *)
-
-(** [forward cfg ~init ~merge ~transfer] is the forward worklist
-    fixpoint: [init] flows into every entry, [transfer idx st] is the
-    state after instruction [idx], and [merge cur st] folds an incoming
-    state into the current one, [None] when nothing changes. Returns
-    each instruction's entry state, [None] where no entry reaches. *)
-val forward :
-  Exochi_isa.Cfg.t ->
-  init:'st ->
-  merge:('st -> 'st -> 'st option) ->
-  transfer:(int -> 'st -> 'st) ->
-  'st option array
 
 (** [reaching_def cfg ~defines u] walks backwards from instruction [u],
     stopping at the instructions [defines] accepts. [Some d] when [d] is
@@ -26,9 +14,6 @@ val forward :
 val reaching_def :
   Exochi_isa.Cfg.t -> defines:(int -> bool) -> int -> int option
 
-(** A lane mask covering the whole slot. *)
-val all_lanes : int
-
 (** Per-instruction facts of one program. Slots are integers chosen by
     the ISA front end; every array has one entry per instruction. *)
 type facts = {
@@ -36,7 +21,7 @@ type facts = {
   uses : int list array; (* slots read, sorted; a read covers every lane *)
   defs : (int * int) list array;
       (* slots written, each with the lanes the write overwrites
-         ({!all_lanes} for the whole slot) *)
+         ({!Exochi_isa.Cfg.all_lanes} for the whole slot) *)
   predicated : bool array; (* the writes happen only if a predicate fires *)
   synthetic : bool array; (* the uses are not real reads (EXO008 is quiet) *)
   pure : bool array; (* no effect beyond [defs]: a dead-store candidate *)

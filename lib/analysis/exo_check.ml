@@ -37,17 +37,11 @@ let finding = Finding.make
 (* Pass 3: def-use lint, one engine over both ISAs' facts               *)
 (* ==================================================================== *)
 
-(* X3K slots: vrN is N and flag fN is [flag_slot + N]. A vrN write
-   overwrites lanes 0..width-1; over a [vrA..vrB] range the lanes spread
-   evenly across the registers. A cmp overwrites its whole flag. *)
-let flag_slot = 256
-
-let lanes n = if n >= 16 then Dataflow.all_lanes else (1 lsl n) - 1
-
-(* One name per run of consecutive registers: a [vrA..vrB] range
-   operand reports once, not once per lane. *)
+(* X3K slots and the lanes a write overwrites are X3k_flow's. One name
+   per run of consecutive registers: a [vrA..vrB] range operand reports
+   once, not once per lane. *)
 let x3k_uninit_names slots =
-  let regs, flags = List.partition (fun s -> s < flag_slot) slots in
+  let regs, flags = List.partition (fun s -> s < XF.flag_slot) slots in
   let rec runs = function
     | [] -> []
     | r :: rest ->
@@ -60,25 +54,17 @@ let x3k_uninit_names slots =
        else Printf.sprintf "vr%d..vr%d" r last)
       :: runs rest
   in
-  runs regs @ List.map (fun s -> Printf.sprintf "flag f%d" (s - flag_slot)) flags
+  runs regs @ List.map (fun s -> Printf.sprintf "flag f%d" (s - XF.flag_slot)) flags
 
 let x3k_facts ~loc cfg (p : X.program) =
   let du = Array.map XF.def_use p.X.instrs in
-  let defs (i : X.instr) =
-    match i.X.dst with
-    | Some (X.Reg r) -> [ (r, lanes i.X.width) ]
-    | Some (X.Range (a, b)) ->
-      List.init (b - a + 1) (fun k -> (a + k, lanes (i.X.width / (b - a + 1))))
-    | Some (X.Flag f) -> [ (flag_slot + f, Dataflow.all_lanes) ]
-    | _ -> []
-  in
   {
     Dataflow.cfg;
     uses =
       Array.map
-        (fun d -> d.XF.reg_uses @ List.map (( + ) flag_slot) d.XF.flag_uses)
+        (fun d -> d.XF.reg_uses @ List.map (( + ) XF.flag_slot) d.XF.flag_uses)
         du;
-    defs = Array.map defs p.X.instrs;
+    defs = Array.map XF.writes p.X.instrs;
     predicated = Array.map (fun d -> d.XF.predicated) du;
     synthetic = Array.make cfg.Cfg.n false;
     pure = Array.map (fun i -> not (XF.has_side_effect i)) p.X.instrs;
@@ -108,7 +94,7 @@ let via32_facts ~loc cfg (p : V.program) =
       (fun s ->
         match (i.V.op, i.V.operands) with
         | V.Mov _, V.X _ :: _ -> (via32_slot s, 1)
-        | _ -> (via32_slot s, Dataflow.all_lanes))
+        | _ -> (via32_slot s, Cfg.all_lanes))
       d.VF.defs
   in
   {

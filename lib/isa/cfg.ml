@@ -3,7 +3,10 @@
    a virtual root, so multi-entry programs — X3K spawn targets — are
    handled uniformly), natural-loop detection with back-edge merging for
    shared headers, and irreducibility classification (retreating DFS
-   edges whose target does not dominate their source). *)
+   edges whose target does not dominate their source), and the two
+   dataflow solvers Exo-check, Exo-bound and Exo-opt share: a forward
+   worklist fixpoint and a backward liveness over lane masks
+   (DESIGN.md §9). *)
 
 type t = {
   n : int;
@@ -168,3 +171,65 @@ let loops t =
     (fun i (header, body, nodes, back_srcs, exits) ->
       { header; body; nodes; back_srcs; exits; parent = parent.(i); depth = depth i })
     arr
+
+let forward t ~init ~merge ~transfer =
+  let entry = Array.make t.n None in
+  let work = Queue.create () in
+  let push idx st =
+    let next =
+      match entry.(idx) with None -> Some st | Some cur -> merge cur st
+    in
+    match next with
+    | None -> ()
+    | Some st ->
+      entry.(idx) <- Some st;
+      Queue.add idx work
+  in
+  List.iter (fun e -> push e init) t.entries;
+  while not (Queue.is_empty work) do
+    let idx = Queue.pop work in
+    match entry.(idx) with
+    | None -> ()
+    | Some st ->
+      let out = transfer idx st in
+      List.iter (fun s -> push s out) t.succ.(idx)
+  done;
+  entry
+
+module Lanes = Map.Make (Int)
+
+let all_lanes = -1
+
+type summary = { kill : int Lanes.t; gen : int Lanes.t }
+
+(* Masks stay nonzero: a slot with no live lane is absent. *)
+let add_lanes slot lanes m =
+  let v = Option.value (Lanes.find_opt slot m) ~default:0 in
+  if v lor lanes = v then m else Lanes.add slot (v lor lanes) m
+
+let remove_lanes slot lanes m =
+  match Lanes.find_opt slot m with
+  | Some v when v land lanes <> 0 ->
+    if v land lnot lanes = 0 then Lanes.remove slot m else Lanes.add slot (v land lnot lanes) m
+  | _ -> m
+
+(* Round-robin in reverse index order from nothing live: the least
+   fixpoint, whatever the order, so every caller gets the same sets. *)
+let live_out t summaries =
+  let union = Lanes.union (fun _ a b -> Some (a lor b)) in
+  let outs = Array.make t.n Lanes.empty in
+  let ins = Array.map (fun s -> s.gen) summaries in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for idx = t.n - 1 downto 0 do
+      let out = List.fold_left (fun acc s -> union acc ins.(s)) Lanes.empty t.succ.(idx) in
+      if not (Lanes.equal Int.equal out outs.(idx)) then begin
+        let s = summaries.(idx) in
+        outs.(idx) <- out;
+        ins.(idx) <- union (Lanes.fold remove_lanes s.kill out) s.gen;
+        changed := true
+      end
+    done
+  done;
+  outs

@@ -1,6 +1,7 @@
 (** Generic control-flow analysis over integer-indexed instruction
     graphs: dominator trees, natural loops, and irreducibility — the
-    substrate for the Exo-bound loop/WCET analysis. Nodes are
+    substrate for the Exo-bound loop/WCET analysis — plus the dataflow
+    solvers Exo-check, Exo-bound and Exo-opt share. Nodes are
     instruction indices [0..n-1]; the graph shape comes from the
     per-ISA [succs]/[entries] in {!X3k_flow} and {!Via32_flow}.
 
@@ -55,3 +56,38 @@ val loops : t -> loop array
     two-entry loop). Such cycles are not natural loops and get no
     trip-count bound. *)
 val irreducible_edges : t -> (int * int) list
+
+(** {1 Dataflow solvers} Nodes are instructions for the static tools,
+    basic blocks for Exo-opt. *)
+
+(** [forward t ~init ~merge ~transfer] is the forward worklist
+    fixpoint: [init] flows into every entry, [transfer idx st] is the
+    state after node [idx], and [merge cur st] folds an incoming state
+    into the current one, [None] when nothing changes. Returns each
+    node's entry state, [None] where no entry reaches. *)
+val forward :
+  t ->
+  init:'st ->
+  merge:('st -> 'st -> 'st option) ->
+  transfer:(int -> 'st -> 'st) ->
+  'st option array
+
+(** Lane masks per slot (bit [k] is lane [k]), over slots the caller
+    numbers; a slot with no lane set is absent. {!all_lanes} covers the
+    whole slot. *)
+module Lanes : Map.S with type key = int
+
+val all_lanes : int
+
+(** A node's effect on liveness, read backwards: the lanes live before
+    it are those live after it minus [kill], plus [gen]. *)
+type summary = { kill : int Lanes.t; gen : int Lanes.t }
+
+(** [add_lanes slot mask m] / [remove_lanes slot mask m] set / clear
+    [mask]'s lanes of [slot]. *)
+val add_lanes : int -> int -> int Lanes.t -> int Lanes.t
+val remove_lanes : int -> int -> int Lanes.t -> int Lanes.t
+
+(** The lanes live after every node: the least fixpoint of one
+    summary per node. *)
+val live_out : t -> summary array -> int Lanes.t array

@@ -54,6 +54,21 @@ let def_use i =
     predicated = i.pred <> None;
   }
 
+(* Dataflow slots: vrN is N and flag fN is [flag_slot + N]. *)
+let flag_slot = 256
+
+let lanes n = if n >= 16 then Cfg.all_lanes else (1 lsl n) - 1
+
+(* A range spreads its lanes as Gpu.decode_operand does. *)
+let writes i =
+  match i.dst with
+  | Some (Reg r) -> [ (r, lanes i.width) ]
+  | Some (Range (a, b)) ->
+    let per = lanes (i.width / (b - a + 1)) in
+    List.init (b - a + 1) (fun k -> (a + k, per))
+  | Some (Flag f) -> [ (flag_slot + f, Cfg.all_lanes) ]
+  | _ -> []
+
 (* Whether the instruction has an effect beyond its register/flag defs
    (memory traffic, synchronisation, control, shred management) — such
    instructions are never dead stores. *)

@@ -18,6 +18,17 @@ val def_use : X3k_ast.instr -> def_use
 (** Registers a single operand touches, as [(vrs, flags)]. *)
 val operand_regs : X3k_ast.operand -> int list * int list
 
+(** Dataflow slot of flag [fN]: [flag_slot + N]; register [vrN] is
+    slot [N]. *)
+val flag_slot : int
+
+(** The one X3K write-lane rule: the [(slot, mask)] lanes an
+    instruction's destination overwrites when it executes unpredicated.
+    A width-[w] write to [vrN] overwrites lanes [0..w-1]; a write to
+    [[vrA..vrB]] overwrites lanes [0..w/(B-A+1)-1] of each register; a
+    flag write overwrites the whole flag. Stores write no slot. *)
+val writes : X3k_ast.instr -> (int * int) list
+
 (** Whether the instruction has effects beyond its register/flag defs
     (stores, fences, semaphores, sends, spawns, control flow) — such
     instructions are never dead stores. *)

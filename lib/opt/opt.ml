@@ -177,46 +177,31 @@ let transfer env i =
   let env = List.fold_left kill_reg env du.X3k_flow.reg_defs in
   match gained with Some (d, f) -> IMap.add d f env | None -> env
 
-(* Forward fixpoint of per-block const/copy envs. Blocks start
-   optimistic (unvisited preds are ignored in the meet) and facts only
-   shrink once computed, so iteration terminates at a sound fixpoint. *)
+(* Per-block const/copy envs on entry, from Cfg's forward solver with
+   [meet_env] as the merge. A block starts from the first env that
+   reaches it and envs only shrink under the meet, so the worklist
+   stops at a sound fixpoint. Blocks no entry reaches get the empty
+   env on entry and on exit. *)
 let const_envs t =
   let g = IR.cfg t in
-  let nb = IR.num_blocks t in
-  let out_env = Array.make nb IMap.empty in
-  let computed = Array.make nb false in
-  let in_env b =
-    if b = 0 then IMap.empty
-    else
-      match List.filter (fun p -> computed.(p)) g.Cfg.pred.(b) with
-      | [] -> IMap.empty
-      | p :: rest ->
-        List.fold_left (fun acc q -> meet_env acc out_env.(q)) out_env.(p) rest
+  let through b env = List.fold_left transfer env t.IR.blocks.(b).IR.body in
+  let entry =
+    Cfg.forward g ~init:IMap.empty
+      ~merge:(fun cur st ->
+        let m = meet_env cur st in
+        if IMap.equal ( = ) m cur then None else Some m)
+      ~transfer:through
   in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed do
-    changed := false;
-    incr rounds;
-    if !rounds > 1000 then IR.unsupported "const-env fixpoint diverged";
-    Array.iter
-      (fun b ->
-        if b >= 0 && b < nb then begin
-          let e = List.fold_left transfer (in_env b) t.IR.blocks.(b).IR.body in
-          if (not computed.(b)) || not (IMap.equal ( = ) out_env.(b) e) then begin
-            out_env.(b) <- e;
-            computed.(b) <- true;
-            changed := true
-          end
-        end)
-      g.Cfg.rpo
-  done;
-  (g, out_env, in_env)
+  let in_env b = Option.value entry.(b) ~default:IMap.empty in
+  let out_env b =
+    match entry.(b) with Some e -> through b e | None -> IMap.empty
+  in
+  (g, in_env, out_env)
 
 (* ---- pass: constant folding + copy propagation ---- *)
 
 let fold_prop t =
-  let _, _, in_env = const_envs t in
+  let _, in_env, _ = const_envs t in
   let changed = ref false in
   Array.iteri
     (fun bi b ->
@@ -326,25 +311,19 @@ let expr_key i =
          (dtype_name i.dtype) (String.concat "," ks))
   | None -> None
 
-type cse_entry = { holder : operand; dep_regs : ISet.t; dep_flags : ISet.t }
+(* [deps]: the slots (X3k_flow's numbering) the value reads or is held in *)
+type cse_entry = { holder : operand; deps : ISet.t }
 
 let cse t =
   let g = IR.cfg t in
   let nb = IR.num_blocks t in
   let changed = ref false in
   let visited = Array.make nb false in
-  let kill_table table (du : X3k_flow.def_use) =
-    if du.X3k_flow.reg_defs = [] && du.X3k_flow.flag_defs = [] then table
-    else
-      SMap.filter
-        (fun _ e ->
-          (not
-             (List.exists (fun r -> ISet.mem r e.dep_regs) du.X3k_flow.reg_defs))
-          && not
-               (List.exists
-                  (fun f -> ISet.mem f e.dep_flags)
-                  du.X3k_flow.flag_defs))
-        table
+  (* forget every entry whose value or holder [i] overwrites *)
+  let kill_table table i =
+    match X3k_flow.writes i with
+    | [] -> table
+    | ws -> SMap.filter (fun _ e -> not (List.exists (fun (s, _) -> ISet.mem s e.deps) ws)) table
   in
   let rec visit b table =
     visited.(b) <- true;
@@ -373,13 +352,13 @@ let cse t =
                 { i with op = Mov; dtype = DW; srcs = [ Reg h ] }
               in
               changed := true;
-              table := kill_table !table du;
+              table := kill_table !table i;
               Some mov
             | Some _, _ ->
-              table := kill_table !table du;
+              table := kill_table !table i;
               Some i
             | None, Some dst ->
-              table := kill_table !table du;
+              table := kill_table !table i;
               (* a read-modify-write expression (dst among its own
                  sources, e.g. [add r4 = r4, 8]) is invalidated by its
                  own execution — never record it *)
@@ -390,22 +369,18 @@ let cse t =
                 | _ -> false
               in
               if not rmw then begin
-                let dep_regs =
-                  List.fold_left (fun s r -> ISet.add r s)
-                    (match dst with Reg d -> ISet.singleton d | _ -> ISet.empty)
-                    du.X3k_flow.reg_uses
-                in
-                let dep_flags =
-                  List.fold_left (fun s f -> ISet.add f s)
-                    (match dst with Flag d -> ISet.singleton d | _ -> ISet.empty)
+                let deps =
+                  List.fold_left
+                    (fun s f -> ISet.add (X3k_flow.flag_slot + f) s)
+                    (ISet.of_list (List.map fst (X3k_flow.writes i) @ du.X3k_flow.reg_uses))
                     du.X3k_flow.flag_uses
                 in
-                table := SMap.add k { holder = dst; dep_regs; dep_flags } !table
+                table := SMap.add k { holder = dst; deps } !table
               end;
               Some i
             | None, None -> assert false)
           | None ->
-            table := kill_table !table du;
+            table := kill_table !table i;
             Some i)
         t.IR.blocks.(b).IR.body
     in
@@ -428,76 +403,43 @@ let cse t =
   done;
   !changed
 
-(* ---- liveness (no-kill, so partial-width writes are safe) ---- *)
-
-let instr_uses (du : X3k_flow.def_use) =
-  ( ISet.of_list du.X3k_flow.reg_uses,
-    ISet.of_list du.X3k_flow.flag_uses )
-
-(* An unpredicated [cmp] overwrites its destination flag in full (all
-   16 mask bits, whatever the cmp width — see [Gpu.exec_instr]), so it
-   kills the flag for liveness. Register writes are partial (lanes
-   0..width-1 only), so registers never have kills. *)
-let flag_kill i =
-  match (i.pred, i.op, i.dst) with
-  | None, Cmp _, Some (Flag f) -> Some f
-  | _ -> None
-
-let liveness t =
-  let nb = IR.num_blocks t in
-  (* gen = upward-exposed uses; kill = flags fully defined before any
-     use — both from a backward scan of the block *)
-  let gen = Array.make nb (ISet.empty, ISet.empty) in
-  let kill = Array.make nb ISet.empty in
-  Array.iteri
-    (fun b blk ->
-      let tr, tf = IR.term_uses t b in
-      let regs = ref (ISet.of_list tr) and flags = ref (ISet.of_list tf) in
-      let killed = ref ISet.empty in
-      List.iter
-        (fun i ->
-          (match flag_kill i with
-          | Some f ->
-            flags := ISet.remove f !flags;
-            killed := ISet.add f !killed
-          | None -> ());
-          let r, f = instr_uses (X3k_flow.def_use i) in
-          regs := ISet.union !regs r;
-          flags := ISet.union !flags f)
-        (List.rev blk.IR.body);
-      gen.(b) <- (!regs, !flags);
-      kill.(b) <- !killed)
-    t.IR.blocks;
-  let live_in = Array.make nb (ISet.empty, ISet.empty) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = nb - 1 downto 0 do
-      let out_r, out_f =
-        List.fold_left
-          (fun (r, f) s ->
-            let sr, sf = live_in.(s) in
-            (ISet.union r sr, ISet.union f sf))
-          (ISet.empty, ISet.empty) (IR.succs t b)
-      in
-      let gr, gf = gen.(b) in
-      let nr = ISet.union gr out_r
-      and nf = ISet.union gf (ISet.diff out_f kill.(b)) in
-      let or_, of_ = live_in.(b) in
-      if not (ISet.equal nr or_ && ISet.equal nf of_) then begin
-        live_in.(b) <- (nr, nf);
-        changed := true
-      end
-    done
-  done;
-  fun b ->
-    List.fold_left
-      (fun (r, f) s ->
-        let sr, sf = live_in.(s) in
-        (ISet.union r sr, ISet.union f sf))
-      (ISet.empty, ISet.empty) (IR.succs t b)
-
 (* ---- pass: dead-code elimination ---- *)
+
+(* Liveness is lane masks over X3k_flow's slots, solved by Cfg over
+   per-block summaries. [live_before du ws live] is the lanes live
+   before an instruction with def-use [du] and writes [ws], given those
+   live after it: an unpredicated write kills the lanes it overwrites,
+   then every read makes its slot live in full. *)
+let live_before (du : X3k_flow.def_use) ws live =
+  let read m s = Cfg.Lanes.add s Cfg.all_lanes m in
+  let live =
+    if du.X3k_flow.predicated then live
+    else List.fold_left (fun m (s, l) -> Cfg.remove_lanes s l m) live ws
+  in
+  List.fold_left
+    (fun m f -> read m (X3k_flow.flag_slot + f))
+    (List.fold_left read live du.X3k_flow.reg_uses)
+    du.X3k_flow.flag_uses
+
+(* the lanes live before a block's branch *)
+let live_at_term t b live =
+  match t.IR.blocks.(b).IR.term with
+  | IR.Cond { br; _ } -> live_before (X3k_flow.def_use br) [] live
+  | IR.Fall | IR.Goto _ | IR.Stop _ -> live
+
+(* A block read backwards as one node: everything its body overwrites,
+   and what it reads before overwriting. *)
+let block_summary t b =
+  List.fold_right
+    (fun i { Cfg.kill; gen } ->
+      let du = X3k_flow.def_use i and ws = X3k_flow.writes i in
+      let kill =
+        if du.X3k_flow.predicated then kill
+        else List.fold_left (fun m (s, l) -> Cfg.add_lanes s l m) kill ws
+      in
+      { Cfg.kill; gen = live_before du ws gen })
+    t.IR.blocks.(b).IR.body
+    { Cfg.kill = Cfg.Lanes.empty; gen = live_at_term t b Cfg.Lanes.empty }
 
 (* ops whose removal could change behaviour even when the defs are
    dead: memory access can segfault, fdiv/fsqrt/dpadd can fault into
@@ -506,49 +448,39 @@ let never_dead = function
   | Ld | Gather | Sample | Fdiv | Fsqrt | Dpadd -> true
   | _ -> false
 
+(* Delete every effect-free write none of whose lanes is live after it
+   (read later before being overwritten). *)
 let dce t =
-  let live_out = liveness t in
+  let live_out =
+    Cfg.live_out (IR.cfg t) (Array.init (IR.num_blocks t) (block_summary t))
+  in
   let changed = ref false in
   Array.iteri
     (fun bi b ->
-      let tr, tf = IR.term_uses t bi in
-      let lr, lf = live_out bi in
-      let live_r = ref (ISet.union lr (ISet.of_list tr)) in
-      let live_f = ref (ISet.union lf (ISet.of_list tf)) in
-      let body =
-        List.fold_left
-          (fun acc i ->
-            let du = X3k_flow.def_use i in
-            let has_defs =
-              du.X3k_flow.reg_defs <> [] || du.X3k_flow.flag_defs <> []
+      let live = ref (live_at_term t bi live_out.(bi)) in
+      b.IR.body <-
+        List.fold_right
+          (fun i kept ->
+            let ws = X3k_flow.writes i in
+            let unread (s, l) =
+              match Cfg.Lanes.find_opt s !live with
+              | Some v -> v land l = 0
+              | None -> true
             in
-            let dead =
+            if
               (not (X3k_flow.has_side_effect i))
               && (not (never_dead i.op))
-              && (has_defs || i.op = Nop)
-              && List.for_all
-                   (fun r -> not (ISet.mem r !live_r))
-                   du.X3k_flow.reg_defs
-              && List.for_all
-                   (fun f -> not (ISet.mem f !live_f))
-                   du.X3k_flow.flag_defs
-            in
-            if dead then begin
+              && (ws <> [] || i.op = Nop)
+              && List.for_all unread ws
+            then begin
               changed := true;
-              acc
+              kept
             end
             else begin
-              (match flag_kill i with
-              | Some f -> live_f := ISet.remove f !live_f
-              | None -> ());
-              let ur, uf = instr_uses du in
-              live_r := ISet.union !live_r ur;
-              live_f := ISet.union !live_f uf;
-              i :: acc
+              live := live_before (X3k_flow.def_use i) ws !live;
+              i :: kept
             end)
-          [] (List.rev b.IR.body)
-      in
-      b.IR.body <- body)
+          b.IR.body [])
     t.IR.blocks;
   !changed
 
@@ -561,6 +493,34 @@ let insert_block t idx blk =
   Array.blit t.IR.blocks 0 arr 0 idx;
   Array.blit t.IR.blocks idx arr (idx + 1) (nb - idx);
   t.IR.blocks <- arr
+
+(* ---- def and use sites inside a loop, shared by LICM and unroll ---- *)
+
+(* Every (block, body index) inside a loop that writes or reads each
+   slot (X3k_flow's numbering); a block's branch reads at index
+   [List.length body]. *)
+type sites = { defs : (int, int * int) Hashtbl.t; uses : (int, int * int) Hashtbl.t }
+
+let loop_sites t (l : Cfg.loop) =
+  let defs = Hashtbl.create 16 and uses = Hashtbl.create 16 in
+  let note tbl site regs flags =
+    List.iter (fun r -> Hashtbl.add tbl r site) regs;
+    List.iter (fun f -> Hashtbl.add tbl (X3k_flow.flag_slot + f) site) flags
+  in
+  let note_instr b idx i =
+    let du = X3k_flow.def_use i in
+    note defs (b, idx) du.X3k_flow.reg_defs du.X3k_flow.flag_defs;
+    note uses (b, idx) du.X3k_flow.reg_uses du.X3k_flow.flag_uses
+  in
+  List.iter
+    (fun b ->
+      let body = t.IR.blocks.(b).IR.body in
+      List.iteri (note_instr b) body;
+      match t.IR.blocks.(b).IR.term with
+      | IR.Cond { br; _ } -> note_instr b (List.length body) br
+      | IR.Fall | IR.Goto _ | IR.Stop _ -> ())
+    l.Cfg.nodes;
+  { defs; uses }
 
 (* ---- pass: loop-invariant code motion ---- *)
 
@@ -583,32 +543,12 @@ let licm_candidates t g (l : Cfg.loop) =
     in
     if fall_back_edge then []
     else begin
-      (* defs and uses inside the loop, with the block (and body index)
-         of every def/use *)
-      let reg_defs = Hashtbl.create 16 and flag_defs = Hashtbl.create 16 in
-      let reg_uses = Hashtbl.create 16 and flag_uses = Hashtbl.create 16 in
-      let note tbl k site = Hashtbl.replace tbl k (site :: (try Hashtbl.find tbl k with Not_found -> [])) in
-      List.iter
-        (fun b ->
-          List.iteri
-            (fun idx i ->
-              let du = X3k_flow.def_use i in
-              List.iter (fun r -> note reg_defs r (b, idx)) du.X3k_flow.reg_defs;
-              List.iter (fun f -> note flag_defs f (b, idx)) du.X3k_flow.flag_defs;
-              List.iter (fun r -> note reg_uses r (b, idx)) du.X3k_flow.reg_uses;
-              List.iter (fun f -> note flag_uses f (b, idx)) du.X3k_flow.flag_uses)
-            t.IR.blocks.(b).IR.body;
-          let tr, tf = IR.term_uses t b in
-          let term_idx = List.length t.IR.blocks.(b).IR.body in
-          List.iter (fun r -> note reg_uses r (b, term_idx)) tr;
-          List.iter (fun f -> note flag_uses f (b, term_idx)) tf)
-        l.Cfg.nodes;
-      let defs tbl k = try Hashtbl.find tbl k with Not_found -> [] in
+      let sites = loop_sites t l in
       let invariant_operand o =
         match o with
         | Imm _ | Sreg _ -> true
-        | Reg r -> defs reg_defs r = []
-        | Flag f -> defs flag_defs f = []
+        | Reg r -> not (Hashtbl.mem sites.defs r)
+        | Flag f -> not (Hashtbl.mem sites.defs (X3k_flow.flag_slot + f))
         | Range _ | Surf _ | Surf2d _ | Remote _ -> false
       in
       let dominates_site b idx (ub, uidx) =
@@ -630,23 +570,12 @@ let licm_candidates t g (l : Cfg.loop) =
                 && List.for_all
                      (fun (e, _) -> Cfg.dominates g b e)
                      l.Cfg.exits
-                &&
-                let du = X3k_flow.def_use i in
-                let single_def tbl k =
-                  match defs tbl k with [ (db, di) ] -> db = b && di = idx | _ -> false
-                in
-                List.for_all (fun r -> single_def reg_defs r) du.X3k_flow.reg_defs
-                && List.for_all (fun f -> single_def flag_defs f) du.X3k_flow.flag_defs
                 && List.for_all
-                     (fun r ->
-                       List.for_all (dominates_site b idx)
-                         (defs reg_uses r))
-                     du.X3k_flow.reg_defs
-                && List.for_all
-                     (fun f ->
-                       List.for_all (dominates_site b idx)
-                         (defs flag_uses f))
-                     du.X3k_flow.flag_defs
+                     (fun (slot, _) ->
+                       Hashtbl.find_all sites.defs slot = [ (b, idx) ]
+                       && List.for_all (dominates_site b idx)
+                            (Hashtbl.find_all sites.uses slot))
+                     (X3k_flow.writes i)
               in
               if ok then cands := (b, idx) :: !cands)
             t.IR.blocks.(b).IR.body)
@@ -754,22 +683,13 @@ let try_unroll t g out_env (l : Cfg.loop) =
         let br = match shape with `Bottom br | `Top (br, _) -> br in
         match br.srcs with
         | [ Flag bf; Imm _ ] -> (
-          (* collect per-reg/flag def sites across the loop *)
-          let reg_defs = Hashtbl.create 16 and flag_defs = Hashtbl.create 16 in
-          let note tbl k v =
-            Hashtbl.replace tbl k (v :: (try Hashtbl.find tbl k with Not_found -> []))
+          let sites = loop_sites t l in
+          let def_sites slot =
+            List.map
+              (fun (b, idx) -> (b, idx, List.nth t.IR.blocks.(b).IR.body idx))
+              (Hashtbl.find_all sites.defs slot)
           in
-          List.iter
-            (fun b ->
-              List.iteri
-                (fun idx i ->
-                  let du = X3k_flow.def_use i in
-                  List.iter (fun r -> note reg_defs r (b, idx, i)) du.X3k_flow.reg_defs;
-                  List.iter (fun f -> note flag_defs f (b, idx, i)) du.X3k_flow.flag_defs)
-                t.IR.blocks.(b).IR.body)
-            nodes;
-          let defs tbl k = try Hashtbl.find tbl k with Not_found -> [] in
-          match defs flag_defs bf with
+          match def_sites (X3k_flow.flag_slot + bf) with
           | [ (cb, ci, cmp) ] -> (
             let entry_env =
               match
@@ -778,8 +698,8 @@ let try_unroll t g out_env (l : Cfg.loop) =
               | [] -> IMap.empty
               | p :: rest ->
                 List.fold_left
-                  (fun acc q -> meet_env acc out_env.(q))
-                  out_env.(p) rest
+                  (fun acc q -> meet_env acc (out_env q))
+                  (out_env p) rest
             in
             let cmp_ok =
               (match cmp.op with Cmp _ -> true | _ -> false)
@@ -796,7 +716,7 @@ let try_unroll t g out_env (l : Cfg.loop) =
                 match o with
                 | Imm v -> Some (K (imm_value v))
                 | Reg r -> (
-                  match defs reg_defs r with
+                  match def_sites r with
                   | [] -> (
                     match IMap.find_opt r entry_env with
                     | Some (Const (w, v)) when w >= 1 -> Some (K v)
@@ -982,7 +902,7 @@ let try_unroll t g out_env (l : Cfg.loop) =
     | _ -> false
 
 let unroll_one t =
-  let g, out_env, _ = const_envs t in
+  let g, _, out_env = const_envs t in
   let loops = Cfg.loops g in
   let nl = Array.length loops in
   let has_child = Array.make nl false in

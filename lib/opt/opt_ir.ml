@@ -133,15 +133,6 @@ let succs t id =
 
 let cfg t = Cfg.build ~n:(num_blocks t) ~entries:[ 0 ] ~succs:(succs t)
 
-(* Registers/flags a terminator reads (a [Cond]'s flag and, through
-   [def_use], anything odd an exotic br form might carry). *)
-let term_uses t id =
-  match t.blocks.(id).term with
-  | Cond { br; _ } ->
-    let du = X3k_flow.def_use br in
-    (du.X3k_flow.reg_uses, du.X3k_flow.flag_uses)
-  | Fall | Goto _ | Stop _ -> ([], [])
-
 let iter_instrs t f =
   Array.iter
     (fun b ->

@@ -39,9 +39,6 @@ val succs : t -> int -> int list
 (** Block-level CFG (single entry: block 0). *)
 val cfg : t -> Exochi_isa.Cfg.t
 
-(** Registers and flags the block's terminator reads. *)
-val term_uses : t -> int -> int list * int list
-
 val iter_instrs : t -> (Exochi_isa.X3k_ast.instr -> unit) -> unit
 
 (** Remap every explicit branch target through the function. *)

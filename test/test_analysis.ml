@@ -1048,6 +1048,33 @@ let prop_bound_sound_on_loops =
           | Bound.Unbounded | Bound.Unknown _ -> true)
         Exochi_opt.Opt.[ O0; O1; O2 ])
 
+(* Loops whose induction variable wraps, each once proven a bound the
+   shred exceeds: a .w start the lane holds wrapped, a .b step that
+   wraps before reaching its bound, a <= exit at the int32 limit, and
+   an IV stepped in an inner loop, past int32 between two exit tests. *)
+let wrap_loop ~start ~step ~cmp =
+  Printf.sprintf
+    "  %s\nH:\n  %s\n  %s\n  br.any.1 f0, H\n  end\n" start step cmp
+
+(* A proven bound on [src] must cover the busy cycles its shred
+   measures; [proven] also requires a bound. *)
+let bound_covers_busy ~proven src () =
+  match (x3k_bound src).Bound.verdict with
+  | Bound.Cycles bound ->
+    let c = { X3k_gen.body = (); input = Array.make 256 0; sid = 0; params = [||] } in
+    let _, gpu = X3k_gen.run ~fallback:false src c in
+    let busy = Exochi_accel.Gpu.busy_cycles gpu in
+    if busy > bound then
+      Alcotest.failf "busy %d cycles > bound %d cycles" busy bound
+  | v ->
+    if proven then
+      Alcotest.failf "expected a proven bound, got %s" (Bound.verdict_to_string v)
+
+let no_cycle_bound src () =
+  match (x3k_bound src).Bound.verdict with
+  | Bound.Cycles c -> Alcotest.failf "the loop never exits, yet bound %d cycles" c
+  | Bound.Unbounded | Bound.Unknown _ -> ()
+
 let () =
   Alcotest.run "analysis"
     [
@@ -1177,5 +1204,28 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 0xB0D |])
             prop_bound_sound_on_loops;
+          Alcotest.test_case "wrapped .w start" `Quick
+            (bound_covers_busy ~proven:true
+               (wrap_loop ~start:"mov.1.w vr20 = 40000"
+                  ~step:"add.1.dw vr20 = vr20, 1"
+                  ~cmp:"cmp.lt.1.dw f0 = vr20, 40010"));
+          Alcotest.test_case "wrapping .b step" `Quick
+            (no_cycle_bound
+               (wrap_loop ~start:"mov.1.dw vr20 = 0"
+                  ~step:"add.1.b vr20 = vr20, 1"
+                  ~cmp:"cmp.lt.1.dw f0 = vr20, 300"));
+          Alcotest.test_case "<= exit at int32 max" `Quick
+            (no_cycle_bound
+               (wrap_loop ~start:"mov.1.dw vr20 = 2147483640"
+                  ~step:"add.1.dw vr20 = vr20, 1"
+                  ~cmp:"cmp.le.1.dw f0 = vr20, 2147483647"));
+          Alcotest.test_case "IV stepped in an inner loop" `Quick
+            (bound_covers_busy ~proven:false
+               (wrap_loop ~start:"mov.1.dw vr20 = 0"
+                  ~step:
+                    "mov.1.dw vr21 = 0\nI:\n  add.1.dw vr20 = vr20, 100000000\n\
+                    \  add.1.dw vr21 = vr21, 1\n  cmp.lt.1.dw f1 = vr21, 6\n\
+                    \  br.any.1 f1, I"
+                  ~cmp:"cmp.lt.1.dw f0 = vr20, 2000000000"));
         ] );
     ]

@@ -155,6 +155,42 @@ let test_dce_removes_dead_store () =
   let q = Opt.run_pass Opt.Dce p in
   check_int "dead mov and add removed" 2 (Array.length q.Ast.instrs)
 
+(* Lane-mask DCE: a write goes only when every lane it writes is
+   overwritten before any read. [dce_keeps first second] runs DCE on
+   [first] (the one write of 7 to vr1), then [second], then a store
+   reading all of vr1, and says whether [first] survives. *)
+let dce_keeps first second =
+  let p =
+    asm
+      (Printf.sprintf
+         "  cmp.lt.16.dw f1 = vr5, vr6\n  %s\n  %s\n  st.16.dw (OUT, vr4, 0) = vr1\n  end\n"
+         first second)
+  in
+  count (Opt.run_pass Opt.Dce p) (fun i -> i.Ast.srcs = [ Ast.Imm 7l ]) = 1
+
+let test_dce_full_overwrite () =
+  check_bool "a 16-wide write overwritten unread goes" false
+    (dce_keeps "mov.16.dw vr1 = 7" "mov.16.dw vr1 = vr2")
+
+let test_dce_partial_overwrite () =
+  check_bool "lanes 8..15 stay live" true
+    (dce_keeps "mov.16.dw vr1 = 7" "mov.8.dw vr1 = vr2");
+  check_bool "an 8-wide write covered by 8 lanes goes" false
+    (dce_keeps "mov.8.dw vr1 = 7" "mov.8.dw vr1 = vr2")
+
+let test_dce_range_lanes () =
+  (* a width-16 write to [vr1..vr2] writes lanes 0..7 of each register *)
+  check_bool "lanes 8..15 of vr1 stay live" true
+    (dce_keeps "mov.16.dw vr1 = 7" "mov.16.dw [vr1..vr2] = vr3");
+  check_bool "lanes 0..7 of vr1 are overwritten" false
+    (dce_keeps "mov.8.dw vr1 = 7" "mov.16.dw [vr1..vr2] = vr3")
+
+let test_dce_predicated_overwrite () =
+  check_bool "a predicated overwrite kills nothing" true
+    (dce_keeps "mov.16.dw vr1 = 7" "(f1) mov.16.dw vr1 = vr2");
+  check_bool "the same overwrite unpredicated kills" false
+    (dce_keeps "mov.16.dw vr1 = 7" "mov.16.dw vr1 = vr2")
+
 let test_dce_keeps_faulting_ops () =
   (* a dead ld can segfault and a dead fdiv can fault into the CEH
      path: both must survive *)
@@ -522,6 +558,12 @@ let () =
             test_dce_removes_dead_store;
           Alcotest.test_case "dce faulting ops" `Quick
             test_dce_keeps_faulting_ops;
+          Alcotest.test_case "dce full overwrite" `Quick test_dce_full_overwrite;
+          Alcotest.test_case "dce partial overwrite" `Quick
+            test_dce_partial_overwrite;
+          Alcotest.test_case "dce range lanes" `Quick test_dce_range_lanes;
+          Alcotest.test_case "dce predicated overwrite" `Quick
+            test_dce_predicated_overwrite;
           Alcotest.test_case "licm hoists" `Quick test_licm_hoists;
           Alcotest.test_case "licm variant" `Quick
             test_licm_leaves_variant_alone;
