@@ -314,7 +314,7 @@ let soak cfg =
           if rate = 0.0 then begin
             assert (r.time_ps = baseline.time_ps);
             assert (r.faults_injected = 0 && r.retries = 0);
-            assert (r.quarantined_seqs = 0 && r.fallback_shreds = 0)
+            assert (r.breaker_opens = 0 && r.fallback_shreds = 0)
           end;
           (* jittered backoff: shreds reaped in the same wave must not be
              re-released in lock-step (no release-time collisions) *)
@@ -334,7 +334,7 @@ let soak cfg =
           Printf.printf
             "%-14s %6.1f%% %8.3fms %8d %8d %6d %9d %7d %6d  %s\n%!" k.abbrev
             (100.0 *. rate) (ms r.time_ps) r.faults_injected r.retries
-            r.quarantined_seqs r.fallback_shreds r.recovered_faults
+            r.breaker_opens r.fallback_shreds r.recovered_faults
             r.fatal_faults
             (if r.correct then "outputs-ok" else "OUTPUT-MISMATCH"))
         rates)

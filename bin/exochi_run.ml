@@ -244,13 +244,13 @@ let () =
         let r = Chi_runtime.recovery (Chilite_run.runtime prog) in
         Printf.eprintf
           "[exochi] faults: %d injected (seed %Ld); recovery: %d redispatch, \
-           %d doorbell re-rings, %d watchdog kills, %d quarantined, %d ATR \
-           retries, %d IA32 fallbacks, %d fatal; guard: %d hedge(s) (%d \
-           won), breakers %d open / %d close\n"
+           %d doorbell re-rings, %d watchdog kills, %d ATR retries, %d IA32 \
+           fallbacks, %d fatal; guard: %d hedge(s) (%d won), breakers %d \
+           open / %d close\n"
           (Exochi_faults.Fault_plan.injected_total plan)
           (Exochi_faults.Fault_plan.seed plan)
           r.Chi_runtime.redispatches r.Chi_runtime.doorbell_redeliveries
-          r.Chi_runtime.watchdog_kills r.Chi_runtime.quarantined_seqs
+          r.Chi_runtime.watchdog_kills
           (Exo_platform.atr_transient_retries platform)
           r.Chi_runtime.fallback_shreds r.Chi_runtime.fatal
           r.Chi_runtime.hedges r.Chi_runtime.hedge_wins

@@ -22,7 +22,7 @@
 
    --metrics prints the full serving statistics as JSON (including the
    CHI runtime's recovery counters: redispatches, watchdog kills,
-   quarantines, IA32 fallbacks, fatal) instead of the human report.
+   IA32 fallbacks, breaker trips, fatal) instead of the human report.
    --json also writes that JSON to a file. --faults installs a
    deterministic fault plan; the exit status is nonzero if any injected
    fault proved fatal (a shed job), so CI can gate on it.
@@ -69,8 +69,9 @@
    fingerprint.
 
    --devices N runs the platform with an N-device X3K set: each dispatch
-   cycle launches up to one batch per device, pinned by --placement
-   (least-loaded or affinity) and overlapped in simulated time.
+   cycle launches up to one batch per device, each on a device
+   --placement (least-loaded or affinity) picks among those not yet
+   given one, overlapped in simulated time.
    --devices 1 (the default) is bit-identical to the historical
    single-device server, journals included; a multi-device topology is
    part of the journal fingerprint, so --recover refuses a journal
@@ -439,15 +440,9 @@ let () =
         let rows = Array.to_list (Serve.Server.device_snapshot server) in
         let lab d = [ ("device", string_of_int d) ] in
         [
-          Prom.multi "exochi_device_shreds_outstanding"
-            ~help:"Outstanding shreds pinned per device" Prom.Gauge
-            (List.map (fun (d, sh, _, _, _) -> (lab d, f sh)) rows);
-          Prom.multi "exochi_device_batches_outstanding"
-            ~help:"Outstanding batches pinned per device" Prom.Gauge
-            (List.map (fun (d, _, b, _, _) -> (lab d, f b)) rows);
           Prom.multi "exochi_device_breakers_open"
             ~help:"Open circuit breakers per device" Prom.Gauge
-            (List.map (fun (d, _, _, op, _) -> (lab d, f op)) rows);
+            (List.map (fun (d, op, _) -> (lab d, f op)) rows);
         ]
     in
     Prom.to_text

@@ -216,12 +216,6 @@ type binding = {
   surf_table : Surface.t array;
 }
 
-(* One entry per hedged shred id. The entry exists while copies race;
-   the first copy to retire wins, cancels the others and removes the
-   entry — removal is load-bearing because shred ids restart at 0 with
-   every team, so a stale entry would hijack a later team's shred. *)
-type hedge_entry = { mutable won : bool }
-
 type t = {
   cfg : config;
   aspace : Address_space.t;
@@ -241,7 +235,11 @@ type t = {
   sem_held : bool array;
   mutable sem_waiters : (int * int) list array; (* (eu, slot) *)
   pending_regs : (int, (int * int array) list ref) Hashtbl.t;
-  hedged : (int, hedge_entry) Hashtbl.t; (* shred_id -> race state *)
+  (* shred ids whose copies race. The first copy to retire wins,
+     cancels the others and removes the id — removal is load-bearing
+     because shred ids restart at 0 with every team, so a stale id would
+     hijack a later team's shred. *)
+  hedged : (int, unit) Hashtbl.t;
   mutable hedge_wins_ : int;
   mutable sampler_busy : int;
   mutable atr_done : int; (* when the ATR round trip a translation began ends *)
@@ -1204,30 +1202,21 @@ let finish_shred t eu slot =
   (match ctx.shred with
   | Some sh ->
     ctx.completions <- ctx.completions + 1;
-    let suppressed =
-      match Hashtbl.find_opt t.hedged sh.shred_id with
-      | Some e when e.won -> true (* a sibling copy already won the race *)
-      | Some e ->
-        e.won <- true;
-        t.hedge_wins_ <- t.hedge_wins_ + 1;
-        trace_emit t ~ts:eu.now
-          ~seq:(Trace.Exo { eu = eu.eu_id; slot })
-          (Trace.Hedge_win { shred_id = sh.shred_id });
-        cancel_hedge_copies t sh.shred_id ~except_eu:eu.eu_id
-          ~except_slot:slot;
-        Hashtbl.remove t.hedged sh.shred_id;
-        false
-      | None -> false
-    in
-    if not suppressed then begin
-      t.completed <- t.completed + 1;
-      t.last_done <- max t.last_done eu.now;
-      trace_emit t ~ts:ctx.started
-        ~dur:(max 0 (eu.now - ctx.started))
+    if Hashtbl.mem t.hedged sh.shred_id then begin
+      t.hedge_wins_ <- t.hedge_wins_ + 1;
+      trace_emit t ~ts:eu.now
         ~seq:(Trace.Exo { eu = eu.eu_id; slot })
-        (Trace.Shred_run { shred_id = sh.shred_id });
-      t.hooks.on_shred_done sh ~now_ps:eu.now
-    end
+        (Trace.Hedge_win { shred_id = sh.shred_id });
+      cancel_hedge_copies t sh.shred_id ~except_eu:eu.eu_id ~except_slot:slot;
+      Hashtbl.remove t.hedged sh.shred_id
+    end;
+    t.completed <- t.completed + 1;
+    t.last_done <- max t.last_done eu.now;
+    trace_emit t ~ts:ctx.started
+      ~dur:(max 0 (eu.now - ctx.started))
+      ~seq:(Trace.Exo { eu = eu.eu_id; slot })
+      (Trace.Shred_run { shred_id = sh.shred_id });
+    t.hooks.on_shred_done sh ~now_ps:eu.now
   | None -> ());
   ctx.shred <- None;
   ctx.sems_held <- [];
@@ -1402,9 +1391,7 @@ let reap_overdue t ~watchdog_ps =
     t.eus;
   List.rev !reaped
 
-let quarantine t ~eu ~slot =
-  trace_emit t ~ts:(now_ps t) ~seq:(Trace.Exo { eu; slot }) Trace.Quarantine;
-  t.eus.(eu).ctxs.(slot).disabled <- true
+let quarantine t ~eu ~slot = t.eus.(eu).ctxs.(slot).disabled <- true
 
 let active_slots t =
   Array.fold_left
@@ -1437,7 +1424,7 @@ let overdue_shreds t ~age_ps =
 let hedge t sh =
   if Hashtbl.mem t.hedged sh.shred_id then false
   else begin
-    Hashtbl.replace t.hedged sh.shred_id { won = false };
+    Hashtbl.replace t.hedged sh.shred_id ();
     (* backup copy of an already-counted shred: reenqueue semantics —
        the team size must not grow, and the hedge doorbell is reliable *)
     Queue.add sh t.queue;

@@ -191,8 +191,8 @@ val active_slots : t -> int
     entering half-open). *)
 val reinstate : t -> eu:int -> slot:int -> unit
 
-(** Shreds this slot has ever retired (includes suppressed hedge
-    losers) — the runtime's per-slot health signal. *)
+(** Shreds this slot has ever retired — the runtime's per-slot health
+    signal. *)
 val slot_completions : t -> eu:int -> slot:int -> int
 
 (** {1 Hedged re-dispatch}

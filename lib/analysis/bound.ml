@@ -264,8 +264,12 @@ let trip_of_exit ~init ~step ~travel ~pre_update ~cond ~bound =
        within two header executions *)
     T_const (1 + extra)
   | X.Ne ->
-    (* a unit step lands on the bound: the IV never passes it *)
-    if step = 1 then T_sym { num = diff 0; den = 1; extra; ne_exit = true; overshoot = [] }
+    (* the exit needs the IV to land on the bound, so every update must
+       run every iteration (an update some iterations skip can carry the
+       IV past it); then a unit step lands on the bound *)
+    if travel <> Some step then
+      T_unknown "!= exit with an induction-variable update not every iteration runs"
+    else if step = 1 then T_sym { num = diff 0; den = 1; extra; ne_exit = true; overshoot = [] }
     else (
       (* init/bound are already sign-normalised: step > 0 *)
       match (s_is_const init, s_is_const bound) with

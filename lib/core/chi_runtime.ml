@@ -8,18 +8,17 @@ module Prng = Exochi_util.Prng
 
 type flush_policy = Upfront | Upfront_naive | Interleaved
 
-(* The fields a runtime action bumps are mutable; the other three are
-   read from their owners by [recovery]. *)
+(* The fields a runtime action bumps are mutable; [hedge_wins] and
+   [breaker_opens] are read from their owners by [recovery]. *)
 type recovery = {
   mutable redispatches : int;
   mutable doorbell_redeliveries : int;
   mutable watchdog_kills : int;
-  quarantined_seqs : int;
   mutable fallback_shreds : int;
   mutable fatal : int;
   mutable hedges : int;
   hedge_wins : int;
-  mutable cross_hedges : int;
+  cross_hedges : int;
   breaker_opens : int;
   mutable breaker_closes : int;
 }
@@ -31,6 +30,15 @@ type recovery = {
 let watchdog_ps = 1_000_000_000
 let max_redispatch = 3
 let backoff_ps = 200_000
+
+type team = {
+  size : int;
+  mutable completed : int;
+  mutable waited : bool;
+  devs : int list; (* X3K devices this team dispatched on, ascending *)
+  (* data-copy mode: (descriptor, device surface) pairs for copy-back *)
+  device : (Chi_descriptor.t * Surface.t) list;
+}
 
 type t = {
   platform : Exo_platform.t;
@@ -44,6 +52,8 @@ type t = {
   probe_base : int array; (* slot completions when its probe started *)
   last_comp : int array; (* slot completions at the previous quantum *)
   jitter : (int, Prng.t) Hashtbl.t; (* per device, lazily seeded *)
+  (* per device: the team launched there and not yet waited *)
+  running : team option array;
   counts : recovery; (* the actions only the runtime performs *)
   mutable last_flush_bytes : int;
   mutable last_copy_bytes : int;
@@ -69,12 +79,12 @@ let create ~platform ?(flush_policy = Interleaved) ?(hedge_after_ps = 0)
     probe_base = Array.make slots 0;
     last_comp = Array.make slots 0;
     jitter = Hashtbl.create 4;
+    running = Array.make (Exo_platform.devices platform) None;
     counts =
       {
         redispatches = 0;
         doorbell_redeliveries = 0;
         watchdog_kills = 0;
-        quarantined_seqs = 0;
         fallback_shreds = 0;
         fatal = 0;
         hedges = 0;
@@ -109,21 +119,9 @@ let recovery t =
   for d = 0 to Exo_platform.devices t.platform - 1 do
     wins := !wins + Gpu.hedge_wins (Exo_platform.gpu_dev t.platform d)
   done;
-  {
-    t.counts with
-    quarantined_seqs = trips;
-    breaker_opens = trips;
-    hedge_wins = !wins;
-  }
+  { t.counts with breaker_opens = trips; hedge_wins = !wins }
 
-type team = {
-  size : int;
-  mutable completed : int;
-  mutable waited : bool;
-  devs : int list; (* X3K devices this team dispatched on, ascending *)
-  (* data-copy mode: (descriptor, device surface) pairs for copy-back *)
-  device : (Chi_descriptor.t * Surface.t) list;
-}
+let busy t ~dev = Option.is_some t.running.(dev)
 
 let team_completed team = team.completed
 let team_size team = team.size
@@ -347,13 +345,8 @@ type drain_ctx = {
    doorbells, and fall back to IA32 proxy execution when retries are
    exhausted or no slot is left. With a zero-rate plan none of the
    recovery paths trigger and the [run_until] call sequence is
-   identical to the unsupervised one — zero overhead when disabled.
-
-   [cross] (a team spans several devices): a straggler that is still
-   overdue after an on-device hedge gets one more backup copy enqueued
-   on a quiescent peer device — cross-device hedging. The duplicate
-   completion is absorbed by the team's dedup callback. *)
-let supervised_drain ?(cross = false) t =
+   identical to the unsupervised one — zero overhead when disabled. *)
+let supervised_drain t =
   match Exo_platform.fault_plan t.platform with
   | None -> ()
   | Some _ ->
@@ -381,7 +374,6 @@ let supervised_drain ?(cross = false) t =
             dc_pending = [];
           })
     in
-    let cross_done : (int, unit) Hashtbl.t = Hashtbl.create 8 in
     (* Backoff jitter draws from a dedicated per-device stream derived
        from that device's plan seed, never from the per-class fault
        streams — reaps are the only consumers, so a zero-rate plan
@@ -507,42 +499,6 @@ let supervised_drain ?(cross = false) t =
         Gpu.reenqueue gpu shreds
       end
     in
-    (* Cross-device hedging: a shred still overdue at twice the hedge
-       threshold whose on-device backup has not resolved gets one copy
-       enqueued on a quiescent peer with live slots. At most one
-       cross-copy per shred id per drain. *)
-    let cross_hedge () =
-      if cross && t.hedge_after_ps > 0 then
-        List.iter
-          (fun c ->
-            List.iter
-              (fun ((sh : Gpu.shred), age) ->
-                let id = sh.Gpu.shred_id in
-                if
-                  Gpu.hedge_pending c.dc_gpu ~shred_id:id
-                  && not (Hashtbl.mem cross_done id)
-                then
-                  match
-                    List.find_opt
-                      (fun p ->
-                        p.dc_dev <> c.dc_dev
-                        && Gpu.quiescent p.dc_gpu
-                        && Gpu.active_slots p.dc_gpu > 0)
-                      ctxs
-                  with
-                  | Some peer ->
-                    Hashtbl.replace cross_done id ();
-                    t.counts.cross_hedges <- t.counts.cross_hedges + 1;
-                    Machine.add_overhead_ps cpu
-                      (costs.Exo_platform.signal_ps
-                      + costs.Exo_platform.dispatch_cpu_ps);
-                    rev t ~dev:peer.dc_dev ~ts:(Gpu.now_ps peer.dc_gpu)
-                      (Trace.Hedge_dispatch { shred_id = id; age_ps = age });
-                    Gpu.reenqueue peer.dc_gpu [ sh ]
-                  | None -> ())
-              (Gpu.overdue_shreds c.dc_gpu ~age_ps:(2 * t.hedge_after_ps)))
-          ctxs
-    in
     let ctx_done c =
       Gpu.quiescent c.dc_gpu
       && Gpu.parked_count c.dc_gpu = 0
@@ -581,7 +537,6 @@ let supervised_drain ?(cross = false) t =
         List.iter
           (fun c -> if not (ctx_done c) then if step c then progress := true)
           ctxs;
-        cross_hedge ();
         if not !progress then begin
           incr idle_rounds;
           if !idle_rounds > max_idle then begin
@@ -596,10 +551,11 @@ let supervised_drain ?(cross = false) t =
 let wait t team =
   if not team.waited then begin
     team.waited <- true;
+    List.iter (fun d -> t.running.(d) <- None) team.devs;
     let cpu = Exo_platform.cpu t.platform in
     let memmodel = Exo_platform.memmodel t.platform in
     let costs = Exo_platform.model_costs t.platform in
-    supervised_drain t ~cross:(match team.devs with _ :: _ :: _ -> true | _ -> false);
+    supervised_drain t;
     ignore (Exo_platform.barrier t.platform);
     match memmodel with
     | Memmodel.Non_cc_shared ->
@@ -617,11 +573,22 @@ let wait t team =
     | Memmodel.Cc_shared -> ()
   end
 
+(* A device runs one team at a time: binding another program under an
+   outstanding team's queued shreds would run them against the wrong
+   program and surfaces. So a construct first waits, as [chi_wait]
+   would, the team still outstanding on each device it is about to
+   bind, and a new team then holds its devices until it is waited. *)
+let wait_devices t devs =
+  List.iter (fun d -> Option.iter (wait t) t.running.(d)) devs
+
+let new_team t ~size ~devs ~device =
+  let team = { size; completed = 0; waited = false; devs; device } in
+  List.iter (fun d -> t.running.(d) <- Some team) devs;
+  team
+
 let parallel t ~prog ~descriptors ~num_threads ~params ?(chunk = 512) ?device
     ~master_nowait () =
   if num_threads <= 0 then invalid_arg "Chi_runtime.parallel: num_threads";
-  t.last_flush_bytes <- 0;
-  t.last_copy_bytes <- 0;
   let ndev = Exo_platform.devices t.platform in
   let memmodel = Exo_platform.memmodel t.platform in
   (match device with
@@ -637,6 +604,9 @@ let parallel t ~prog ~descriptors ~num_threads ~params ?(chunk = 512) ?device
       if ndev > 1 && memmodel <> Memmodel.Data_copy then List.init ndev Fun.id
       else [ 0 ]
   in
+  wait_devices t shard_devs;
+  t.last_flush_bytes <- 0;
+  t.last_copy_bytes <- 0;
   match shard_devs with
   | [ dev ] ->
     (* Single-device dispatch — the historical path, pinned to [dev].
@@ -666,10 +636,7 @@ let parallel t ~prog ~descriptors ~num_threads ~params ?(chunk = 512) ?device
       | Memmodel.Non_cc_shared | Memmodel.Cc_shared ->
         ([], surf_table prog descriptors)
     in
-    let team =
-      { size = num_threads; completed = 0; waited = false; devs = [ dev ];
-        device }
-    in
+    let team = new_team t ~size:num_threads ~devs:[ dev ] ~device in
     Exo_platform.set_shred_done_callback_dev t.platform ~dev
       (fun _sh ~now_ps:_ -> team.completed <- team.completed + 1);
     prewalk_surfaces t surfaces;
@@ -719,21 +686,10 @@ let parallel t ~prog ~descriptors ~num_threads ~params ?(chunk = 512) ?device
        blocks across the device set. Every device binds the same program
        against the same shared surfaces, so the output surface is merged
        by construction — shred [i] writes the same rows wherever it
-       runs. Completion callbacks are installed per device and dedup
-       through [seen]: a cross-device hedge can retire the same shred id
-       twice, but the team must count it once. *)
+       runs, and on exactly one device. *)
     let surfaces = surf_table prog descriptors in
-    let team =
-      { size = num_threads; completed = 0; waited = false; devs; device = [] }
-    in
-    let seen = Array.make num_threads false in
-    let cb (sh : Gpu.shred) ~now_ps:_ =
-      let id = sh.Gpu.shred_id in
-      if id >= 0 && id < num_threads && not seen.(id) then begin
-        seen.(id) <- true;
-        team.completed <- team.completed + 1
-      end
-    in
+    let team = new_team t ~size:num_threads ~devs ~device:[] in
+    let cb _sh ~now_ps:_ = team.completed <- team.completed + 1 in
     List.iter
       (fun d -> Exo_platform.set_shred_done_callback_dev t.platform ~dev:d cb)
       devs;
@@ -850,6 +806,7 @@ let check_acyclic tasks indegree children =
 let taskq t ~prog ~descriptors ~tasks =
   let n = Array.length tasks in
   if n > 0 then begin
+    wait_devices t [ 0 ];
     t.last_flush_bytes <- 0;
     t.last_copy_bytes <- 0;
     let gpu = Exo_platform.gpu t.platform in
@@ -893,7 +850,8 @@ let taskq t ~prog ~descriptors ~tasks =
       Gpu.enqueue gpu
         [ { Gpu.shred_id = i; entry = 0; params = tasks.(i).tq_params } ]
     in
-    Exo_platform.set_shred_done_callback t.platform (fun sh ~now_ps:_ ->
+    Exo_platform.set_shred_done_callback_dev t.platform ~dev:0
+      (fun sh ~now_ps:_ ->
         incr done_count;
         (* the CHI scheduler is notified by user-level interrupt and
            enqueues newly released tasks *)

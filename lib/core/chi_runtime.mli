@@ -41,17 +41,17 @@ type recovery = private {
   mutable redispatches : int;  (** shreds re-dispatched after a reap *)
   mutable doorbell_redeliveries : int;  (** lost SIGNALs re-rung *)
   mutable watchdog_kills : int;  (** hung contexts reaped *)
-  quarantined_seqs : int;
-      (** HW-thread slots taken out of service: every breaker trip
-          quarantines its slot, so this equals [breaker_opens] *)
   mutable fallback_shreds : int;  (** shreds proxy-executed on IA32 *)
   mutable fatal : int;  (** faults recovery could not absorb *)
   mutable hedges : int;  (** straggler shreds given a backup dispatch *)
   hedge_wins : int;
       (** hedge races resolved by a retirement, summed over the devices *)
-  mutable cross_hedges : int;
-      (** straggler copies re-enqueued on a quiescent peer device *)
-  breaker_opens : int;  (** circuit-breaker trips, summed over the slots *)
+  cross_hedges : int;
+      (** always 0: a backup copy runs on its shred's own device (kept
+          for the benchmark ledger, which reports it) *)
+  breaker_opens : int;
+      (** circuit-breaker trips, summed over the slots; every trip
+          quarantines its slot *)
   mutable breaker_closes : int;  (** probationary reinstatements *)
 }
 
@@ -93,8 +93,17 @@ val flush_policy : t -> flush_policy
 val recovery : t -> recovery
 
 (** An outstanding parallel construct (a team of heterogeneous shreds
-    launched with [master_nowait]). *)
+    launched with [master_nowait]).
+
+    A device runs at most one team: it binds one program and one set of
+    surfaces, so a second team's program would run the first team's
+    queued shreds. The runtime records each device's outstanding team,
+    and {!parallel} and {!taskq} first {!wait} the outstanding team of
+    every device they are about to bind, as [chi_wait] would. *)
 type team
+
+(** A team launched on [dev] has not been waited yet. *)
+val busy : t -> dev:int -> bool
 
 (** [parallel t ~prog ~descriptors ~num_threads ~params ~master_nowait]
     implements [#pragma omp parallel target(X3000)]:
@@ -108,7 +117,8 @@ type team
     - dispatches them to the exo-sequencers through the work queue;
     - waits at the implied barrier, unless [master_nowait] is set, in
       which case the team is returned outstanding and the IA32 master
-      continues (paper §4.2).
+      continues (paper §4.2) until it waits the team, or until another
+      construct binds one of the team's devices and waits it first.
 
     [chunk] controls interleaved-flush granularity (shreds per chunk).
 
@@ -116,11 +126,10 @@ type team
     platform (the serve placement layer does this for concurrent
     batches). Omitted on a multi-device platform in a shared-memory
     mode, the team is {e sharded}: shred ids are tiled row-wise in
-    contiguous blocks across the device set, every device binds the
-    same program against the same shared surfaces (so the output merges
-    by construction), completions dedup across devices, and stragglers
-    may be hedged onto a quiescent peer device. Data-copy mode never
-    shards (the private-surface protocol stays on device 0). *)
+    contiguous blocks across the device set and every device binds the
+    same program against the same shared surfaces, so each shred runs
+    on one device and the output merges by construction. Data-copy mode
+    never shards (the private-surface protocol stays on device 0). *)
 val parallel :
   t ->
   prog:Exochi_isa.X3k_ast.program ->
@@ -165,8 +174,9 @@ type task = {
     instead of deadlocking the drain. *)
 exception Dependency_cycle of int list
 
-(** Runs the whole task graph to completion (the taskq construct itself
-    is synchronous). Raises {!Dependency_cycle} up front if the graph
+(** Runs the whole task graph to completion on device 0 (the taskq
+    construct itself is synchronous), after waiting device 0's
+    outstanding team. Raises {!Dependency_cycle} up front if the graph
     cannot drain. *)
 val taskq :
   t ->

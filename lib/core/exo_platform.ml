@@ -52,7 +52,6 @@ type t = {
   mutable ceh_proxies : int;
   mutable violations : int;
   mutable atr_transient_retries : int;
-  mutable gtt_evictions : int;
   mutable ceh_spurious : int;
   (* per-device completion callbacks, so concurrently placed teams on
      different devices each observe only their own retirements *)
@@ -154,7 +153,6 @@ let atr_hook t ~dev ~vpage ~now_ps =
          proxy re-walk, which also repairs the GTT *)
       pev t ~dev ~ts:now_ps (Trace.Fault_injected { cls = "gtt-corrupt" });
       Hashtbl.remove t.gtt vpage;
-      t.gtt_evictions <- t.gtt_evictions + 1;
       atr_proxy t ~dev ~vpage ~now_ps
     end
     else begin
@@ -271,10 +269,18 @@ let gtt_hits t = t.gtt_hits
 let ceh_proxies t = t.ceh_proxies
 let protocol_violations t = t.violations
 let atr_transient_retries t = t.atr_transient_retries
-let gtt_evictions t = t.gtt_evictions
 let ceh_spurious t = t.ceh_spurious
 let fault_plan t = t.fault_plans.(0)
 let fault_plan_dev t d = t.fault_plans.(d)
+
+let faults_injected t classes =
+  Array.fold_left
+    (fun n plan ->
+      match plan with
+      | None -> n
+      | Some p ->
+        List.fold_left (fun n c -> n + Fault_plan.injected p c) n classes)
+    0 t.fault_plans
 
 (* ---- construction ---- *)
 
@@ -356,7 +362,6 @@ let create ?(frames = 64 * 1024) ?cpu_config ?gpu_config ?(bus_gbps = 8.0)
       ceh_proxies = 0;
       violations = 0;
       atr_transient_retries = 0;
-      gtt_evictions = 0;
       ceh_spurious = 0;
       on_shred_done = Array.make devices (fun _ ~now_ps:_ -> ());
     }
@@ -386,9 +391,6 @@ let create ?(frames = 64 * 1024) ?cpu_config ?gpu_config ?(bus_gbps = 8.0)
         Exochi_accel.Gpu.create ~config:gpu_cfg ~aspace ~bus:buses.(dev)
           ~hooks:(hooks_for dev) ());
   t
-
-let set_shred_done_callback t f =
-  Array.iteri (fun d _ -> t.on_shred_done.(d) <- f) t.on_shred_done
 
 let set_shred_done_callback_dev t ~dev f = t.on_shred_done.(dev) <- f
 

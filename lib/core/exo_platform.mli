@@ -138,14 +138,8 @@ val invalidate_gtt : t -> unit
     delivers one callback per completed shred (a user-level interrupt in
     the real design). *)
 
-(** Install [f] as the completion callback on {e every} device (one team
-    spanning the device set). *)
-val set_shred_done_callback :
-  t -> (Exochi_accel.Gpu.shred -> now_ps:int -> unit) -> unit
-
-(** Install a completion callback on one device only — concurrently
-    placed teams on different devices each observe only their own
-    retirements. *)
+(** Install the completion callback of the team [dev] runs — teams on
+    different devices each observe only their own retirements. *)
 val set_shred_done_callback_dev :
   t -> dev:int -> (Exochi_accel.Gpu.shred -> now_ps:int -> unit) -> unit
 
@@ -182,6 +176,9 @@ val protocol_violations : t -> int
 (** Injected-fault recovery activity. *)
 
 val atr_transient_retries : t -> int (* lost ATR round trips, retried *)
-val gtt_evictions : t -> int (* injected GTT corruptions repaired *)
 val ceh_spurious : t -> int (* spurious CEH traps absorbed *)
 val fault_plan : t -> Exochi_faults.Fault_plan.t option
+
+(** Injections of these fault classes so far, summed over every
+    device's fault stream (0 without a plan). *)
+val faults_injected : t -> Exochi_faults.Fault_plan.fault_class list -> int

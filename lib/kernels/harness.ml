@@ -21,7 +21,7 @@ type result = {
   gpu_busy_ps : int;
   faults_injected : int;
   retries : int;
-  quarantined_seqs : int;
+  breaker_opens : int;
   fallback_shreds : int;
   recovered_faults : int;
   fatal_faults : int;
@@ -346,13 +346,7 @@ let run ?(memmodel = Memmodel.Cc_shared) ?flush_policy ?gpu_config
     !tot
   in
   let injected_total =
-    let tot = ref 0 in
-    for d = 0 to Exo_platform.devices platform - 1 do
-      match Exo_platform.fault_plan_dev platform d with
-      | Some p -> tot := !tot + Exochi_faults.Fault_plan.injected_total p
-      | None -> ()
-    done;
-    !tot
+    Exo_platform.faults_injected platform Exochi_faults.Fault_plan.all_classes
   in
   {
     time_ps = t1 - t0;
@@ -378,7 +372,7 @@ let run ?(memmodel = Memmodel.Cc_shared) ?flush_policy ?gpu_config
       (let r = Chi_runtime.recovery rt in
        r.Chi_runtime.redispatches + r.Chi_runtime.doorbell_redeliveries
        + Exo_platform.atr_transient_retries platform);
-    quarantined_seqs = (Chi_runtime.recovery rt).Chi_runtime.quarantined_seqs;
+    breaker_opens = (Chi_runtime.recovery rt).Chi_runtime.breaker_opens;
     fallback_shreds = (Chi_runtime.recovery rt).Chi_runtime.fallback_shreds;
     recovered_faults =
       max 0 (injected_total - (Chi_runtime.recovery rt).Chi_runtime.fatal);

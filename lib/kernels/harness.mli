@@ -24,7 +24,7 @@ type result = {
   (* fault injection & recovery (all zero without a fault plan) *)
   faults_injected : int; (* decisions the plan turned into faults *)
   retries : int; (* re-dispatches + doorbell re-rings + ATR retries *)
-  quarantined_seqs : int; (* HW-thread slots removed from service *)
+  breaker_opens : int; (* breaker trips: HW-thread slots quarantined *)
   fallback_shreds : int; (* shreds proxy-executed on the IA32 sequencer *)
   recovered_faults : int; (* injected - fatal *)
   fatal_faults : int; (* faults recovery could not absorb *)

@@ -35,7 +35,6 @@ type t = {
   mutable redeliveries : int;
   mutable redispatches : int;
   mutable watchdog_reaps : int;
-  mutable quarantines : int;
   mutable ia32_fallbacks : int;
   mutable breaker_opens : int;
   mutable breaker_closes : int;
@@ -74,7 +73,6 @@ let create () =
     redeliveries = 0;
     redispatches = 0;
     watchdog_reaps = 0;
-    quarantines = 0;
     ia32_fallbacks = 0;
     breaker_opens = 0;
     breaker_closes = 0;
@@ -122,7 +120,6 @@ let observe t (e : Trace.event) =
   | Trace.Doorbell_redeliver _ -> t.redeliveries <- t.redeliveries + 1
   | Trace.Watchdog_reap _ -> t.watchdog_reaps <- t.watchdog_reaps + 1
   | Trace.Redispatch _ -> t.redispatches <- t.redispatches + 1
-  | Trace.Quarantine -> t.quarantines <- t.quarantines + 1
   | Trace.Ia32_fallback _ -> t.ia32_fallbacks <- t.ia32_fallbacks + 1
   | Trace.Atr_tlb_miss _ -> t.atr_tlb_misses <- t.atr_tlb_misses + 1
   | Trace.Atr_gtt_hit _ ->
@@ -228,12 +225,11 @@ let render t =
        Printf.sprintf ", %d spurious trap(s)" t.ceh_spurious
      else "");
   if
-    t.redispatches > 0 || t.watchdog_reaps > 0 || t.quarantines > 0
-    || t.ia32_fallbacks > 0
+    t.redispatches > 0 || t.watchdog_reaps > 0 || t.ia32_fallbacks > 0
   then
-    line "recovery     : %d watchdog reap(s), %d redispatch(es), %d \
-          quarantine(s), %d IA32 fallback(s)"
-      t.watchdog_reaps t.redispatches t.quarantines t.ia32_fallbacks;
+    line "recovery     : %d watchdog reap(s), %d redispatch(es), %d IA32 \
+          fallback(s)"
+      t.watchdog_reaps t.redispatches t.ia32_fallbacks;
   if t.faults <> [] then
     line "faults       : %s"
       (String.concat ", "
@@ -289,7 +285,6 @@ let to_json ?(extra = []) t =
   num_int "doorbells_lost" t.doorbells_lost;
   num_int "redispatches" t.redispatches;
   num_int "watchdog_reaps" t.watchdog_reaps;
-  num_int "quarantines" t.quarantines;
   num_int "ia32_fallbacks" t.ia32_fallbacks;
   num_int "flush_bytes" t.flush_bytes;
   num_int "copy_bytes" t.copy_bytes;

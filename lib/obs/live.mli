@@ -36,8 +36,8 @@ type t = private {
   mutable atr_gtt_hits : int;
   mutable atr_gtt_ps : int;
   mutable atr_proxies : int;
-      (** full ULI proxy walks; the platform's count adds the round
-          trips an injected transient lost ([atr_transients]) *)
+      (** completed ULI proxy walks, as the platform counts them; a round
+          trip an injected transient lost is in [atr_transients] *)
   mutable atr_proxy_ps : int;
   mutable atr_transients : int;
   mutable ceh_proxies : int;
@@ -48,11 +48,10 @@ type t = private {
   mutable redeliveries : int;  (** doorbell re-rings *)
   mutable redispatches : int;
   mutable watchdog_reaps : int;
-  mutable quarantines : int;
   mutable ia32_fallbacks : int;
-  mutable breaker_opens : int;
+  mutable breaker_opens : int;  (** trips; each quarantines its slot *)
   mutable breaker_closes : int;
-  mutable hedges : int;  (** backup dispatches, same- or cross-device *)
+  mutable hedges : int;  (** backup dispatches *)
   mutable hedge_wins : int;
   mutable flush_bytes : int;
   mutable copy_bytes : int;

@@ -9,7 +9,6 @@ type kind =
   | Shred_run of { shred_id : int }
   | Watchdog_reap of { shred_id : int }
   | Redispatch of { shred_id : int; attempt : int; delay_ps : int }
-  | Quarantine
   | Ia32_fallback of { shred_id : int; instrs : int; lane_ops : int }
   | Atr_tlb_miss of { vpage : int }
   | Atr_gtt_hit of { vpage : int }
@@ -111,7 +110,6 @@ let kind_name = function
   | Shred_run _ -> "shred-run"
   | Watchdog_reap _ -> "watchdog-reap"
   | Redispatch _ -> "redispatch"
-  | Quarantine -> "quarantine"
   | Ia32_fallback _ -> "ia32-fallback"
   | Atr_tlb_miss _ -> "atr-tlb-miss"
   | Atr_gtt_hit _ -> "atr-gtt-hit"
@@ -152,7 +150,6 @@ let kind_detail = function
   | Redispatch { shred_id; attempt; delay_ps } ->
     Printf.sprintf "shred %d attempt %d backoff %d ps" shred_id attempt
       delay_ps
-  | Quarantine -> ""
   | Ia32_fallback { shred_id; instrs; lane_ops } ->
     Printf.sprintf "shred %d (%d instrs, %d lane-ops)" shred_id instrs
       lane_ops

@@ -34,7 +34,6 @@ type kind =
       (** dispatch→retire slice on the executing exo-sequencer *)
   | Watchdog_reap of { shred_id : int }
   | Redispatch of { shred_id : int; attempt : int; delay_ps : int }
-  | Quarantine  (** the HW-thread slot's breaker tripped: out of service *)
   | Ia32_fallback of { shred_id : int; instrs : int; lane_ops : int }
       (** whole-shred proxy execution on the IA32 sequencer *)
   | Atr_tlb_miss of { vpage : int }  (** exo TLB miss, escalating *)

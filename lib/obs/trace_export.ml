@@ -74,7 +74,6 @@ let kind_args : Trace.kind -> (string * arg) list = function
     [ ("shred", I shred_id) ]
   | Redispatch { shred_id; attempt; delay_ps } ->
     [ ("shred", I shred_id); ("attempt", I attempt); ("backoff_ps", I delay_ps) ]
-  | Quarantine -> []
   | Ia32_fallback { shred_id; instrs; lane_ops } ->
     [ ("shred", I shred_id); ("instrs", I instrs); ("lane_ops", I lane_ops) ]
   | Atr_tlb_miss { vpage } | Atr_gtt_hit { vpage } -> [ ("vpage", I vpage) ]
@@ -117,7 +116,7 @@ let category (e : Trace.event) =
   | Shred_enqueue _ | Signal_doorbell _ | Doorbell_redeliver _
   | Shred_dispatch _ | Shred_start _ | Shred_run _ ->
     "shred"
-  | Watchdog_reap _ | Redispatch _ | Quarantine | Ia32_fallback _
+  | Watchdog_reap _ | Redispatch _ | Ia32_fallback _
   | Breaker_open _ | Breaker_close _ | Hedge_dispatch _ | Hedge_win _ ->
     "recovery"
   | Atr_tlb_miss _ | Atr_gtt_hit _ | Atr_proxy _ | Atr_transient _

@@ -1,22 +1,20 @@
 (** Device placement for multi-device serving.
 
     With [--devices N] the server runs one X3K device set and pins each
-    batch to a device. The placement layer owns that choice: it tracks
-    per-device load (outstanding shreds and batches) and picks the next
-    device deterministically — same submission sequence, same placement,
-    every run.
+    batch to a device. A device runs one team at a time
+    ({!Exochi_core.Chi_runtime.busy}), and a dispatch cycle launches at
+    most one batch per device, so placement picks among the devices not
+    yet given a batch in the cycle; it keeps no load. The choice is
+    deterministic — same submission sequence, same placement, every run.
 
     Policies:
-    - [Least_loaded]: the device with the fewest outstanding shreds;
-      ties break to the lowest device index.
+    - [Least_loaded]: the free device with the lowest penalty; ties
+      break to the lowest device index.
     - [Affinity]: each kernel sticks to the device that first ran it
-      (arena cache locality); a kernel's first placement — and any
-      overflow when its home device is saturated — falls back to
-      least-loaded.
-
-    Under either policy a batch goes to a device with outstanding
-    batches only when they run the same kernel (a device binds one
-    program at a time), unless every device runs another kernel. *)
+      (arena cache locality) while that device is free, unless it has
+      open or half-open breakers and another free device has none; a
+      kernel's first placement, and any overflow, is least-loaded's
+      choice. *)
 
 type policy = Least_loaded | Affinity
 
@@ -28,22 +26,9 @@ type t
 (** [create ~devices ~policy] — [devices] must be positive. *)
 val create : devices:int -> policy:policy -> t
 
-val devices : t -> int
-val policy : t -> policy
-
-(** Pick a device for a batch of [shreds] shreds of kernel [kernel] and
-    account the load against it. Always succeeds (placement never
-    sheds; admission decides capacity). [penalty], when given, adds
-    extra load to a device during comparison — the server biases
-    against devices with open circuit breakers. *)
-val place : ?penalty:(int -> int) -> t -> kernel:string -> shreds:int -> int
-
-(** Release a batch's load after it completes. *)
-val release : t -> dev:int -> shreds:int -> unit
-
-(** Outstanding (shreds, batches) on one device. *)
-val load : t -> dev:int -> int * int
-
-(** Devices in ascending index order with their outstanding shred
-    counts (dashboard / debug surface). *)
-val snapshot : t -> (int * int) array
+(** Pick one of the devices [free] accepts for a batch of kernel
+    [kernel]. [penalty] (default 0 everywhere) ranks the free devices —
+    the server charges a device for its open and half-open circuit
+    breakers. Raises [Invalid_argument] when no device is free. *)
+val place :
+  ?penalty:(int -> int) -> t -> free:(int -> bool) -> kernel:string -> int

@@ -186,17 +186,14 @@ let tenant_depths t =
 
 let devices t = Platform.devices t.platform
 
-(* Per-device placement/health row: (dev, outstanding shreds,
-   outstanding batches, open breakers, half-open breakers). *)
+(* Per-device health row: (dev, open breakers, half-open breakers). *)
 let device_snapshot t =
   Array.init (devices t) (fun d ->
-      let shreds, batches = Placement.load t.plc ~dev:d in
       let _, opened, half = Chi.breaker_census t.rt ~dev:d in
-      (d, shreds, batches, opened, half))
+      (d, opened, half))
 
 let breakers_open t =
-  Array.fold_left (fun n (_, _, _, opened, _) -> n + opened) 0
-    (device_snapshot t)
+  Array.fold_left (fun n (_, opened, _) -> n + opened) 0 (device_snapshot t)
 
 let emit_ev ?(dev = 0) t kind =
   match Platform.trace t.platform with
@@ -540,17 +537,8 @@ let guard_verify t (arena : arena) ~batch ~shreds =
         (* SDC ground truth sums over the whole device set: any device's
            GTT/CEH injection can corrupt the shared output surfaces *)
         let inj =
-          let tot = ref 0 in
-          for d = 0 to devices t - 1 do
-            match Platform.fault_plan_dev t.platform d with
-            | Some plan ->
-              tot :=
-                !tot
-                + Fault_plan.injected plan Fault_plan.Gtt_corrupt
-                + Fault_plan.injected plan Fault_plan.Ceh_spurious
-            | None -> ()
-          done;
-          !tot
+          Platform.faults_injected t.platform
+            [ Fault_plan.Gtt_corrupt; Fault_plan.Ceh_spurious ]
         in
         let delta = inj - t.g_last_inj in
         t.g_last_inj <- inj;
@@ -700,8 +688,9 @@ let requeue_jobs t ~on_shed jobs =
     jobs
 
 (* Launch one batch, pinned to the device the placement layer picks
-   (biased away from devices with open breakers), without waiting —
-   concurrently launched batches overlap on different devices. *)
+   among those not yet given a batch this cycle (biased away from
+   devices with open breakers), without waiting — concurrently launched
+   batches overlap on different devices. *)
 let launch_batch t (b : Batcher.batch) =
   let arena =
     match find_arena t b.Batcher.kernel with
@@ -716,8 +705,9 @@ let launch_batch t (b : Batcher.batch) =
     (32 * opened) + (8 * half)
   in
   let dev =
-    Placement.place t.plc ~penalty ~kernel:b.Batcher.kernel
-      ~shreds:b.Batcher.shreds
+    Placement.place t.plc ~penalty
+      ~free:(fun d -> not (Chi.busy t.rt ~dev:d))
+      ~kernel:b.Batcher.kernel
   in
   emit_ev ~dev t
     (Trace.Batch_dispatch
@@ -735,7 +725,6 @@ let launch_batch t (b : Batcher.batch) =
 let finish_batch t ~on_done ~on_shed (id, b, arena, dev, team) =
   match Chi.wait t.rt team with
   | () ->
-    Placement.release t.plc ~dev ~shreds:b.Batcher.shreds;
     guard_verify t arena ~batch:id ~shreds:b.Batcher.shreds;
     let done_ps = now_ps t in
     let drawn = drawn_counts t in
@@ -754,7 +743,6 @@ let finish_batch t ~on_done ~on_shed (id, b, arena, dev, team) =
   | exception Gpu.Stuck _ ->
     (* the self-healing dispatcher gave up on this team: clear the work
        queue and keep the jobs *)
-    Placement.release t.plc ~dev ~shreds:b.Batcher.shreds;
     ignore (Gpu.drain_queue (Platform.gpu_dev t.platform dev));
     requeue_jobs t ~on_shed b.Batcher.jobs
 
@@ -796,13 +784,10 @@ let stats t =
   let recovery =
     {
       Server_stats.r_faults_injected =
-        (match Platform.fault_plan t.platform with
-        | Some plan -> Fault_plan.injected_total plan
-        | None -> 0);
+        Platform.faults_injected t.platform Fault_plan.all_classes;
       r_redispatches = r.Chi.redispatches;
       r_doorbell_redeliveries = r.Chi.doorbell_redeliveries;
       r_watchdog_kills = r.Chi.watchdog_kills;
-      r_quarantined_seqs = r.Chi.quarantined_seqs;
       r_fallback_shreds = r.Chi.fallback_shreds;
       r_atr_retries = Platform.atr_transient_retries t.platform;
       r_fatal = r.Chi.fatal;

@@ -24,8 +24,8 @@
     - {b Graceful degradation}: under an installed fault plan, a team
       that the self-healing dispatcher cannot save ({!Exochi_accel.Gpu.Stuck})
       has its jobs re-queued (bounded by [max_requeue], then shed as
-      [Fatal_fault]) instead of lost; quarantined slots and IA32
-      fallbacks appear in {!Server_stats.recovery}.
+      [Fatal_fault]) instead of lost; breaker trips (quarantined
+      slots) and IA32 fallbacks appear in {!Server_stats.recovery}.
 
     Everything runs on the simulated clock, so a fixed workload seed
     yields bit-identical statistics. *)
@@ -71,9 +71,10 @@ type config = {
           code. Default [O0]. *)
   devices : int;
       (** X3K devices in the platform's device set (default 1). Each
-          dispatch cycle launches up to one batch per device — pinned by
-          the {!Placement} layer and overlapped in simulated time — and
-          the server-wide backlog budget scales with the set. *)
+          dispatch cycle launches up to one batch per device — each on a
+          device the {!Placement} layer picks among those not yet given
+          one, overlapped in simulated time — and the server-wide
+          backlog budget scales with the set. *)
   placement : Placement.policy;
       (** batch -> device policy (multi-device only); default
           [Least_loaded] *)
@@ -81,8 +82,8 @@ type config = {
 
 (** Two equal-weight tenants ("alpha", "beta"), default batching
     (32 jobs / 256 shreds), backlog 96, 3 requeues, [Small] arenas,
-    CC-shared memory; guard off, hedging off, breakers off, static
-    admission off. *)
+    CC-shared memory; guard off, hedging off, breaker cool-down 0 (a
+    tripped slot stays quarantined), static admission off. *)
 val default_config : config
 
 type t
@@ -124,10 +125,11 @@ val breakers_open : t -> int
 (** X3K devices in the platform's device set. *)
 val devices : t -> int
 
-(** Per-device placement/health rows: [(dev, outstanding shreds,
-    outstanding batches, open breakers, half-open breakers)] in device
-    order — the dashboard / debugger device table. *)
-val device_snapshot : t -> (int * int * int * int * int) array
+(** Per-device health rows: [(dev, open breakers, half-open breakers)]
+    in device order — the dashboard's device table. Every cycle waits
+    all of its batches, so no device has outstanding work between
+    cycles. *)
+val device_snapshot : t -> (int * int * int) array
 
 (** Materialise arenas for these kernel abbreviations up front (surface
     allocation, input production, program assembly). Unknown names are

@@ -17,7 +17,6 @@ type recovery = {
   r_redispatches : int;
   r_doorbell_redeliveries : int;
   r_watchdog_kills : int;
-  r_quarantined_seqs : int;
   r_fallback_shreds : int;
   r_atr_retries : int;
   r_fatal : int;
@@ -279,11 +278,10 @@ let render t =
   if r.r_faults_injected > 0 || r.r_fatal > 0 then
     line
       "recovery     : %d fault(s) injected; %d redispatch(es), %d doorbell \
-       re-ring(s), %d watchdog kill(s), %d quarantined, %d IA32 fallback(s), \
-       %d ATR retry(ies), %d fatal"
+       re-ring(s), %d watchdog kill(s), %d IA32 fallback(s), %d ATR \
+       retry(ies), %d fatal"
       r.r_faults_injected r.r_redispatches r.r_doorbell_redeliveries
-      r.r_watchdog_kills r.r_quarantined_seqs r.r_fallback_shreds
-      r.r_atr_retries r.r_fatal;
+      r.r_watchdog_kills r.r_fallback_shreds r.r_atr_retries r.r_fatal;
   if
     r.r_sdc_corrupted > 0 || r.r_sdc_detected > 0 || r.r_audit_shreds > 0
     || r.r_hedges > 0 || r.r_breaker_opens > 0
@@ -341,7 +339,6 @@ let to_json ?(extra = []) t =
         ("redispatches", i r.r_redispatches);
         ("doorbell_redeliveries", i r.r_doorbell_redeliveries);
         ("watchdog_kills", i r.r_watchdog_kills);
-        ("quarantined_seqs", i r.r_quarantined_seqs);
         ("fallback_shreds", i r.r_fallback_shreds);
         ("atr_retries", i r.r_atr_retries);
         ("fatal", i r.r_fatal);

@@ -20,11 +20,10 @@ type tenant = {
 (** Recovery activity copied out of the runtime/platform so degraded-mode
     serving is visible in the serving report itself. *)
 type recovery = {
-  r_faults_injected : int;
+  r_faults_injected : int;  (** summed over every device's fault stream *)
   r_redispatches : int;
   r_doorbell_redeliveries : int;
   r_watchdog_kills : int;
-  r_quarantined_seqs : int;
   r_fallback_shreds : int;
   r_atr_retries : int;
   r_fatal : int;
@@ -36,7 +35,7 @@ type recovery = {
   r_audit_shreds : int;  (** golden-replay audit executions charged *)
   r_hedges : int;  (** straggler shreds given a backup dispatch *)
   r_hedge_wins : int;  (** hedge races resolved by a retirement *)
-  r_breaker_opens : int;  (** circuit-breaker trips *)
+  r_breaker_opens : int;  (** circuit-breaker trips (slots quarantined) *)
   r_breaker_closes : int;  (** probationary slot reinstatements *)
 }
 

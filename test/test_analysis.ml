@@ -1048,10 +1048,12 @@ let prop_bound_sound_on_loops =
           | Bound.Unbounded | Bound.Unknown _ -> true)
         Exochi_opt.Opt.[ O0; O1; O2 ])
 
-(* Loops whose induction variable wraps, each once proven a bound the
-   shred exceeds: a .w start the lane holds wrapped, a .b step that
-   wraps before reaching its bound, a <= exit at the int32 limit, and
-   an IV stepped in an inner loop, past int32 between two exit tests. *)
+(* Loops whose induction variable wraps or skips its bound, each once
+   proven a bound the shred exceeds: a .w start the lane holds wrapped,
+   a .b step that wraps before reaching its bound, a <= exit at the
+   int32 limit, an IV stepped in an inner loop, past int32 between two
+   exit tests, and a != exit whose IV has a second update a branch could
+   skip (it runs, so the IV goes 2, 4, 6, ... and never equals 9). *)
 let wrap_loop ~start ~step ~cmp =
   Printf.sprintf
     "  %s\nH:\n  %s\n  %s\n  br.any.1 f0, H\n  end\n" start step cmp
@@ -1227,5 +1229,15 @@ let () =
                     \  add.1.dw vr21 = vr21, 1\n  cmp.lt.1.dw f1 = vr21, 6\n\
                     \  br.any.1 f1, I"
                   ~cmp:"cmp.lt.1.dw f0 = vr20, 2000000000"));
+          Alcotest.test_case "!= exit past a skippable step" `Quick
+            (no_cycle_bound
+               (wrap_loop
+                  ~start:
+                    "mov.1.dw vr20 = 0\n  mov.1.dw vr1 = 0\n\
+                    \  cmp.lt.1.dw f1 = vr1, vr1"
+                  ~step:
+                    "add.1.dw vr20 = vr20, 1\n  br.any.1 f1, S\n\
+                    \  add.1.dw vr20 = vr20, 1\nS:"
+                  ~cmp:"cmp.ne.1.dw f0 = vr20, 9"));
         ] );
     ]

@@ -337,6 +337,65 @@ void main() {
       (Chilite_run.read_global prog "B" ~index:i)
   done
 
+(* Two master_nowait regions on disjoint surfaces, then one chi_wait:
+   the second region binds the device the first still runs, so the
+   runtime waits the first before it binds, and both regions' results
+   must be there under every memory model. *)
+let two_regions_src =
+  {|
+int X[128];
+int Y[128];
+int P[128];
+int Q[128];
+void main() {
+  int i;
+  chi_desc(X, 0, 128, 1);
+  chi_desc(Y, 1, 128, 1);
+  chi_desc(P, 0, 128, 1);
+  chi_desc(Q, 1, 128, 1);
+  #pragma omp parallel target(X3000) shared(X, Y) private(i) master_nowait
+  for (i = 0; i < 16; i = i + 1) __asm {
+    shl.1.dw   vr1 = %p0, 3
+    ld.8.dw    [vr2..vr9] = (X, vr1, 0)
+    st.8.dw    (Y, vr1, 0) = [vr2..vr9]
+    end
+  }
+  #pragma omp parallel target(X3000) shared(P, Q) private(i) master_nowait
+  for (i = 0; i < 16; i = i + 1) __asm {
+    shl.1.dw   vr1 = %p0, 3
+    ld.8.dw    [vr2..vr9] = (P, vr1, 0)
+    add.8.dw   [vr2..vr9] = [vr2..vr9], 1
+    st.8.dw    (Q, vr1, 0) = [vr2..vr9]
+    end
+  }
+  chi_wait();
+  print_int(Y[1]);
+  print_int(Y[127]);
+}
+|}
+
+let test_two_nowait_regions () =
+  let compiled = compile_ok two_regions_src in
+  List.iter
+    (fun memmodel ->
+      let name = Exochi_memory.Memmodel.name memmodel in
+      let platform = Exo_platform.create ~memmodel () in
+      let prog = Chilite_run.load ~platform compiled in
+      for i = 0 to 127 do
+        Chilite_run.write_global prog "X" ~index:i (Int32.of_int i);
+        Chilite_run.write_global prog "P" ~index:i (Int32.of_int (10 * i))
+      done;
+      Chilite_run.run prog;
+      Alcotest.(check (list int))
+        (name ^ ": Y[1], Y[127]") [ 1; 127 ] (Chilite_run.output prog);
+      for i = 0 to 127 do
+        Alcotest.(check int32)
+          (Printf.sprintf "%s: Q[%d]" name i)
+          (Int32.of_int ((10 * i) + 1))
+          (Chilite_run.read_global prog "Q" ~index:i)
+      done)
+    Exochi_memory.Memmodel.[ Cc_shared; Non_cc_shared; Data_copy ]
+
 let test_firstprivate_reaches_shreds () =
   let prog, out =
     run_output
@@ -566,6 +625,8 @@ let () =
           Alcotest.test_case "master_nowait" `Quick test_master_nowait_in_source;
           Alcotest.test_case "firstprivate" `Quick test_firstprivate_reaches_shreds;
           Alcotest.test_case "via32 text assembles" `Quick test_generated_via32_assembles;
+          Alcotest.test_case "two nowait regions, one chi_wait" `Quick
+            test_two_nowait_regions;
         ] );
       ( "debugger",
         [

@@ -275,6 +275,55 @@ let test_master_nowait_and_wait () =
   check_int "all completed" 32 (Chi_runtime.team_completed team);
   check_vadd aspace c
 
+(* D = B - A, a second program over the same inputs *)
+let vsub_prog =
+  X3k_asm.assemble_exn ~name:"vsub"
+    {|
+  shl.1.dw   vr1 = %p0, 3
+  ld.8.dw    [vr2..vr9] = (A, vr1, 0)
+  ld.8.dw    [vr10..vr17] = (B, vr1, 0)
+  sub.8.dw   [vr18..vr25] = [vr10..vr17], [vr2..vr9]
+  st.8.dw    (D, vr1, 0) = [vr18..vr25]
+  end
+|}
+
+(* A device runs one team: a second nowait team on the device its
+   program must not take over waits the first, whose shreds would
+   otherwise run the second program. One wait on the second team then
+   leaves both outputs in place. *)
+let test_nowait_teams_share_a_device () =
+  List.iter
+    (fun memmodel ->
+      let p, rt, aspace, c, descs = setup_parallel memmodel in
+      let name = Memmodel.name memmodel in
+      let d = Address_space.alloc aspace ~name:"D" ~bytes:8192 ~align:64 in
+      let dd =
+        Chi_descriptor.alloc p ~name:"D" ~base:d ~width:256 ~height:1 ~bpp:4
+          ~mode:Chi_descriptor.Output ()
+      in
+      let launch prog descriptors =
+        Chi_runtime.parallel rt ~prog ~descriptors ~num_threads:32
+          ~params:(fun i -> [| i |])
+          ~master_nowait:true ()
+      in
+      let first = launch vadd_prog descs in
+      check_bool (name ^ ": device 0 busy") true (Chi_runtime.busy rt ~dev:0);
+      let second = launch vsub_prog (List.filteri (fun i _ -> i < 2) descs @ [ dd ]) in
+      Chi_runtime.wait rt second;
+      check_bool (name ^ ": device 0 free") false (Chi_runtime.busy rt ~dev:0);
+      check_int (name ^ ": first team completed") 32
+        (Chi_runtime.team_completed first);
+      check_int (name ^ ": second team completed") 32
+        (Chi_runtime.team_completed second);
+      check_vadd aspace c;
+      for i = 0 to 255 do
+        Alcotest.(check int32)
+          (Printf.sprintf "%s: d[%d]" name i)
+          (Int32.of_int (6 * i))
+          (Address_space.read_u32 aspace (d + (4 * i)))
+      done)
+    Memmodel.[ Cc_shared; Non_cc_shared; Data_copy ]
+
 let test_missing_descriptor_rejected () =
   let _, rt, _, _, descs = setup_parallel Memmodel.Cc_shared in
   let two = List.filteri (fun i _ -> i < 2) descs in
@@ -463,6 +512,8 @@ let () =
           Alcotest.test_case "missing descriptor" `Quick test_missing_descriptor_rejected;
           Alcotest.test_case "protocol violation" `Quick test_protocol_violation_detected;
           Alcotest.test_case "barrier" `Quick test_barrier_advances_cpu;
+          Alcotest.test_case "two nowait teams, one device" `Quick
+            test_nowait_teams_share_a_device;
         ] );
       ( "taskq",
         [

@@ -7,7 +7,8 @@
    - a sharded team produces byte-identical output surfaces at any
      device count (row-disjoint writes into the shared aspace);
    - per-device trace events partition the event set;
-   - the serve placement layer is deterministic and conserves load;
+   - the serve placement layer is deterministic, and a dispatch cycle
+     gives no device a second batch;
    - a multi-device topology changes the serve-journal fingerprint, so
      recovery refuses a journal from a different device count. *)
 
@@ -131,26 +132,26 @@ let pinned_kernels =
 (* devices -> the faulted vadd run's recovery counters, in
    [Chi_runtime.recovery] field order *)
 let pinned_recovery =
-  [ (1, [ 2; 0; 2; 0; 0; 0; 0; 0; 0; 0; 0 ]);
-    (2, [ 4; 0; 4; 0; 0; 0; 0; 0; 0; 0; 0 ]) ]
+  [ (1, [ 2; 0; 2; 0; 0; 0; 0; 0; 0; 0 ]);
+    (2, [ 4; 0; 4; 0; 0; 0; 0; 0; 0; 0 ]) ]
 
 (* (run, devices, guard, faults, (stats JSON digest, journal digest)).
    The unguarded run keeps the default breaker cool-down 0, so a slot
    whose breaker trips stays quarantined for the rest of the run. *)
 let pinned_serve =
   [
-    ("guarded", 1, true, "7:0.02", ("fd11b916faaa4fc1", "d71ffa2fbe332578"));
-    ("guarded", 2, true, "7:0.02", ("ed85433cce736ae6", "acf5eb216aa50782"));
+    ("guarded", 1, true, "7:0.02", ("6933d27f3a81c3de", "d71ffa2fbe332578"));
+    ("guarded", 2, true, "7:0.02", ("850f3dba0bf07f00", "acf5eb216aa50782"));
     ( "permanent-quarantine", 1, false, "3:0.3",
-      ("c0a9997e754e898d", "3fa7fe19cb9e5a65") );
+      ("fb35dc71f2c19b8b", "3fa7fe19cb9e5a65") );
   ]
 
 let recovery_fields (r : Chi_runtime.recovery) =
   Chi_runtime.
     [
       r.redispatches; r.doorbell_redeliveries; r.watchdog_kills;
-      r.quarantined_seqs; r.fallback_shreds; r.fatal; r.hedges; r.hedge_wins;
-      r.cross_hedges; r.breaker_opens; r.breaker_closes;
+      r.fallback_shreds; r.fatal; r.hedges; r.hedge_wins; r.cross_hedges;
+      r.breaker_opens; r.breaker_closes;
     ]
 
 (* A journaled closed-loop serve run; [guard] turns on the same stack as
@@ -291,65 +292,64 @@ let test_trace_partition () =
 
 (* ---- placement layer ---- *)
 
+(* [place plc busy kernel]: the devices in [busy] were given a batch
+   this cycle. *)
+let place ?penalty plc busy kernel =
+  Serve.Placement.place plc ?penalty
+    ~free:(fun d -> not (List.mem d busy))
+    ~kernel
+
 let test_placement_least_loaded () =
   let plc = Serve.Placement.create ~devices:3 ~policy:Serve.Placement.Least_loaded in
-  check_int "first batch on device 0" 0
-    (Serve.Placement.place plc ~kernel:"K" ~shreds:10);
-  check_int "second on idle device 1" 1
-    (Serve.Placement.place plc ~kernel:"K" ~shreds:10);
-  check_int "third on idle device 2" 2
-    (Serve.Placement.place plc ~kernel:"K" ~shreds:10);
-  (* load released on 1 -> next batch goes there *)
-  Serve.Placement.release plc ~dev:1 ~shreds:10;
-  check_int "released device wins" 1
-    (Serve.Placement.place plc ~kernel:"K" ~shreds:4);
-  (* penalty biases away from the otherwise-least-loaded device 1
-     (0 outstanding); the 10-vs-10 tie left breaks to the lowest index *)
-  Serve.Placement.release plc ~dev:1 ~shreds:4;
-  check_int "penalty overrides raw load" 0
-    (Serve.Placement.place plc
-       ~penalty:(fun d -> if d = 1 then 1000 else 0)
-       ~kernel:"K" ~shreds:1);
-  let sh0, b0 = Serve.Placement.load plc ~dev:0 in
-  check_int "device 0 outstanding shreds" 11 sh0;
-  check_int "device 0 outstanding batches" 2 b0
+  check_int "first batch on device 0" 0 (place plc [] "K");
+  check_int "second on free device 1" 1 (place plc [ 0 ] "K");
+  check_int "third on free device 2" 2 (place plc [ 0; 1 ] "K");
+  check_int "a new cycle starts at device 0 again" 0 (place plc [] "K");
+  (* the penalty ranks the free devices; ties break to the lowest index *)
+  check_int "penalty overrides the index" 2
+    (place plc ~penalty:(fun d -> if d < 2 then 8 else 0) [] "K");
+  check_int "equal penalties tie to the lowest index" 1
+    (place plc ~penalty:(fun d -> if d = 0 then 32 else 8) [] "K");
+  check_int "a busy device never wins, whatever its penalty" 1
+    (place plc ~penalty:(fun d -> if d = 1 then 32 else 0) [ 0; 2 ] "K");
+  check_bool "no free device is refused" true
+    (match place plc [ 0; 1; 2 ] "K" with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_placement_affinity () =
   let plc = Serve.Placement.create ~devices:2 ~policy:Serve.Placement.Affinity in
-  let d = Serve.Placement.place plc ~kernel:"Sepia" ~shreds:8 in
-  check_int "first placement settles the home" 0 d;
-  Serve.Placement.release plc ~dev:d ~shreds:8;
-  check_int "sticky while the home is idle" 0
-    (Serve.Placement.place plc ~kernel:"Sepia" ~shreds:8);
-  (* home busy and an idle peer available: overflow *)
-  check_int "overflow to the idle peer" 1
-    (Serve.Placement.place plc ~kernel:"Sepia" ~shreds:8);
+  check_int "first placement settles the home" 0 (place plc [] "Sepia");
+  check_int "sticky while the home is free" 0 (place plc [] "Sepia");
+  check_int "overflow when the home was given a batch" 1
+    (place plc [ 0 ] "Sepia");
+  check_int "the overflow does not move the home" 0 (place plc [] "Sepia");
+  check_int "a home with breakers yields to a free device with none" 1
+    (place plc ~penalty:(fun d -> if d = 0 then 8 else 0) [] "Sepia");
+  check_int "but not to one with breakers too" 0
+    (place plc ~penalty:(fun d -> if d = 0 then 32 else 8) [] "Sepia");
   check_bool "policy name round-trips" true
     (Serve.Placement.policy_of_string
        (Serve.Placement.policy_name Serve.Placement.Affinity)
     = Some Serve.Placement.Affinity)
 
-(* A device is bound to one program at a time: a breaker penalty may
-   steer a batch onto a busy device only when that device runs the same
-   kernel. *)
+(* A device is bound to one program at a time: no breaker penalty steers
+   a batch onto a device already given one this cycle, whichever kernel
+   either runs. *)
 let test_placement_one_kernel_per_device () =
   let away_from_1 d = if d = 1 then 1000 else 0 in
   let plc =
     Serve.Placement.create ~devices:2 ~policy:Serve.Placement.Least_loaded
   in
-  check_int "A on device 0" 0 (Serve.Placement.place plc ~kernel:"A" ~shreds:10);
-  check_int "a second A joins busy device 0" 0
-    (Serve.Placement.place plc ~penalty:away_from_1 ~kernel:"A" ~shreds:10);
-  check_int "B does not: device 0 runs A" 1
-    (Serve.Placement.place plc ~penalty:away_from_1 ~kernel:"B" ~shreds:10);
+  check_int "A on device 0" 0 (place plc [] "A");
+  check_int "a second A does not join busy device 0" 1
+    (place plc ~penalty:away_from_1 [ 0 ] "A");
+  check_int "nor does B" 1 (place plc ~penalty:away_from_1 [ 0 ] "B");
   let aff = Serve.Placement.create ~devices:2 ~policy:Serve.Placement.Affinity in
-  check_int "B's home is device 0" 0
-    (Serve.Placement.place aff ~kernel:"B" ~shreds:8);
-  Serve.Placement.release aff ~dev:0 ~shreds:8;
-  check_int "A's home is device 0 too" 0
-    (Serve.Placement.place aff ~kernel:"A" ~shreds:8);
+  check_int "B's home is device 0" 0 (place aff [] "B");
+  check_int "A's home is device 0 too" 0 (place aff [] "A");
   check_int "B leaves its home while A runs there" 1
-    (Serve.Placement.place aff ~penalty:away_from_1 ~kernel:"B" ~shreds:8)
+    (place aff ~penalty:away_from_1 [ 0 ] "B")
 
 (* ---- multi-device serving ---- *)
 
@@ -365,13 +365,53 @@ let test_multi_device_serve () =
   let st = Serve.Server.run server wl in
   check_int "all jobs completed" st.Serve.Server_stats.submitted
     st.Serve.Server_stats.completed;
-  let rows = Serve.Server.device_snapshot server in
-  check_int "snapshot covers every device" 3 (Array.length rows);
-  Array.iter
-    (fun (_, shreds, batches, _, _) ->
-      check_int "no stranded shreds" 0 shreds;
-      check_int "no stranded batches" 0 batches)
-    rows
+  check_int "snapshot covers every device" 3
+    (Array.length (Serve.Server.device_snapshot server));
+  for d = 0 to 2 do
+    check_bool
+      (Printf.sprintf "no team outstanding on device %d" d)
+      false
+      (Chi_runtime.busy (Serve.Server.runtime server) ~dev:d)
+  done
+
+(* [exochi_serve --devices 4 --faults 3:0.05 --placement affinity
+   --breaker-cooldown-us 500 --jobs 300 --batch-jobs 1 --clients 8]:
+   breakers bias affinity placement here, and a placement that kept
+   per-device load stacked a second batch onto a device already given
+   one in the same cycle. Between two [on_cycle] calls every
+   [Batch_dispatch] must name another device. *)
+let test_one_batch_per_device_per_cycle () =
+  let sink = Trace.create ~capacity:16 () in
+  let cycle = ref [] and repeats = ref 0 and batches = ref 0 in
+  Trace.set_tap sink (fun e ->
+      match e.Trace.kind with
+      | Trace.Batch_dispatch _ ->
+        incr batches;
+        if List.mem e.Trace.dev !cycle then incr repeats;
+        cycle := e.Trace.dev :: !cycle
+      | _ -> ());
+  let config =
+    {
+      Serve.Server.default_config with
+      batch = { Serve.Batcher.max_jobs = 1; max_shreds = 256 };
+      breaker_cooldown_ps = 500 * 1_000_000;
+      devices = 4;
+      placement = Serve.Placement.Affinity;
+    }
+  in
+  let fault_plan = Result.get_ok (Fault_plan.of_spec "3:0.05") in
+  let server = Serve.Server.create ~config ~fault_plan ~trace:sink () in
+  let st =
+    Serve.Server.run
+      ~on_cycle:(fun () -> cycle := [])
+      server
+      (Serve.Workload.create
+         (Serve.Workload.default_spec ~seed:42L ~tenants:2 ~jobs:300
+            (Serve.Workload.Closed { clients_per_tenant = 8; think_ps = 0 })))
+  in
+  check_int "every job served" 300 st.Serve.Server_stats.completed;
+  check_int "one batch per job" 300 !batches;
+  check_int "devices given a second batch in one cycle" 0 !repeats
 
 (* Open breakers bias placement against a device. At [--devices 2
    --faults 3:0.3] that bias used to put a second kernel's batch on a
@@ -451,8 +491,8 @@ let () =
         ] );
       ( "placement",
         [
-          Alcotest.test_case "least-loaded is deterministic and conserves"
-            `Quick test_placement_least_loaded;
+          Alcotest.test_case "least-loaded picks the free device" `Quick
+            test_placement_least_loaded;
           Alcotest.test_case "affinity sticks and overflows" `Quick
             test_placement_affinity;
           Alcotest.test_case "one kernel per busy device" `Quick
@@ -466,5 +506,7 @@ let () =
             test_journal_topology_fingerprint;
           Alcotest.test_case "breakers keep kernels apart" `Quick
             test_breakers_keep_kernels_apart;
+          Alcotest.test_case "one batch per device per cycle" `Quick
+            test_one_batch_per_device_per_cycle;
         ] );
     ]

@@ -386,8 +386,8 @@ let test_breaker_gauges_agree () =
   let on_cycle () =
     incr cycles;
     let rows = Server.device_snapshot server in
-    let per_device = Array.fold_left (fun n (_, _, _, o, _) -> n + o) 0 rows in
-    if Array.exists (fun (_, _, _, _, h) -> h > 0) rows then incr half_open;
+    let per_device = Array.fold_left (fun n (_, o, _) -> n + o) 0 rows in
+    if Array.exists (fun (_, _, h) -> h > 0) rows then incr half_open;
     if Server.breakers_open server <> per_device then incr disagree
   in
   let st = Server.run ~on_cycle server wl in

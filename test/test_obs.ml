@@ -61,7 +61,7 @@ let test_sink_topology () =
   check_int "default threads/eu" 4 (Trace.threads_per_eu s);
   Trace.set_topology s ~eus:2 ~threads_per_eu:3 ();
   let at ?(dev = 0) seq =
-    { Trace.ts_ps = 0; dur_ps = 0; dev; seq; kind = Trace.Quarantine }
+    { Trace.ts_ps = 0; dur_ps = 0; dev; seq; kind = Trace.Ceh_spurious }
   in
   check_int "track count follows topology" 7 (Trace_export.track_count s);
   check_int "ia32 tid" 0 (Trace_export.tid_of s (at Trace.Ia32));
@@ -543,13 +543,16 @@ let test_recovery_agrees_with_owners () =
     [
       ("watchdog kills", r.watchdog_kills, live.Live.watchdog_reaps);
       ("redispatches", r.redispatches, live.Live.redispatches);
-      ("quarantines", r.quarantined_seqs, live.Live.quarantines);
       ("IA32 fallbacks", r.fallback_shreds, live.Live.ia32_fallbacks);
       ("doorbell re-rings", r.doorbell_redeliveries, live.Live.redeliveries);
       ("breaker opens", r.breaker_opens, live.Live.breaker_opens);
       ("breaker closes", r.breaker_closes, live.Live.breaker_closes);
       ("hedge wins", r.hedge_wins, live.Live.hedge_wins);
-      ("hedge dispatches", r.hedges + r.cross_hedges, live.Live.hedges);
+      ("hedge dispatches", r.hedges, live.Live.hedges);
+      (* every device's injections, not device 0's alone *)
+      ( "faults injected",
+        st.Serve.Server_stats.recovery.Serve.Server_stats.r_faults_injected,
+        List.fold_left (fun n (_, c) -> n + !c) 0 live.Live.faults );
     ];
   let module P = Exochi_core.Exo_platform in
   let p = Serve.Server.platform server in
@@ -564,8 +567,8 @@ let test_recovery_agrees_with_owners () =
 
 (* The default policy, test_fabric's pinned [permanent-quarantine] run:
    one device, [3:0.3], no guard, cool-down 0. Every quarantine is a
-   breaker trip that never half-opens, so the trace's opens, the
-   runtime's opens and its quarantines are one count. *)
+   breaker trip that never half-opens, so the trace's opens and the
+   runtime's are one count, and none closes. *)
 let test_permanent_quarantine_is_a_trip () =
   let sink = Trace.create () in
   let live = Live.create () in
@@ -584,11 +587,8 @@ let test_permanent_quarantine_is_a_trip () =
   check_int "every job served" 60 st.Serve.Server_stats.completed;
   let r = Exochi_core.Chi_runtime.recovery (Serve.Server.runtime server) in
   let open Exochi_core.Chi_runtime in
-  check_bool "slots quarantined" true (r.quarantined_seqs > 0);
-  check_int "breaker opens are the quarantines" r.quarantined_seqs
-    r.breaker_opens;
+  check_bool "slots quarantined" true (r.breaker_opens > 0);
   check_int "trace's breaker opens" r.breaker_opens live.Live.breaker_opens;
-  check_int "trace's quarantines" r.quarantined_seqs live.Live.quarantines;
   check_int "no half-open probe ever closes" 0 live.Live.breaker_closes
 
 (* ---- a wrapped ring + export drop metadata ---- *)

@@ -461,8 +461,7 @@ let test_fault_plan_recovery_in_metrics_json () =
     (fun f -> check_bool ("json has " ^ f) true (has f))
     [
       "faults_injected"; "redispatches"; "doorbell_redeliveries";
-      "watchdog_kills"; "quarantined_seqs"; "fallback_shreds"; "atr_retries";
-      "fatal";
+      "watchdog_kills"; "fallback_shreds"; "atr_retries"; "fatal";
     ];
   check_int "conservation under faults" st.Server_stats.submitted
     (st.Server_stats.completed + st.Server_stats.shed)
