@@ -104,29 +104,63 @@ let test_sharded_under_faults () =
    path must reproduce them to the picosecond. Re-record them only for
    an intended behaviour change, and say why. *)
 
-(* (kernel, memmodel, devices, (time_ps, gpu_busy_ps, gpu_instrs, shreds)),
-   Small scale, 2 frames *)
+(* (kernel, memmodel, devices, split, flush policy (None: the kernel's
+   default), (time_ps, gpu_busy_ps, gpu_instrs, shreds, cpu_busy_ps,
+   flush_bytes, copy_bytes)), Small scale, 2 frames. The rows past the
+   all-GPU table pin the other dispatch paths: dynamic distribution,
+   a cooperative split, the naive and up-front flushes and data copy. *)
 let pinned_kernels =
-  let cc = Memmodel.Cc_shared and noncc = Memmodel.Non_cc_shared in
+  let cc = Memmodel.Cc_shared and noncc = Memmodel.Non_cc_shared
+  and copy = Memmodel.Data_copy in
+  let gpu = Harness.All_gpu and dynamic = Harness.Dynamic in
   [
-    ("SepiaTone", cc, 1, (342567179, 1906728000, 979200, 4800));
-    ("SepiaTone", cc, 2, (155365124, 1906728000, 979200, 4800));
-    ("SepiaTone", cc, 4, (89155719, 1906728000, 979200, 4800));
-    ("SepiaTone", noncc, 1, (492216660, 1906728000, 979200, 4800));
-    ("SepiaTone", noncc, 2, (313517895, 1906728000, 979200, 4800));
-    ("SepiaTone", noncc, 4, (264474790, 1906728000, 979200, 4800));
-    ("LinearFilter", cc, 1, (400527008, 2427180800, 1177600, 6400));
-    ("LinearFilter", cc, 2, (170696951, 2427180800, 1177600, 6400));
-    ("LinearFilter", cc, 4, (91871761, 2427180800, 1177600, 6400));
-    ("LinearFilter", noncc, 1, (464517855, 2427180800, 1177600, 6400));
-    ("LinearFilter", noncc, 2, (241203715, 2427180800, 1177600, 6400));
-    ("LinearFilter", noncc, 4, (179197294, 2427180800, 1177600, 6400));
-    ("AlphaBlend", cc, 1, (1076591650, 1032061500, 321300, 2700));
-    ("AlphaBlend", cc, 2, (528513815, 1032061500, 321300, 2700));
-    ("AlphaBlend", cc, 4, (269774082, 1032061500, 321300, 2700));
-    ("AlphaBlend", noncc, 1, (1144785618, 1032061500, 321300, 2700));
-    ("AlphaBlend", noncc, 2, (604770685, 1032061500, 321300, 2700));
-    ("AlphaBlend", noncc, 4, (362831485, 1032061500, 321300, 2700));
+    ("SepiaTone", cc, 1, gpu, None, (342567179, 1906728000, 979200, 4800, 0, 0, 0));
+    ("SepiaTone", cc, 2, gpu, None, (155365124, 1906728000, 979200, 4800, 0, 0, 0));
+    ("SepiaTone", cc, 4, gpu, None, (89155719, 1906728000, 979200, 4800, 0, 0, 0));
+    ("SepiaTone", noncc, 1, gpu, None,
+     (492216660, 1906728000, 979200, 4800, 0, 1020160, 0));
+    ("SepiaTone", noncc, 2, gpu, None,
+     (313517895, 1906728000, 979200, 4800, 0, 1085952, 0));
+    ("SepiaTone", noncc, 4, gpu, None,
+     (264474790, 1906728000, 979200, 4800, 0, 1217536, 0));
+    ("LinearFilter", cc, 1, gpu, None,
+     (400527008, 2427180800, 1177600, 6400, 0, 0, 0));
+    ("LinearFilter", cc, 2, gpu, None,
+     (170696951, 2427180800, 1177600, 6400, 0, 0, 0));
+    ("LinearFilter", cc, 4, gpu, None,
+     (91871761, 2427180800, 1177600, 6400, 0, 0, 0));
+    ("LinearFilter", noncc, 1, gpu, None,
+     (464517855, 2427180800, 1177600, 6400, 0, 433600, 0));
+    ("LinearFilter", noncc, 2, gpu, None,
+     (241203715, 2427180800, 1177600, 6400, 0, 494464, 0));
+    ("LinearFilter", noncc, 4, gpu, None,
+     (179197294, 2427180800, 1177600, 6400, 0, 625408, 0));
+    ("AlphaBlend", cc, 1, gpu, None,
+     (1076591650, 1032061500, 321300, 2700, 0, 0, 0));
+    ("AlphaBlend", cc, 2, gpu, None,
+     (528513815, 1032061500, 321300, 2700, 0, 0, 0));
+    ("AlphaBlend", cc, 4, gpu, None,
+     (269774082, 1032061500, 321300, 2700, 0, 0, 0));
+    ("AlphaBlend", noncc, 1, gpu, None,
+     (1144785618, 1032061500, 321300, 2700, 0, 468992, 0));
+    ("AlphaBlend", noncc, 2, gpu, None,
+     (604770685, 1032061500, 321300, 2700, 0, 534528, 0));
+    ("AlphaBlend", noncc, 4, gpu, None,
+     (362831485, 1032061500, 321300, 2700, 0, 664704, 0));
+    ("LinearFilter", cc, 1, dynamic, None,
+     (312201512, 2104820850, 1021200, 5550, 191135011, 0, 0));
+    ("BOB", cc, 1, dynamic, None,
+     (191619802, 1151097090, 333119, 179, 995904, 0, 0));
+    ("BOB", cc, 1, Harness.Cooperative 0.3, None,
+     (184844354, 810269460, 234486, 126, 55560944, 0, 0));
+    ("LinearFilter", noncc, 1, gpu, Some Chi_runtime.Upfront_naive,
+     (594057071, 2427180800, 1177600, 6400, 0, 433600, 0));
+    ("Kalman", noncc, 1, gpu, None,
+     (206748989, 558731264, 294912, 4096, 0, 360448, 0));
+    ("SepiaTone", copy, 1, gpu, None,
+     (934934891, 1906728000, 979200, 4800, 0, 0, 1843200));
+    ("SepiaTone", copy, 2, gpu, None,
+     (934934891, 1906728000, 979200, 4800, 0, 0, 1843200));
   ]
 
 (* devices -> the faulted vadd run's recovery counters, in
@@ -191,19 +225,39 @@ let serve_digests ~devices ~guard ~faults =
 let test_devices_one_identity () =
   let cc_times =
     List.filter_map
-      (fun (abbrev, memmodel, devices, (time_ps, busy_ps, instrs, shreds)) ->
+      (fun ( abbrev, memmodel, devices, split, flush_policy,
+             (time_ps, busy_ps, instrs, shreds, cpu_busy, flush, copy) ) ->
         let k = Option.get (Registry.find abbrev) in
-        let r = Harness.run ~frames:2 ~memmodel ~devices k Kernel.Small in
+        let r =
+          Harness.run ~frames:2 ~memmodel ~devices ~split ?flush_policy k
+            Kernel.Small
+        in
         let label =
-          Printf.sprintf "%s %s %d-dev" abbrev (Memmodel.name memmodel) devices
+          Printf.sprintf "%s %s %d-dev%s%s" abbrev (Memmodel.name memmodel)
+            devices
+            (match split with
+            | Harness.All_gpu -> ""
+            | Harness.All_cpu -> " cpu"
+            | Harness.Dynamic -> " dynamic"
+            | Harness.Cooperative f -> Printf.sprintf " coop %g" f)
+            (match flush_policy with
+            | Some Chi_runtime.Upfront_naive -> " naive"
+            | Some Chi_runtime.Upfront -> " upfront"
+            | Some Chi_runtime.Interleaved -> " interleaved"
+            | None -> "")
         in
         check_bool (label ^ " correct") true r.Harness.correct;
         check_int (label ^ " time_ps") time_ps r.Harness.time_ps;
         check_int (label ^ " gpu_busy_ps") busy_ps r.Harness.gpu_busy_ps;
         check_int (label ^ " gpu_instrs") instrs r.Harness.gpu_instrs;
         check_int (label ^ " shreds") shreds r.Harness.shreds;
-        if memmodel = Memmodel.Cc_shared then
-          Some ((abbrev, devices), r.Harness.time_ps)
+        check_int (label ^ " cpu_busy_ps") cpu_busy r.Harness.cpu_busy_ps;
+        check_int (label ^ " flush_bytes") flush r.Harness.flush_bytes;
+        check_int (label ^ " copy_bytes") copy r.Harness.copy_bytes;
+        if
+          memmodel = Memmodel.Cc_shared && split = Harness.All_gpu
+          && flush_policy = None
+        then Some ((abbrev, devices), r.Harness.time_ps)
         else None)
       pinned_kernels
   in
