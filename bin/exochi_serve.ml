@@ -385,8 +385,7 @@ let () =
   let profile = Option.map (fun _ -> Exochi_obs.Profile.create ()) profile_out in
   Option.iter
     (fun p ->
-      Exochi_core.Exo_profiler.attach_gpu p
-        (Exochi_core.Exo_platform.gpu (Serve.Server.platform server)))
+      Exochi_core.Exo_profiler.attach p (Serve.Server.platform server))
     profile;
   let spec =
     {

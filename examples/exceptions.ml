@@ -66,7 +66,7 @@ let () =
   in
   let prog = Exochi_isa.X3k_asm.assemble_exn ~name:"ceh" src in
   let gpu = Exo_platform.gpu platform in
-  Gpu.bind gpu ~prog ~surfaces:[| d.Chi_descriptor.surface |];
+  Gpu.bind gpu ~prog ~surfaces:[| d.Chi_descriptor.surface |] ~team_size:1;
   Gpu.enqueue gpu [ { Gpu.shred_id = 0; entry = 0; params = [||] } ];
   ignore (Gpu.run_to_quiescence gpu);
   let lane row i =

@@ -26,16 +26,6 @@ type config = {
   tlb_entries : int;
   dispatch_cycles : int; (* command-streamer cost per shred *)
   switch_on_stall : bool; (* ablation: disable fine-grained MT *)
-  fault_plan : Exochi_faults.Fault_plan.t option;
-      (* deterministic fault injection; [None] = pristine hardware *)
-  trace : Exochi_obs.Trace.sink option;
-      (* exo-trace sink; [None] = tracing off (zero overhead). Emission
-         reads state only, so a traced run is bit-identical to an
-         untraced one. *)
-  dev : int;
-      (* device index within the platform's device set (0 in a
-         single-device platform); stamps every trace event this device
-         emits *)
 }
 
 val default_config : config
@@ -75,8 +65,17 @@ type hooks = {
 
 type t
 
+(** [fault_plan] is the device's deterministic fault stream ([None] =
+    pristine hardware). [trace] is the exo-trace sink ([None] = tracing
+    off, at zero overhead; emission reads state only, so a traced run is
+    bit-identical to an untraced one). [dev] is the device's index in
+    the platform's device set (0 alone) and stamps every trace event the
+    device emits. *)
 val create :
   ?config:config ->
+  fault_plan:Exochi_faults.Fault_plan.t option ->
+  trace:Exochi_obs.Trace.sink option ->
+  dev:int ->
   aspace:Exochi_memory.Address_space.t ->
   bus:Exochi_memory.Bus.t ->
   hooks:hooks ->
@@ -108,9 +107,14 @@ val tlb : t -> Exochi_memory.Pte.X3k.t Exochi_memory.Tlb.t
 (** {1 Dispatch} *)
 
 (** Bind a program and its surface table (program surface slot -> concrete
-    surface) for subsequent dispatches. *)
+    surface) for subsequent dispatches, and set the team size [%nshred]
+    reads to [team_size]. Only a [spawn] grows it after that. *)
 val bind :
-  t -> prog:X3k_ast.program -> surfaces:Exochi_memory.Surface.t array -> unit
+  t ->
+  prog:X3k_ast.program ->
+  surfaces:Exochi_memory.Surface.t array ->
+  team_size:int ->
+  unit
 
 (** Enqueue shreds on the software work queue (the queue lives in shared
     virtual memory; the runtime charges its own enqueue costs). One
@@ -118,8 +122,8 @@ val bind :
     it, the shreds park invisibly until {!redeliver_doorbell}. *)
 val enqueue : t -> shred list -> unit
 
-(** Re-dispatch already-counted shreds after a recovery action: the team
-    size ([%nshred]) does not grow and the doorbell is reliable. *)
+(** Re-dispatch shreds already enqueued, after a recovery action: the
+    doorbell is reliable. *)
 val reenqueue : t -> shred list -> unit
 
 (** Move doorbell-lost shreds back onto the visible queue; returns how
@@ -130,7 +134,8 @@ val redeliver_doorbell : t -> int
 val parked_count : t -> int
 
 (** Remove and return every queued shred (visible and parked) — used
-    when no exo-sequencer is left to run them. *)
+    when no exo-sequencer is left to run them, and when recovery gives
+    up on a team. *)
 val drain_queue : t -> shred list
 
 val queue_length : t -> int
@@ -208,7 +213,7 @@ val slot_completions : t -> eu:int -> slot:int -> int
 val overdue_shreds : t -> age_ps:int -> (shred * int) list
 
 (** Enqueue a backup copy; [false] if this shred is already hedged.
-    Reenqueue semantics: the team size does not grow. *)
+    Reenqueue semantics: the doorbell is reliable. *)
 val hedge : t -> shred -> bool
 
 (** A hedge race for this shred id is still unresolved. *)

@@ -56,9 +56,7 @@ let load ?profile ~platform (compiled : Chilite_compile.compiled) =
      program: "exo <section> (<file>:<line>)" *)
   Option.iter
     (fun p ->
-      Exo_profiler.attach_gpu p
-        (Exo_platform.gpu platform)
-        ~root_of:(fun prog ->
+      Exo_profiler.attach p platform ~root_of:(fun prog ->
           match
             List.find_opt
               (fun (s : Chilite_compile.section_info) ->
@@ -178,23 +176,11 @@ let intrinsic_handler t name cpu = intrinsic t name cpu
 let loaded t = t.loaded
 
 let run t =
-  let cpu = Exo_platform.cpu t.platform in
-  (* while a master_nowait team is outstanding, keep the exo-sequencers
-     running concurrently with the IA32 master *)
-  let last_sync = ref (Machine.now_ps cpu) in
-  let poll cpu =
-    if t.team <> None && Machine.now_ps cpu - !last_sync > 2_000_000 then begin
-      last_sync := Machine.now_ps cpu;
-      ignore
-        (Exochi_accel.Gpu.run_until (Exo_platform.gpu t.platform) !last_sync)
-    end
-  in
   let on_instr =
     Option.map (fun p -> Exo_profiler.ia32_on_instr p t.loaded) t.profile
   in
   match
-    Machine.run cpu ?on_instr t.loaded ~poll ~entry:0
-      ~intrinsics:(fun name cpu -> intrinsic t name cpu)
+    Chi_runtime.run_master t.rt ?on_instr t.loaded ~intrinsics:(intrinsic t)
   with
   | Machine.Halted | Machine.Ret_to_host ->
     (* an outstanding nowait team still completes at program exit *)

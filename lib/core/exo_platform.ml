@@ -23,10 +23,6 @@ let default_costs =
     dispatch_cpu_ps = 12_000; (* amortised batch enqueue of one descriptor *)
   }
 
-type protocol_mode = Strict | Count_only
-
-exception Protocol_violation of string
-
 type t = {
   mem : Phys_mem.t;
   aspace : Address_space.t;
@@ -38,7 +34,6 @@ type t = {
   memmodel : Memmodel.config;
   mcosts : Memmodel.costs;
   costs : costs;
-  protocol : protocol_mode;
   gtt_enabled : bool;
   gtt : (int, Pte.X3k.t) Hashtbl.t; (* vpage -> transcoded entry *)
   (* per-device fault streams: index 0 is the caller's plan object
@@ -197,13 +192,16 @@ let invalidate_gtt t =
 
 (* ---- CEH ---- *)
 
+(* The IA32 side's cost of emulating [lanes] lane operations: take the
+   user-level interrupt, decode, emulate lane by lane. *)
+let ceh_service_ps t ~lanes =
+  t.costs.uli_ps + t.costs.ceh_base_ps + (lanes * t.costs.ceh_per_lane_ps)
+
 let ceh_hook t ~dev (req : Exochi_accel.Gpu.fault_request) ~now_ps =
   t.ceh_proxies <- t.ceh_proxies + 1;
   let lanes = Array.length req.lane_a in
   let results = Exochi_accel.Lane.ieee req.fault_op req.lane_a req.lane_b in
-  let service =
-    t.costs.uli_ps + t.costs.ceh_base_ps + (lanes * t.costs.ceh_per_lane_ps)
-  in
+  let service = ceh_service_ps t ~lanes in
   pev t ~dev ~ts:now_ps ~dur:service
     (Trace.Ceh_proxy
        { op = Exochi_isa.X3k_ast.opcode_name req.fault_op; lanes });
@@ -214,7 +212,7 @@ let ceh_hook t ~dev (req : Exochi_accel.Gpu.fault_request) ~now_ps =
    finds nothing to emulate and resumes the shred. *)
 let ceh_spurious_hook t ~dev ~now_ps =
   t.ceh_spurious <- t.ceh_spurious + 1;
-  let service = t.costs.uli_ps + t.costs.ceh_base_ps in
+  let service = ceh_service_ps t ~lanes:0 in
   pev t ~dev ~ts:now_ps ~dur:service Trace.Ceh_spurious;
   Exochi_cpu.Machine.add_overhead_ps t.cpu service;
   now_ps + service
@@ -250,15 +248,7 @@ let mem_delay_hook t ~paddr ~bytes ~write ~now_ps =
         Cache.probe (Exochi_cpu.Machine.l1 t.cpu) ~line_addr:line = `Dirty
         || Cache.probe (Exochi_cpu.Machine.l2 t.cpu) ~line_addr:line = `Dirty
       in
-      if dirty then begin
-        t.violations <- t.violations + 1;
-        if t.protocol = Strict then
-          raise
-            (Protocol_violation
-               (Printf.sprintf
-                  "exo-sequencer read of CPU-dirty line %#x without flush"
-                  line))
-      end;
+      if dirty then t.violations <- t.violations + 1;
       ignore bytes;
       0
     end
@@ -301,42 +291,24 @@ let derived_plan base ~dev =
               (Int64.mul (Int64.of_int dev) 0xD1B54A32D192ED03L))
          ~rates:(Fault_plan.rates p) ())
 
-let create ?(frames = 64 * 1024) ?cpu_config ?gpu_config ?(bus_gbps = 8.0)
-    ?(bus_latency_ps = 90_000) ?(memmodel = Memmodel.Cc_shared)
-    ?(model_costs = Memmodel.default_costs) ?(costs = default_costs)
-    ?(protocol = Count_only) ?(gtt_enabled = true) ?(devices = 1) ?fault_plan
-    ?trace () =
+let create ?gpu_config ?(memmodel = Memmodel.Cc_shared) ?(gtt_enabled = true)
+    ?(devices = 1) ?fault_plan ?trace () =
   if devices <= 0 then invalid_arg "Exo_platform.create: devices";
-  let mem = Phys_mem.create ~frames in
+  let mem = Phys_mem.create ~frames:(64 * 1024) in
   let aspace = Address_space.create mem in
   (* one private memory link per X3K device; the CPU shares device 0's *)
   let buses =
-    Array.init devices (fun _ ->
-        Bus.create ~gbps:bus_gbps ~latency_ps:bus_latency_ps)
+    Array.init devices (fun _ -> Bus.create ~gbps:8.0 ~latency_ps:90_000)
   in
   let bus = buses.(0) in
-  let cpu = Exochi_cpu.Machine.create ?config:cpu_config ~aspace ~bus () in
-  (* one plan drives every layer: an explicit [?fault_plan] wins, else a
-     plan carried in [gpu_config] is adopted platform-wide *)
-  let gpu_base =
+  let cpu = Exochi_cpu.Machine.create ~aspace ~bus () in
+  let gpu_config =
     Option.value gpu_config ~default:Exochi_accel.Gpu.default_config
-  in
-  let fault_plan =
-    match fault_plan with
-    | Some _ -> fault_plan
-    | None -> gpu_base.Exochi_accel.Gpu.fault_plan
-  in
-  (* same resolution as the fault plan: an explicit [?trace] wins, else a
-     sink carried in [gpu_config] is adopted platform-wide *)
-  let trace =
-    match trace with
-    | Some _ -> trace
-    | None -> gpu_base.Exochi_accel.Gpu.trace
   in
   Option.iter
     (fun sink ->
-      Trace.set_topology sink ~devices ~eus:gpu_base.Exochi_accel.Gpu.eus
-        ~threads_per_eu:gpu_base.Exochi_accel.Gpu.threads_per_eu ())
+      Trace.set_topology sink ~devices ~eus:gpu_config.Exochi_accel.Gpu.eus
+        ~threads_per_eu:gpu_config.Exochi_accel.Gpu.threads_per_eu ())
     trace;
   let fault_plans = Array.init devices (fun d -> derived_plan fault_plan ~dev:d) in
   let t =
@@ -349,9 +321,8 @@ let create ?(frames = 64 * 1024) ?cpu_config ?gpu_config ?(bus_gbps = 8.0)
       devices;
       gpus = [||];
       memmodel;
-      mcosts = model_costs;
-      costs;
-      protocol;
+      mcosts = Memmodel.default_costs;
+      costs = default_costs;
       gtt_enabled;
       gtt = Hashtbl.create 4096;
       fault_plans;
@@ -380,15 +351,8 @@ let create ?(frames = 64 * 1024) ?cpu_config ?gpu_config ?(bus_gbps = 8.0)
   in
   t.gpus <-
     Array.init devices (fun dev ->
-        let gpu_cfg =
-          {
-            gpu_base with
-            Exochi_accel.Gpu.fault_plan = fault_plans.(dev);
-            trace;
-            dev;
-          }
-        in
-        Exochi_accel.Gpu.create ~config:gpu_cfg ~aspace ~bus:buses.(dev)
+        Exochi_accel.Gpu.create ~config:gpu_config
+          ~fault_plan:fault_plans.(dev) ~trace ~dev ~aspace ~bus:buses.(dev)
           ~hooks:(hooks_for dev) ());
   t
 

@@ -36,29 +36,23 @@ type costs = {
 
 val default_costs : costs
 
-type protocol_mode = Strict | Count_only
-
-exception Protocol_violation of string
-
 type t
 
 val create :
-  ?frames:int ->
-  ?cpu_config:Exochi_cpu.Machine.config ->
   ?gpu_config:Exochi_accel.Gpu.config ->
-  ?bus_gbps:float ->
-  ?bus_latency_ps:int ->
   ?memmodel:Exochi_memory.Memmodel.config ->
-  ?model_costs:Exochi_memory.Memmodel.costs ->
-  ?costs:costs ->
-  ?protocol:protocol_mode ->
   ?gtt_enabled:bool ->
   ?devices:int ->
   ?fault_plan:Exochi_faults.Fault_plan.t ->
   ?trace:Exochi_obs.Trace.sink ->
   unit ->
   t
-(** [gtt_enabled] (default true): cache transcoded entries in a
+(** The platform has 256 MiB of physical memory, an 8 GB/s memory link
+    with 90 ns latency per device, the default IA32 configuration and
+    the {!default_costs}. [gpu_config] (default
+    {!Exochi_accel.Gpu.default_config}) configures every X3K device.
+
+    [gtt_enabled] (default true): cache transcoded entries in a
     memory-resident GTT shadow so only cold pages pay the full ATR proxy
     round trip. Disabling it (an ablation) makes every exo TLB miss a
     user-level-interrupt proxy execution.
@@ -77,11 +71,10 @@ val create :
     a zero-rate plan.
 
     [trace] installs an exo-trace sink platform-wide (the GPU, the ATR
-    and CEH proxy paths, and the CHI runtime all emit into it); like the
-    fault plan, an explicit argument wins over a sink carried in
-    [gpu_config]. The sink's topology is set from the GPU configuration
-    so exporters know the full track layout. Omitted: tracing off, with
-    zero overhead and bit-identical behaviour to a traced run. *)
+    and CEH proxy paths, and the CHI runtime all emit into it). The
+    sink's topology is set from the GPU configuration so exporters know
+    the full track layout. Omitted: tracing off, with zero overhead and
+    bit-identical behaviour to a traced run. *)
 
 val aspace : t -> Exochi_memory.Address_space.t
 val cpu : t -> Exochi_cpu.Machine.t
@@ -171,7 +164,17 @@ val barrier : t -> int
 val atr_proxies : t -> int
 val gtt_hits : t -> int
 val ceh_proxies : t -> int
+
+(** Exo-sequencer reads of a line still dirty in the CPU caches under
+    the non-CC model: the software flush protocol was broken. Counted,
+    never raised. *)
 val protocol_violations : t -> int
+
+(** The IA32 cost of emulating [lanes] lane operations on behalf of the
+    exo-sequencers: one user-level interrupt, the CEH handler's fixed
+    cost and a per-lane cost. A CEH proxy, a spurious trap ([lanes] 0),
+    an IA32 fallback shred and a golden-replay audit all pay it. *)
+val ceh_service_ps : t -> lanes:int -> int
 
 (** Injected-fault recovery activity. *)
 

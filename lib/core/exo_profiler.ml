@@ -15,9 +15,10 @@ module Via32_ast = Exochi_isa.Via32_ast
 
 let default_root (p : X3k_ast.program) = "exo " ^ p.X3k_ast.name
 
-(* Install a per-instruction attribution hook on [gpu]. [root_of] maps a
-   bound program to its root frame (default ["exo <prog name>"]). *)
-let attach_gpu ?(root_of = default_root) profile gpu =
+(* Install one per-instruction attribution hook on every device of
+   [platform]. [root_of] maps a bound program to its root frame (default
+   ["exo <prog name>"]). *)
+let attach ?(root_of = default_root) profile platform =
   let cache : (string, string * string array) Hashtbl.t = Hashtbl.create 8 in
   let lookup (prog : X3k_ast.program) =
     match Hashtbl.find_opt cache prog.X3k_ast.name with
@@ -33,9 +34,13 @@ let attach_gpu ?(root_of = default_root) profile gpu =
       Hashtbl.add cache prog.X3k_ast.name v;
       v
   in
-  Exochi_accel.Gpu.set_profiler gpu (fun ~prog ~pc ~cost_ps ->
-      let root, frames = lookup prog in
-      Profile.record profile ~stack:[ root; frames.(pc) ] ~ps:cost_ps)
+  let record ~prog ~pc ~cost_ps =
+    let root, frames = lookup prog in
+    Profile.record profile ~stack:[ root; frames.(pc) ] ~ps:cost_ps
+  in
+  for d = 0 to Exo_platform.devices platform - 1 do
+    Exochi_accel.Gpu.set_profiler (Exo_platform.gpu_dev platform d) record
+  done
 
 (* IA32 attribution via Machine.run's [on_instr] hook. The machine hook
    fires before each instruction with the clock already settled, so we

@@ -3,20 +3,22 @@
 
     The simulator knows the exact simulated cost of every retired
     instruction, so profiles here are exact attributions, not samples.
-    X3K cost recorded through {!attach_gpu} lands under two-frame stacks
+    X3K cost recorded through {!attach} lands under two-frame stacks
     [[root; "NNN <instr>"]]; the sum over all ["exo "]-rooted frames
-    equals the platform's exo-sequencer busy time exactly
-    ([Gpu.busy_cycles * ps_per_cycle] — enforced by [test/test_obs.ml]).
+    equals the exo-sequencer busy time of the whole device set exactly
+    ([Gpu.busy_cycles * ps_per_cycle], summed over the devices —
+    enforced by [test/test_obs.ml]).
     Recording is pure accumulation, preserving the bit-and-time identity
     of profiled runs. *)
 
-(** [attach_gpu profile gpu] installs the per-instruction hook
-    ({!Exochi_accel.Gpu.set_profiler}). [root_of] maps the bound program
-    to its root frame; default ["exo <prog name>"]. *)
-val attach_gpu :
+(** [attach profile platform] installs the per-instruction hook
+    ({!Exochi_accel.Gpu.set_profiler}) on every device of [platform].
+    [root_of] maps the bound program to its root frame; default
+    ["exo <prog name>"]. *)
+val attach :
   ?root_of:(Exochi_isa.X3k_ast.program -> string) ->
   Exochi_obs.Profile.t ->
-  Exochi_accel.Gpu.t ->
+  Exo_platform.t ->
   unit
 
 (** [ia32_on_instr profile loaded] builds an [on_instr] callback for

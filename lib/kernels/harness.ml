@@ -109,23 +109,11 @@ let load_via32 platform kernel (io : Kernel.io) ~lo ~hi descs =
     (Int32.of_int (stack + 65536 - 16));
   Machine.load_program prog ~symbols
 
-(* Run the master's own VIA32 work. While a heterogeneous team is
-   outstanding (master_nowait), the exo-sequencers run concurrently: the
-   user-level-interrupt poll hook advances the GPU to the CPU's local time
-   every couple of microseconds so the two sides contend for the bus in
-   (simulated) real time. *)
-let run_cpu_program ?(concurrent_gpu = false) platform loaded =
-  let cpu = Exo_platform.cpu platform in
-  let gpu = Exo_platform.gpu platform in
-  let last_sync = ref (Machine.now_ps cpu) in
-  let poll cpu =
-    if concurrent_gpu && Machine.now_ps cpu - !last_sync > 2_000_000 then begin
-      last_sync := Machine.now_ps cpu;
-      ignore (Exochi_accel.Gpu.run_until gpu !last_sync)
-    end
-  in
+(* Run the master's own VIA32 work; the runtime keeps any outstanding
+   team executing beside it. *)
+let run_cpu_program rt loaded =
   match
-    Machine.run cpu loaded ~poll ~entry:0 ~intrinsics:(fun name _ ->
+    Chi_runtime.run_master rt loaded ~intrinsics:(fun name _ ->
         failwith ("unexpected intrinsic " ^ name))
   with
   | Machine.Halted | Machine.Ret_to_host -> ()
@@ -146,14 +134,13 @@ let check_outputs platform (io : Kernel.io) golden output_descs =
     (true, 0) golden
 
 (* Dynamic work distribution (paper Section 5.3): the unit space is cut
-   into chunks; the runtime keeps the exo-sequencers' work queue topped up
-   and the IA32 master claims a chunk for itself whenever the queue is
-   full enough, so both sequencer kinds finish together without an a
-   priori partition. *)
-let run_dynamic ~opt_level platform kernel io input_descs output_descs =
+   into chunks; the master keeps device 0's work queue topped up and
+   claims a chunk for itself whenever the queue is full enough, so both
+   sequencer kinds finish together without an a priori partition. *)
+let run_dynamic ~opt_level rt kernel io descs =
+  let platform = Chi_runtime.platform rt in
   let cpu = Exo_platform.cpu platform in
   let gpu = Exo_platform.gpu platform in
-  let costs = Exo_platform.costs platform in
   let units = io.Kernel.units in
   let chunk = max 1 (units / 64) in
   let prog =
@@ -161,24 +148,10 @@ let run_dynamic ~opt_level platform kernel io input_descs output_descs =
       (Exochi_isa.X3k_asm.assemble_exn ~name:kernel.Kernel.abbrev
          (kernel.Kernel.x3k_asm io))
   in
-  let surfaces =
-    Array.map
-      (fun sname ->
-        match
-          List.find_opt
-            (fun (n, _) -> n = sname)
-            (input_descs @ output_descs)
-        with
-        | Some (_, d) -> d.Chi_descriptor.surface
-        | None -> invalid_arg ("dynamic: no descriptor for " ^ sname))
-      prog.Exochi_isa.X3k_ast.surfaces
+  let team =
+    Chi_runtime.launch rt ~prog ~descriptors:(List.map snd descs) ~size:units
+      ~dev:0
   in
-  Array.iter
-    (fun s ->
-      Exo_platform.prewalk platform ~vaddr:s.Surface.base
-        ~len:(Surface.byte_size s))
-    surfaces;
-  Exochi_accel.Gpu.bind gpu ~prog ~surfaces;
   let next = ref 0 in
   let cpu_busy = ref 0 in
   let take n =
@@ -189,21 +162,11 @@ let run_dynamic ~opt_level platform kernel io input_descs output_descs =
   in
   let feed_gpu n =
     let lo, hi = take n in
-    if hi > lo then begin
-      Machine.add_time_ps cpu
-        (costs.Exo_platform.signal_ps
-        + ((hi - lo) * costs.Exo_platform.dispatch_cpu_ps));
-      (* let the exo-sequencers execute up to the master's clock before the
-         new work lands (not just jump their clocks forward) *)
-      ignore (Exochi_accel.Gpu.run_until gpu (Machine.now_ps cpu));
-      Exochi_accel.Gpu.enqueue gpu
-        (List.init (hi - lo) (fun k ->
-             {
-               Exochi_accel.Gpu.shred_id = lo + k;
-               entry = 0;
-               params = kernel.Kernel.unit_params io (lo + k);
-             }))
-    end
+    (* the exo-sequencers execute up to the master's clock before the new
+       work lands (not just jump their clocks forward) *)
+    if hi > lo then
+      Chi_runtime.feed rt team ~run:true ~dev:0 ~lo ~hi
+        ~params:(kernel.Kernel.unit_params io)
   in
   let cpu_chunk = max 1 (chunk / 2) in
   (* adaptive rates, measured as the run progresses: the master only
@@ -211,7 +174,7 @@ let run_dynamic ~opt_level platform kernel io input_descs output_descs =
   let cpu_unit_ps = ref 0 in
   let t_start = Machine.now_ps cpu in
   let gpu_unit_ps () =
-    let done_ = Exochi_accel.Gpu.shreds_completed gpu in
+    let done_ = Chi_runtime.team_completed team in
     if done_ = 0 then 0
     else (Exochi_accel.Gpu.now_ps gpu - t_start) / done_
   in
@@ -234,34 +197,26 @@ let run_dynamic ~opt_level platform kernel io input_descs output_descs =
     if !next < units then
       if units - !next > 4 * chunk && master_should_claim () then begin
         let lo, hi = take cpu_chunk in
-        let loaded =
-          load_via32 platform kernel io ~lo ~hi (input_descs @ output_descs)
-        in
+        let loaded = load_via32 platform kernel io ~lo ~hi descs in
         let c0 = Machine.now_ps cpu in
-        run_cpu_program ~concurrent_gpu:true platform loaded;
+        run_cpu_program rt loaded;
         let dt = Machine.now_ps cpu - c0 in
         cpu_busy := !cpu_busy + dt;
         cpu_unit_ps := dt / (hi - lo)
       end
       else feed_gpu (min chunk (units - !next))
   done;
-  ignore (Exo_platform.barrier platform);
+  Chi_runtime.wait rt team;
   !cpu_busy
 
 let run ?(memmodel = Memmodel.Cc_shared) ?flush_policy ?gpu_config
     ?gtt_enabled ?(devices = 1) ?fault_plan ?trace ?(split = All_gpu)
     ?(seed = 42L) ?frames ?(validate = true) ?(opt_level = Exochi_opt.Opt.O0)
     kernel scale =
-  (match (fault_plan, split) with
-  | Some _, Dynamic ->
-    invalid_arg
-      "Harness: fault injection with dynamic distribution is not supported \
-       (the dynamic feeder bypasses the supervised drain)"
-  | _ -> ());
   if devices > 1 && split = Dynamic then
     invalid_arg
-      "Harness: dynamic distribution drives device 0 directly and cannot \
-       shard across devices";
+      "Harness: dynamic distribution feeds one device; it does not shard \
+       across devices";
   let prng = Exochi_util.Prng.create seed in
   let io = kernel.Kernel.make_io ?frames prng scale in
   let platform =
@@ -279,7 +234,6 @@ let run ?(memmodel = Memmodel.Cc_shared) ?flush_policy ?gpu_config
   in
   let rt = Chi_runtime.create ~platform ?flush_policy () in
   let cpu = Exo_platform.cpu platform in
-  let gpu = Exo_platform.gpu platform in
   let input_descs, output_descs = materialise platform io in
   let golden = if validate then kernel.Kernel.golden io else [] in
   (* the input data was produced by the preceding IA32 pipeline stage *)
@@ -299,9 +253,12 @@ let run ?(memmodel = Memmodel.Cc_shared) ?flush_policy ?gpu_config
   let cpu_busy = ref 0 in
   if split = Dynamic then begin
     if memmodel <> Memmodel.Cc_shared then
-      invalid_arg "Harness: dynamic distribution requires CC-shared memory";
+      invalid_arg
+        "Harness: dynamic distribution requires CC-shared memory (the \
+         master and the exo-sequencers take chunks of the same surfaces \
+         with no flush between them)";
     cpu_busy :=
-      run_dynamic ~opt_level platform kernel io input_descs output_descs
+      run_dynamic ~opt_level rt kernel io (input_descs @ output_descs)
   end;
   (* launch the heterogeneous team first (master_nowait), then the IA32
      master processes its own share, then waits at the barrier *)
@@ -325,7 +282,7 @@ let run ?(memmodel = Memmodel.Cc_shared) ?flush_policy ?gpu_config
         (input_descs @ output_descs)
     in
     let c0 = Machine.now_ps cpu in
-    run_cpu_program ~concurrent_gpu:(team <> None) platform loaded;
+    run_cpu_program rt loaded;
     cpu_busy := Machine.now_ps cpu - c0
   end;
   Option.iter (fun team -> Chi_runtime.wait rt team) team;
@@ -335,7 +292,6 @@ let run ?(memmodel = Memmodel.Cc_shared) ?flush_policy ?gpu_config
     if validate then check_outputs platform io golden output_descs
     else (true, 0)
   in
-  ignore gpu;
   (* GPU-side counters aggregate over the device set (one term at one
      device — the historical numbers) *)
   let sum_gpus f =

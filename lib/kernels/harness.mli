@@ -35,20 +35,22 @@ type result = {
     exo-sequencer shreds with [master_nowait]); [Dynamic] self-schedules
     chunks of units onto whichever sequencer kind is hungry — the dynamic
     work-distribution policy of paper Section 5.3 (CC-shared memory
-    only). *)
+    only): one team is launched on device 0 and fed chunk by chunk while
+    the master claims chunks of its own. Either way the master's share
+    runs beside the outstanding team ({!Exochi_core.Chi_runtime.run_master}). *)
 type split = All_gpu | All_cpu | Cooperative of float | Dynamic
 
 (** [fault_plan] installs deterministic fault injection for the run; the
     CHI runtime's self-healing dispatch absorbs the faults (outputs stay
-    bit-correct, the recovery counters in {!result} light up). Not
-    compatible with [split = Dynamic].
+    bit-correct, the recovery counters in {!result} light up), whatever
+    the split.
 
     [devices] (default 1) builds the platform with that many X3K devices
     and lets the CHI runtime shard the team row-wise across them;
     GPU-side counters in {!result} aggregate over the whole device set.
     [devices:1] is bit- and time-identical to omitting the argument.
-    Not compatible with [split = Dynamic] (the dynamic feeder drives
-    device 0 directly). *)
+    Not compatible with [split = Dynamic] (the dynamic feeder feeds one
+    device). *)
 val run :
   ?memmodel:Exochi_memory.Memmodel.config ->
   ?flush_policy:Exochi_core.Chi_runtime.flush_policy ->

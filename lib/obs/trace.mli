@@ -2,8 +2,9 @@
 
     A {!sink} is a bounded ring buffer of typed events, each stamped with
     a {!Timebase} picosecond timestamp and a sequencer id ({!seq}). One
-    sink is optionally installed platform-wide ({!Exo_platform.create} /
-    [Gpu.config] / the CHI runtime adopts it from the platform) and every
+    sink is optionally installed platform-wide: {!Exo_platform.create}
+    hands it to every device at [Gpu.create] (a [Gpu.config] carries no
+    sink) and the CHI runtime adopts it from the platform. Every
     load-bearing transition emits into it: shred
     enqueue/dispatch/start/retire, SIGNAL doorbells, ATR TLB miss →
     GTT-shadow hit vs. full proxy walk, CEH proxy begin/writeback, fault

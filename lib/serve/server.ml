@@ -311,36 +311,22 @@ let audits_changed aspace (a : arena) =
       !changed)
     a.a_golden
 
-let bind_arena t (a : arena) =
-  Gpu.bind
-    (Platform.gpu t.platform)
-    ~prog:a.a_prog
-    ~surfaces:
-      (Array.map
-         (fun sname ->
-           match
-             List.find_opt
-               (fun d -> d.Chi_descriptor.surface.Surface.name = sname)
-               a.a_descriptors
-           with
-           | Some d -> d.Chi_descriptor.surface
-           | None -> assert false (* assembler only names real surfaces *))
-         a.a_prog.Exochi_isa.X3k_ast.surfaces)
+(* Replay the arena's shreds [units] on the IA32 proxy on device [dev],
+   which has no team outstanding; returns their lane operations. *)
+let replay t (a : arena) ~dev units =
+  Chi.replay t.rt ~dev ~prog:a.a_prog ~descriptors:a.a_descriptors
+    ~params:a.a_unit_params units
 
 (* Functionally replay every unit of the arena on the IA32 proxy and
-   record a byte snapshot of the outputs. Sound because no
-   kernel reads %sid/%nshred (outputs are pure functions of the per-unit
-   params), and serve arenas have no In_out surfaces. Repair restores
-   the snapshot rather than replaying: kernels may never write padding
-   bytes, so a corrupted pad byte is only healable by copy. *)
+   record a byte snapshot of the outputs, uncharged, on device 0: arenas
+   are built between dispatch cycles, when no team is outstanding. Sound
+   because no kernel reads %sid/%nshred (outputs are pure functions of
+   the per-unit params), and serve arenas have no In_out surfaces.
+   Repair restores the snapshot rather than replaying: kernels may never
+   write padding bytes, so a corrupted pad byte is only healable by
+   copy. *)
 let golden_pass t (a : arena) =
-  let gpu = Platform.gpu t.platform in
-  bind_arena t a;
-  for u = 0 to a.a_units - 1 do
-    ignore
-      (Gpu.emulate_shred gpu
-         { Gpu.shred_id = u; entry = 0; params = a.a_unit_params u })
-  done;
+  ignore (replay t a ~dev:0 (List.init a.a_units Fun.id));
   let aspace = Platform.aspace t.platform in
   a.a_golden <-
     Array.of_list
@@ -523,7 +509,7 @@ let submit t (job : Job.t) =
    surface with its golden snapshot, charged zero like a checksum folded
    into the output DMA. Damaged heal chunks are copied back from the
    snapshot, charged at the memory model's copy bandwidth. *)
-let guard_verify t (arena : arena) ~batch ~shreds =
+let guard_verify t (arena : arena) ~batch ~dev ~shreds =
   match t.cfg.guard with
   | None -> ()
   | Some g ->
@@ -555,10 +541,11 @@ let guard_verify t (arena : arena) ~batch ~shreds =
         else 0
       | _ -> 0
     in
-    (* 2. sampled golden-replay audits; replaying a unit rewrites its
-       outputs with golden values, so outputs that change across the
-       audits mean an audit itself caught (and partially healed)
-       corruption *)
+    (* 2. sampled golden-replay audits, each charged as a CEH emulation
+       of its lanes, on the batch's own device, which was just waited;
+       replaying a unit rewrites its outputs with golden values, so
+       outputs that change across the audits mean an audit itself caught
+       (and partially healed) corruption *)
     let audited =
       match t.audit_prng with
       | Some ap when g.g_audit_frac > 0.0 ->
@@ -566,19 +553,11 @@ let guard_verify t (arena : arena) ~batch ~shreds =
           int_of_float (Float.ceil (g.g_audit_frac *. float_of_int shreds))
         in
         record_damage aspace arena;
-        let gpu = Platform.gpu t.platform in
-        let costs = Platform.costs t.platform in
-        bind_arena t arena;
-        for _ = 1 to naudit do
-          let u = Prng.int ap arena.a_units in
-          let _, lane_ops =
-            Gpu.emulate_shred gpu
-              { Gpu.shred_id = u; entry = 0; params = arena.a_unit_params u }
-          in
-          Machine.add_time_ps cpu
-            (costs.Platform.uli_ps + costs.Platform.ceh_base_ps
-            + (lane_ops * costs.Platform.ceh_per_lane_ps))
-        done;
+        let units = List.init naudit (fun _ -> Prng.int ap arena.a_units) in
+        List.iter
+          (fun lanes ->
+            Machine.add_time_ps cpu (Platform.ceh_service_ps t.platform ~lanes))
+          (replay t arena ~dev units);
         t.g_audit_shreds <- t.g_audit_shreds + naudit;
         true
       | _ -> false
@@ -725,7 +704,7 @@ let launch_batch t (b : Batcher.batch) =
 let finish_batch t ~on_done ~on_shed (id, b, arena, dev, team) =
   match Chi.wait t.rt team with
   | () ->
-    guard_verify t arena ~batch:id ~shreds:b.Batcher.shreds;
+    guard_verify t arena ~batch:id ~dev ~shreds:b.Batcher.shreds;
     let done_ps = now_ps t in
     let drawn = drawn_counts t in
     List.iter
@@ -741,9 +720,8 @@ let finish_batch t ~on_done ~on_shed (id, b, arena, dev, team) =
         on_done j)
       b.Batcher.jobs
   | exception Gpu.Stuck _ ->
-    (* the self-healing dispatcher gave up on this team: clear the work
-       queue and keep the jobs *)
-    ignore (Gpu.drain_queue (Platform.gpu_dev t.platform dev));
+    (* the self-healing dispatcher gave up on this team (and cleared its
+       device's queue): keep the jobs *)
     requeue_jobs t ~on_shed b.Batcher.jobs
 
 let nop (_ : Job.t) = ()

@@ -50,7 +50,9 @@ let make_rig ?config () =
       on_shred_done = (fun _ ~now_ps:_ -> ());
     }
   in
-  let gpu = Gpu.create ?config ~aspace ~bus ~hooks () in
+  let gpu =
+    Gpu.create ?config ~fault_plan:None ~trace:None ~dev:0 ~aspace ~bus ~hooks ()
+  in
   { aspace; gpu; atr_count; ceh_count }
 
 let alloc_surface rig name ~width ~height ~bpp =
@@ -63,7 +65,7 @@ let alloc_surface rig name ~width ~height ~bpp =
 
 let run_one rig src ~surfaces ~params =
   let prog = X3k_asm.assemble_exn ~name:"t" src in
-  Gpu.bind rig.gpu ~prog ~surfaces;
+  Gpu.bind rig.gpu ~prog ~surfaces ~team_size:1;
   Gpu.enqueue rig.gpu [ { Gpu.shred_id = 0; entry = 0; params } ];
   ignore (Gpu.run_to_quiescence rig.gpu)
 
@@ -96,7 +98,7 @@ let test_vector_add_fig6 () =
   end
 |}
   in
-  Gpu.bind rig.gpu ~prog ~surfaces:[| a; b; c |];
+  Gpu.bind rig.gpu ~prog ~surfaces:[| a; b; c |] ~team_size:8;
   Gpu.enqueue rig.gpu
     (List.init 8 (fun i -> { Gpu.shred_id = i; entry = 0; params = [| i |] }));
   ignore (Gpu.run_to_quiescence rig.gpu);
@@ -122,7 +124,7 @@ let test_special_registers () =
 |}
   in
   let prog = X3k_asm.assemble_exn ~name:"t" src in
-  Gpu.bind rig.gpu ~prog ~surfaces:[| out |];
+  Gpu.bind rig.gpu ~prog ~surfaces:[| out |] ~team_size:4;
   Gpu.enqueue rig.gpu
     (List.init 4 (fun i -> { Gpu.shred_id = i; entry = 0; params = [||] }));
   ignore (Gpu.run_to_quiescence rig.gpu);
@@ -313,7 +315,7 @@ let test_gpu_segfault () =
     X3k_asm.assemble_exn ~name:"t"
       "  mov.1.dw vr0 = 100000000\n  st.1.dw (O, vr0, 0) = vr0\n  end\n"
   in
-  Gpu.bind rig.gpu ~prog ~surfaces:[| out |];
+  Gpu.bind rig.gpu ~prog ~surfaces:[| out |] ~team_size:1;
   Gpu.enqueue rig.gpu [ { Gpu.shred_id = 0; entry = 0; params = [||] } ];
   check_bool "segfault raised" true
     (try
@@ -342,7 +344,7 @@ let test_semaphores_mutual_exclusion () =
 |}
   in
   let prog = X3k_asm.assemble_exn ~name:"t" src in
-  Gpu.bind rig.gpu ~prog ~surfaces:[| out |];
+  Gpu.bind rig.gpu ~prog ~surfaces:[| out |] ~team_size:16;
   Gpu.enqueue rig.gpu
     (List.init 16 (fun i -> { Gpu.shred_id = i; entry = 0; params = [||] }));
   ignore (Gpu.run_to_quiescence rig.gpu);
@@ -370,7 +372,7 @@ PRODUCER:
 |}
   in
   let prog = X3k_asm.assemble_exn ~name:"t" src in
-  Gpu.bind rig.gpu ~prog ~surfaces:[| out |];
+  Gpu.bind rig.gpu ~prog ~surfaces:[| out |] ~team_size:2;
   (* enqueue the consumer first so both are resident *)
   Gpu.enqueue rig.gpu
     [
@@ -400,7 +402,7 @@ PARENT:
 |}
   in
   let prog = X3k_asm.assemble_exn ~name:"t" src in
-  Gpu.bind rig.gpu ~prog ~surfaces:[| out |];
+  Gpu.bind rig.gpu ~prog ~surfaces:[| out |] ~team_size:1;
   Gpu.enqueue rig.gpu [ { Gpu.shred_id = 0; entry = 0; params = [||] } ];
   ignore (Gpu.run_to_quiescence rig.gpu);
   check_int "parent ran" 1 (rd32 rig out ~x:0 ~y:0);
@@ -560,7 +562,7 @@ let prop_gpu_matches_lane_reference =
       let out = alloc_surface rig "O" ~width:128 ~height:1 ~bpp:4 in
       let src = alu_to_src prog in
       let p = X3k_asm.assemble_exn ~name:"diff" src in
-      Gpu.bind rig.gpu ~prog:p ~surfaces:[| out |];
+      Gpu.bind rig.gpu ~prog:p ~surfaces:[| out |] ~team_size:1;
       Gpu.enqueue rig.gpu [ { Gpu.shred_id = 0; entry = 0; params = [||] } ];
       ignore (Gpu.run_to_quiescence rig.gpu);
       let expect = alu_reference prog in
@@ -625,7 +627,7 @@ PRODUCER:
 |}
   in
   let prog = X3k_asm.assemble_exn ~name:"t" src in
-  Gpu.bind rig.gpu ~prog ~surfaces:[| out |];
+  Gpu.bind rig.gpu ~prog ~surfaces:[| out |] ~team_size:2;
   Gpu.enqueue rig.gpu
     [
       { Gpu.shred_id = 0; entry = 0; params = [||] };
@@ -652,7 +654,7 @@ let test_ceh_charges_instruction_lanes () =
   end
 |}
   in
-  Gpu.bind gpu ~prog ~surfaces:[||];
+  Gpu.bind gpu ~prog ~surfaces:[||] ~team_size:1;
   Gpu.enqueue gpu [ { Gpu.shred_id = 0; entry = 0; params = [||] } ];
   let done_ps = Gpu.run_to_quiescence gpu in
   check_int "ceh proxies" 1 (Exochi_core.Exo_platform.ceh_proxies p);
@@ -678,7 +680,7 @@ let test_smt_off_still_correct () =
     X3k_asm.assemble_exn ~name:"t"
       "  mov.1.dw vr0 = %p0\n  st.1.dw (O, vr0, 0) = %sid\n  end\n"
   in
-  Gpu.bind rig.gpu ~prog ~surfaces:[| out |];
+  Gpu.bind rig.gpu ~prog ~surfaces:[| out |] ~team_size:64;
   Gpu.enqueue rig.gpu
     (List.init 64 (fun i -> { Gpu.shred_id = i; entry = 0; params = [| i |] }));
   ignore (Gpu.run_to_quiescence rig.gpu);

@@ -396,6 +396,74 @@ let test_two_nowait_regions () =
       done)
     Exochi_memory.Memmodel.[ Cc_shared; Non_cc_shared; Data_copy ]
 
+(* A sharded master_nowait region, then master work: the master runs
+   beside every device the team occupies, so each device executes while
+   the master computes and no shred is left for the barrier at program
+   exit. A tap notes the master's clock at each shred retirement; a
+   retirement at the barrier reads the master's final clock. *)
+let overlap_src =
+  {|
+int X[2048];
+int Y[2048];
+void main() {
+  int i;
+  int s;
+  chi_desc(X, 0, 2048, 1);
+  chi_desc(Y, 1, 2048, 1);
+  #pragma omp parallel target(X3000) shared(X, Y) private(i) master_nowait
+  for (i = 0; i < 256; i = i + 1) __asm {
+    shl.1.dw   vr1 = %p0, 3
+    ld.8.dw    [vr2..vr9] = (X, vr1, 0)
+    add.8.dw   [vr2..vr9] = [vr2..vr9], 1
+    st.8.dw    (Y, vr1, 0) = [vr2..vr9]
+    end
+  }
+  s = 0;
+  for (i = 0; i < 20000; i = i + 1) { s = s + 1; }
+  print_int(s);
+}
+|}
+
+let test_master_overlaps_every_device () =
+  let compiled = compile_ok overlap_src in
+  let sink = Exochi_obs.Trace.create () in
+  let platform = Exo_platform.create ~devices:2 ~trace:sink () in
+  let cpu = Exo_platform.cpu platform in
+  let retired = ref [] in
+  Exochi_obs.Trace.set_tap sink (fun e ->
+      match e.Exochi_obs.Trace.kind with
+      | Exochi_obs.Trace.Shred_run _ ->
+        retired :=
+          (e.Exochi_obs.Trace.dev, Exochi_cpu.Machine.now_ps cpu) :: !retired
+      | _ -> ());
+  let prog = Chilite_run.load ~platform compiled in
+  for i = 0 to 2047 do
+    Chilite_run.write_global prog "X" ~index:i (Int32.of_int i)
+  done;
+  Chilite_run.run prog;
+  Alcotest.(check (list int)) "master loop" [ 20000 ] (Chilite_run.output prog);
+  check_int "every shred retired" 256 (List.length !retired);
+  List.iter
+    (fun d ->
+      check_bool
+        (Printf.sprintf "device %d ran shreds" d)
+        true
+        (List.exists (fun (dev, _) -> dev = d) !retired))
+    [ 0; 1 ];
+  (* the barrier arrives one SIGNAL after the master's final clock *)
+  let final =
+    Exochi_cpu.Machine.now_ps cpu
+    - (Exo_platform.costs platform).Exo_platform.signal_ps
+  in
+  check_int "shreds retired at the barrier" 0
+    (List.length (List.filter (fun (_, clock) -> clock >= final) !retired));
+  for i = 0 to 2047 do
+    Alcotest.(check int32)
+      (Printf.sprintf "Y[%d]" i)
+      (Int32.of_int (i + 1))
+      (Chilite_run.read_global prog "Y" ~index:i)
+  done
+
 let test_firstprivate_reaches_shreds () =
   let prog, out =
     run_output
@@ -478,7 +546,7 @@ LOOP:
 |}
   in
   let gpu = Exo_platform.gpu platform in
-  Exochi_accel.Gpu.bind gpu ~prog ~surfaces:[| d.Chi_descriptor.surface |];
+  Exochi_accel.Gpu.bind gpu ~prog ~surfaces:[| d.Chi_descriptor.surface |] ~team_size:1;
   Exochi_accel.Gpu.enqueue gpu
     [ { Exochi_accel.Gpu.shred_id = 7; entry = 0; params = [||] } ];
   let dbg = Chi_debug.create platform in
@@ -627,6 +695,8 @@ let () =
           Alcotest.test_case "via32 text assembles" `Quick test_generated_via32_assembles;
           Alcotest.test_case "two nowait regions, one chi_wait" `Quick
             test_two_nowait_regions;
+          Alcotest.test_case "the master overlaps every device" `Quick
+            test_master_overlaps_every_device;
         ] );
       ( "debugger",
         [

@@ -123,6 +123,19 @@ let test_fallback_only_still_correct () =
   check_bool "fallbacks happened" true (r.Harness.fallback_shreds > 0);
   check_int "nothing fatal" 0 r.Harness.fatal_faults
 
+(* The dynamic feeder launches, feeds and waits its team through the
+   runtime, so the supervised drain recovers its faulted shreds too. *)
+let test_dynamic_under_faults () =
+  let fault_plan = Result.get_ok (Fault_plan.of_spec "7:0.05") in
+  let r =
+    Harness.run ~fault_plan ~split:Harness.Dynamic (kernel "BOB") Kernel.Small
+  in
+  check_bool "bit-exact" true r.Harness.correct;
+  check_bool "faults injected" true (r.Harness.faults_injected > 0);
+  check_bool "recovery did work" true
+    (r.Harness.retries + r.Harness.fallback_shreds > 0);
+  check_int "nothing fatal" 0 r.Harness.fatal_faults
+
 let test_atr_transient_retries () =
   (* without the GTT shadow every exo TLB miss is a full proxy round
      trip, each of which can be hit by a transient failure *)
@@ -295,7 +308,7 @@ let run_ceh ?fault_plan () =
   in
   let prog = Exochi_isa.X3k_asm.assemble_exn ~name:"ceh" ceh_src in
   let gpu = Exo_platform.gpu platform in
-  Gpu.bind gpu ~prog ~surfaces:[| d.Chi_descriptor.surface |];
+  Gpu.bind gpu ~prog ~surfaces:[| d.Chi_descriptor.surface |] ~team_size:1;
   Gpu.enqueue gpu [ { Gpu.shred_id = 0; entry = 0; params = [||] } ];
   ignore (Gpu.run_to_quiescence gpu);
   let lane i =
@@ -356,7 +369,7 @@ let test_emulator_matches_ceh_hardware () =
   in
   let prog = Exochi_isa.X3k_asm.assemble_exn ~name:"ceh" ceh_src in
   let gpu = Exo_platform.gpu platform in
-  Gpu.bind gpu ~prog ~surfaces:[| d2.Chi_descriptor.surface |];
+  Gpu.bind gpu ~prog ~surfaces:[| d2.Chi_descriptor.surface |] ~team_size:1;
   ignore
     (Gpu.emulate_shred gpu { Gpu.shred_id = 1; entry = 0; params = [||] });
   let em_lane i =
@@ -393,7 +406,7 @@ let test_segfault_payload () =
     Exochi_isa.X3k_asm.assemble_exn ~name:"seg"
       "  mov.1.dw vr0 = 0\n  st.1.dw (BAD, vr0, 0) = vr0\n  end\n"
   in
-  Gpu.bind gpu ~prog ~surfaces:[| s |];
+  Gpu.bind gpu ~prog ~surfaces:[| s |] ~team_size:1;
   Gpu.enqueue gpu [ { Gpu.shred_id = 7; entry = 0; params = [||] } ];
   match Gpu.run_to_quiescence gpu with
   | _ -> Alcotest.fail "expected Gpu_segfault"
@@ -450,4 +463,9 @@ let () =
         ] );
       ( "segfault",
         [ Alcotest.test_case "payload" `Quick test_segfault_payload ] );
+      ( "dynamic",
+        [
+          Alcotest.test_case "BOB under a 7:0.05 plan" `Quick
+            test_dynamic_under_faults;
+        ] );
     ]

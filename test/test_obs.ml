@@ -671,43 +671,54 @@ void main() {
 }
 |}
 
+(* On one device and sharded over two: the profiler sees every device,
+   so the exo frames sum to the busy time of the whole device set. *)
 let test_profile_sums_to_exo_busy () =
   match Exochi_core.Chilite_compile.compile ~name:"prof" profiled_src with
   | Error e -> Alcotest.fail (Exochi_isa.Loc.error_to_string e)
   | Ok compiled ->
-    let profile = Profile.create () in
-    let platform = Exochi_core.Exo_platform.create () in
-    let prog = Exochi_core.Chilite_run.load ~profile ~platform compiled in
-    Exochi_core.Chilite_run.run prog;
-    Alcotest.(check (list int)) "program output" [ 4 ]
-      (Exochi_core.Chilite_run.output prog);
-    let gpu = Exochi_core.Exo_platform.gpu platform in
-    let exo_busy_ps =
-      Exochi_accel.Gpu.busy_cycles gpu
-      * Exochi_util.Timebase.ps_per_cycle (Exochi_accel.Gpu.clock gpu)
-    in
-    check_bool "exo sequencers did work" true (exo_busy_ps > 0);
-    (* The load-bearing identity: per-instruction exo frame costs sum to
-       the exo-sequencers' busy time exactly — the profiler is a ledger,
-       not a sampler. *)
-    check_int "exo frames sum to exo busy time" exo_busy_ps
-      (Profile.root_total_ps profile ~prefix:"exo ");
-    check_bool "ia32 frames attributed on top" true
-      (Profile.total_ps profile > exo_busy_ps);
-    let collapsed = Profile.to_collapsed profile in
-    check_bool "exo root anchored to its .chi section" true
-      (Astring.String.is_infix ~affix:"exo " collapsed);
-    match Tiny_json.parse (Profile.to_speedscope profile ~name:"prof") with
-    | Error msg -> Alcotest.fail ("speedscope JSON malformed: " ^ msg)
-    | Ok j -> (
-      (match Tiny_json.member "profiles" j with
-      | Some (Tiny_json.Arr (_ :: _)) -> ()
-      | _ -> Alcotest.fail "profiles array missing");
-      match
-        Option.bind (Tiny_json.member "shared" j) (Tiny_json.member "frames")
-      with
-      | Some (Tiny_json.Arr (_ :: _)) -> ()
-      | _ -> Alcotest.fail "shared frame table missing")
+    List.iter
+      (fun devices ->
+        let label = Printf.sprintf "%d device(s): " devices in
+        let profile = Profile.create () in
+        let platform = Exochi_core.Exo_platform.create ~devices () in
+        let prog = Exochi_core.Chilite_run.load ~profile ~platform compiled in
+        Exochi_core.Chilite_run.run prog;
+        Alcotest.(check (list int)) (label ^ "program output") [ 4 ]
+          (Exochi_core.Chilite_run.output prog);
+        let busy_ps d =
+          let gpu = Exochi_core.Exo_platform.gpu_dev platform d in
+          Exochi_accel.Gpu.busy_cycles gpu
+          * Exochi_util.Timebase.ps_per_cycle (Exochi_accel.Gpu.clock gpu)
+        in
+        let exo_busy_ps = List.fold_left ( + ) 0 (List.init devices busy_ps) in
+        for d = 0 to devices - 1 do
+          check_bool
+            (Printf.sprintf "%sdevice %d did work" label d)
+            true (busy_ps d > 0)
+        done;
+        (* The load-bearing identity: per-instruction exo frame costs sum
+           to the exo-sequencers' busy time exactly — the profiler is a
+           ledger, not a sampler. *)
+        check_int (label ^ "exo frames sum to exo busy time") exo_busy_ps
+          (Profile.root_total_ps profile ~prefix:"exo ");
+        check_bool (label ^ "ia32 frames attributed on top") true
+          (Profile.total_ps profile > exo_busy_ps);
+        let collapsed = Profile.to_collapsed profile in
+        check_bool (label ^ "exo root anchored to its .chi section") true
+          (Astring.String.is_infix ~affix:"exo " collapsed);
+        match Tiny_json.parse (Profile.to_speedscope profile ~name:"prof") with
+        | Error msg -> Alcotest.fail ("speedscope JSON malformed: " ^ msg)
+        | Ok j -> (
+          (match Tiny_json.member "profiles" j with
+          | Some (Tiny_json.Arr (_ :: _)) -> ()
+          | _ -> Alcotest.fail "profiles array missing");
+          match
+            Option.bind (Tiny_json.member "shared" j) (Tiny_json.member "frames")
+          with
+          | Some (Tiny_json.Arr (_ :: _)) -> ()
+          | _ -> Alcotest.fail "shared frame table missing"))
+      [ 1; 2 ]
 
 (* ---- Tiny_json ---- *)
 

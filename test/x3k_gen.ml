@@ -256,7 +256,7 @@ let run ?(level = Exochi_opt.Opt.O0) ~fallback src c =
     ~surfaces:
       (Array.map
          (fun n -> if n = "IN" then inp else out)
-         prog.X3k_ast.surfaces);
+         prog.X3k_ast.surfaces) ~team_size:1;
   let sh = { Gpu.shred_id = c.sid; entry = 0; params = c.params } in
   if fallback then ignore (Gpu.emulate_shred gpu sh)
   else begin
