@@ -267,7 +267,7 @@ let pinned_run (k : Kernel.t) ~x3k =
   in
   Printf.sprintf
     "%s %s: time=%d instrs=%d/%d busy=%d stall=%d switches=%d l1=%s l2=%s \
-     gpu=%s gtlb_miss=%d bus=%d faults=%d out=%s pte=%s"
+     gpu=%s gtlb_miss=%d gtlb_hit=%d bus=%d faults=%d out=%s pte=%s"
     k.Kernel.abbrev
     (if x3k then "x3k" else "ia32")
     time_ps
@@ -276,6 +276,7 @@ let pinned_run (k : Kernel.t) ~x3k =
     (Gpu.busy_cycles gpu) (Gpu.stall_cycles gpu) (Gpu.thread_switches gpu)
     (c (Machine.l1 cpu)) (c (Machine.l2 cpu)) (c (Gpu.cache gpu))
     (Tlb.misses (Gpu.tlb gpu))
+    (Tlb.hits (Gpu.tlb gpu))
     (Bus.total_bytes (Exo_platform.bus platform))
     (Address_space.minor_faults aspace)
     (Checksum.to_hex out_digest) (Checksum.to_hex pte_digest)
@@ -285,72 +286,72 @@ let pinned_expected =
     ( "LinearFilter",
       [
         "LinearFilter x3k: time=9029429 instrs=4416/0 busy=6072 stall=1056332 switches=344"
-        ^ " l1=0/5302/4790 l2=0/5302/24 gpu=1498/50/0 gtlb_miss=4 bus=2048 faults=158 out=d6e5617a994e9165 pte=91c20bf92456b994";
+        ^ " l1=0/5302/4790 l2=0/5302/24 gpu=1498/50/0 gtlb_miss=4 gtlb_hit=11548 bus=2048 faults=158 out=d6e5617a994e9165 pte=91c20bf92456b994";
         "LinearFilter ia32: time=5560960 instrs=0/10876 busy=0 stall=0 switches=0"
-        ^ " l1=5241/5353/4841 l2=83/5321/0 gpu=0/0/0 gtlb_miss=0 bus=2432 faults=158 out=d6e5617a994e9165 pte=452527e08b3b9354";
+        ^ " l1=5241/5353/4841 l2=83/5321/0 gpu=0/0/0 gtlb_miss=0 gtlb_hit=0 bus=2432 faults=158 out=d6e5617a994e9165 pte=452527e08b3b9354";
       ] );
     ( "SepiaTone",
       [
         "SepiaTone x3k: time=21097459 instrs=4896/0 busy=6360 stall=1056042 switches=1864"
-        ^ " l1=0/14400/13888 l2=0/14400/72 gpu=1008/144/0 gtlb_miss=12 bus=4608 faults=450 out=a29b6918b1e57580 pte=f05631dfb80fcaec";
+        ^ " l1=0/14400/13888 l2=0/14400/72 gpu=1008/144/0 gtlb_miss=12 gtlb_hit=9300 bus=4608 faults=450 out=a29b6918b1e57580 pte=f05631dfb80fcaec";
         "SepiaTone ia32: time=17056992 instrs=0/17836 busy=0 stall=0 switches=0"
-        ^ " l1=15981/14547/14035 l2=219/14475/0 gpu=0/0/0 gtlb_miss=0 bus=9600 faults=451 out=a29b6918b1e57580 pte=bc8f05a5f214c57b";
+        ^ " l1=15981/14547/14035 l2=219/14475/0 gpu=0/0/0 gtlb_miss=0 gtlb_hit=0 bus=9600 faults=451 out=a29b6918b1e57580 pte=bc8f05a5f214c57b";
       ] );
     ( "FGT",
       [
         "FGT x3k: time=145149991 instrs=328896/0 busy=427128 stall=636866 switches=48018"
-        ^ " l1=0/12288/11776 l2=0/12288/3072 gpu=43008/6144/2045 gtlb_miss=96 bus=327488 faults=384 out=24897ee5aa7a96b7 pte=474dd16523090715";
+        ^ " l1=0/12288/11776 l2=0/12288/3072 gpu=43008/6144/2045 gtlb_miss=96 gtlb_hit=393888 bus=327488 faults=384 out=24897ee5aa7a96b7 pte=474dd16523090715";
         "FGT ia32: time=568080912 instrs=0/607228 busy=0 stall=0 switches=0"
-        ^ " l1=878782/18434/15104 l2=6400/15362/0 gpu=0/0/0 gtlb_miss=0 bus=393472 faults=385 out=24897ee5aa7a96b7 pte=c6c8d0659301fa0c";
+        ^ " l1=878782/18434/15104 l2=6400/15362/0 gpu=0/0/0 gtlb_miss=0 gtlb_hit=0 bus=393472 faults=385 out=24897ee5aa7a96b7 pte=c6c8d0659301fa0c";
       ] );
     ( "Bicubic",
       [
         "Bicubic x3k: time=203155422 instrs=296136/0 busy=789408 stall=276649 switches=48969"
-        ^ " l1=0/1464/952 l2=0/1464/402 gpu=925422/1938/0 gtlb_miss=32 bus=25728 faults=113 out=a03579c84a1a25f1 pte=dc87926c5102a314";
+        ^ " l1=0/1464/952 l2=0/1464/402 gpu=925422/1938/0 gtlb_miss=32 gtlb_hit=1014240 bus=25728 faults=113 out=a03579c84a1a25f1 pte=dc87926c5102a314";
         "Bicubic ia32: time=1800301488 instrs=0/5285980 busy=0 stall=0 switches=0"
-        ^ " l1=1591780/3404/2607 l2=2057/3002/0 gpu=0/0/0 gtlb_miss=0 bus=196864 faults=114 out=a03579c84a1a25f1 pte=ba3125f90138d0e5";
+        ^ " l1=1591780/3404/2607 l2=2057/3002/0 gpu=0/0/0 gtlb_miss=0 gtlb_hit=0 bus=196864 faults=114 out=a03579c84a1a25f1 pte=ba3125f90138d0e5";
       ] );
     ( "Kalman",
       [
         "Kalman x3k: time=3770233 instrs=432/0 busy=648 stall=1061725 switches=112"
-        ^ " l1=0/2048/1536 l2=0/2048/12 gpu=168/24/0 gtlb_miss=2 bus=768 faults=64 out=fbbf22fec56f608a pte=8d79e20df4a12a95";
+        ^ " l1=0/2048/1536 l2=0/2048/12 gpu=168/24/0 gtlb_miss=2 gtlb_hit=1550 bus=768 faults=64 out=fbbf22fec56f608a pte=8d79e20df4a12a95";
         "Kalman ia32: time=2044112 instrs=0/3680 busy=0 stall=0 switches=0"
-        ^ " l1=366/2073/1561 l2=37/2061/0 gpu=0/0/0 gtlb_miss=0 bus=1664 faults=65 out=fbbf22fec56f608a pte=9d831d035343e45f";
+        ^ " l1=366/2073/1561 l2=37/2061/0 gpu=0/0/0 gtlb_miss=0 gtlb_hit=0 bus=1664 faults=65 out=fbbf22fec56f608a pte=9d831d035343e45f";
       ] );
     ( "FMD",
       [
         "FMD x3k: time=168970491 instrs=179216/0 busy=373594 stall=689923 switches=29401"
-        ^ " l1=0/17280/17280 l2=0/17280/11520 gpu=31702/11542/8 gtlb_miss=219 bus=737792 faults=271 out=4c2762b3f27ca5b8 pte=c3d09ac9bf651316";
+        ^ " l1=0/17280/17280 l2=0/17280/11520 gpu=31702/11542/8 gtlb_miss=219 gtlb_hit=694514 bus=737792 faults=271 out=4c2762b3f27ca5b8 pte=c3d09ac9bf651316";
         "FMD ia32: time=290521328 instrs=0/707787 busy=0 stall=0 switches=0"
-        ^ " l1=163221/28823/17300 l2=12052/17303/0 gpu=0/0/0 gtlb_miss=0 bus=2944 faults=272 out=4c2762b3f27ca5b8 pte=cc85ce66203d2f74";
+        ^ " l1=163221/28823/17300 l2=12052/17303/0 gpu=0/0/0 gtlb_miss=0 gtlb_hit=0 bus=2944 faults=272 out=4c2762b3f27ca5b8 pte=cc85ce66203d2f74";
       ] );
     ( "AlphaBlend",
       [
         "AlphaBlend x3k: time=17452173 instrs=2856/0 busy=6120 stall=1056254 switches=415"
-        ^ " l1=0/5792/5281 l2=0/5792/49 gpu=3359/97/0 gtlb_miss=4 bus=3136 faults=181 out=52e4573f8ede40b4 pte=bcb85189b237779c";
+        ^ " l1=0/5792/5281 l2=0/5792/49 gpu=3359/97/0 gtlb_miss=4 gtlb_hit=6381 bus=3136 faults=181 out=52e4573f8ede40b4 pte=bcb85189b237779c";
         "AlphaBlend ia32: time=65138944 instrs=0/172326 busy=0 stall=0 switches=0"
-        ^ " l1=68879/5889/5377 l2=145/5841/0 gpu=0/0/0 gtlb_miss=0 bus=6272 faults=182 out=52e4573f8ede40b4 pte=a35f19d300230695";
+        ^ " l1=68879/5889/5377 l2=145/5841/0 gpu=0/0/0 gtlb_miss=0 gtlb_hit=0 bus=6272 faults=182 out=52e4573f8ede40b4 pte=a35f19d300230695";
       ] );
     ( "BOB",
       [
         "BOB x3k: time=37813906 instrs=44664/0 busy=102960 stall=959852 switches=5545"
-        ^ " l1=0/5760/5248 l2=0/5760/780 gpu=12084/2316/252 gtlb_miss=49 bus=66048 faults=180 out=71c7c489788a08be pte=1daf1397e11f7d45";
+        ^ " l1=0/5760/5248 l2=0/5760/780 gpu=12084/2316/252 gtlb_miss=49 gtlb_hit=231135 bus=66048 faults=180 out=71c7c489788a08be pte=1daf1397e11f7d45";
         "BOB ia32: time=21310848 instrs=0/49852 busy=0 stall=0 switches=0"
-        ^ " l1=7860/6540/5760 l2=1292/5760/0 gpu=0/0/0 gtlb_miss=0 bus=184320 faults=181 out=71c7c489788a08be pte=8cd152e707e7dd9c";
+        ^ " l1=7860/6540/5760 l2=1292/5760/0 gpu=0/0/0 gtlb_miss=0 gtlb_hit=0 bus=184320 faults=181 out=71c7c489788a08be pte=8cd152e707e7dd9c";
       ] );
     ( "ADVDI",
       [
         "ADVDI x3k: time=69009752 instrs=73464/0 busy=177840 stall=885211 switches=10677"
-        ^ " l1=0/11520/11008 l2=0/11520/2328 gpu=19008/4032/878 gtlb_miss=74 bus=215936 faults=270 out=cdda91288716a7aa pte=f6d2a40b2a2ac758";
+        ^ " l1=0/11520/11008 l2=0/11520/2328 gpu=19008/4032/878 gtlb_miss=74 gtlb_hit=369750 bus=215936 faults=270 out=cdda91288716a7aa pte=f6d2a40b2a2ac758";
         "ADVDI ia32: time=175907360 instrs=0/291772 busy=0 stall=0 switches=0"
-        ^ " l1=82528/15392/12846 l2=4173/13057/0 gpu=0/0/0 gtlb_miss=0 bus=196736 faults=271 out=cdda91288716a7aa pte=35d13cc6dd290e76";
+        ^ " l1=82528/15392/12846 l2=4173/13057/0 gpu=0/0/0 gtlb_miss=0 gtlb_hit=0 bus=196736 faults=271 out=cdda91288716a7aa pte=35d13cc6dd290e76";
       ] );
     ( "ProcAmp",
       [
         "ProcAmp x3k: time=152847928 instrs=146400/0 busy=347928 stall=715659 switches=24510"
-        ^ " l1=0/17280/16768 l2=0/17280/4608 gpu=24877/9683/3802 gtlb_miss=144 bus=554176 faults=540 out=6a5f704aeeadd37e pte=9c586d72e572daa9";
+        ^ " l1=0/17280/16768 l2=0/17280/4608 gpu=24877/9683/3802 gtlb_miss=144 gtlb_hit=555120 bus=554176 faults=540 out=6a5f704aeeadd37e pte=9c586d72e572daa9";
         "ProcAmp ia32: time=575032032 instrs=0/580588 busy=0 stall=0 switches=0"
-        ^ " l1=957742/27218/21992 l2=10552/21890/0 gpu=0/0/0 gtlb_miss=0 bus=590080 faults=541 out=6a5f704aeeadd37e pte=9933ba948d0e1de8";
+        ^ " l1=957742/27218/21992 l2=10552/21890/0 gpu=0/0/0 gtlb_miss=0 gtlb_hit=0 bus=590080 faults=541 out=6a5f704aeeadd37e pte=9933ba948d0e1de8";
       ] );
   ]
 
