@@ -1,8 +1,8 @@
 open Exochi_isa.X3k_ast
 
-let wrap32 v = (v land 0xFFFFFFFF) lxor 0x80000000 |> fun x -> x - 0x80000000
+let[@inline] wrap32 v = ((v land 0xFFFFFFFF) lxor 0x80000000) - 0x80000000
 
-let wrap dtype v =
+let[@inline] wrap dtype v =
   match dtype with
   | B -> v land 0xFF
   | W -> ((v land 0xFFFF) lxor 0x8000) - 0x8000
@@ -14,14 +14,14 @@ let saturate dtype v =
   | W -> if v < -32768 then -32768 else if v > 32767 then 32767 else v
   | DW | F -> v
 
-let float_of_lane v = Int32.float_of_bits (Int32.of_int v)
-let lane_of_float f = wrap32 (Int32.to_int (Int32.bits_of_float f))
+let[@inline] float_of_lane v = Int32.float_of_bits (Int32.of_int v)
+let[@inline] lane_of_float f = wrap32 (Int32.to_int (Int32.bits_of_float f))
 
 let add d a b = wrap d (a + b)
 let sub d a b = wrap d (a - b)
 let mul d a b = wrap d (a * b)
-let min_ d a b = wrap d (min a b)
-let max_ d a b = wrap d (max a b)
+let min_ d (a : int) b = wrap d (if a <= b then a else b)
+let max_ d (a : int) b = wrap d (if a >= b then a else b)
 
 (* unsigned view of a lane under its dtype, for avg and B compares *)
 let unsigned d v =
@@ -55,15 +55,16 @@ let compare_lanes d cond a b =
   | Gt -> c > 0
   | Ge -> c >= 0
 
-let fop2 f a b = lane_of_float (f (float_of_lane a) (float_of_lane b))
-let fadd = fop2 ( +. )
-let fsub = fop2 ( -. )
-let fmul = fop2 ( *. )
-let fmin = fop2 Float.min
-let fmax = fop2 Float.max
+(* Each float op is written out rather than as a partial application
+   of a generic [f a b], which would box the floats it passes. *)
+let fadd a b = lane_of_float (float_of_lane a +. float_of_lane b)
+let fsub a b = lane_of_float (float_of_lane a -. float_of_lane b)
+let fmul a b = lane_of_float (float_of_lane a *. float_of_lane b)
+let fmin a b = lane_of_float (Float.min (float_of_lane a) (float_of_lane b))
+let fmax a b = lane_of_float (Float.max (float_of_lane a) (float_of_lane b))
 let fabs v = lane_of_float (Float.abs (float_of_lane v))
 
-let fdiv_ieee a b = fop2 ( /. ) a b
+let fdiv_ieee a b = lane_of_float (float_of_lane a /. float_of_lane b)
 let fsqrt_ieee a = lane_of_float (sqrt (float_of_lane a))
 let cvtif v = lane_of_float (float_of_int v)
 
@@ -99,39 +100,188 @@ let dpadd_pairs ~width a b res =
 
 (* ---- the opcode table ----
 
-   The one mapping from an X3K opcode to its lane arithmetic. The EU
-   pipeline, the IA32 fallback, the CEH proxy handler and Exo-opt's
-   constant folder all read it, so they cannot disagree. *)
+   The one mapping from an X3K opcode to its lane arithmetic. An entry
+   is built from the opcode's per-lane function alone: the scalar form
+   is that function, and the vector form runs it over an instruction's
+   lanes in one call into this module, where each lane is a direct call
+   the compiler may inline (dune's default profile compiles with
+   -opaque, so a call per lane from another module would go through the
+   closure). The EU pipeline and the IA32 fallback run the vector forms,
+   Exo-opt's constant folder the scalar ones, so they cannot disagree. *)
 
-let binop = function
-  | Add -> add
-  | Sub -> sub
-  | Mul -> mul
-  | Min -> min_
-  | Max -> max_
-  | Avg -> avg
-  | Shl -> shl
-  | Shr -> shr
-  | Sar -> sar
-  | And -> fun _ a b -> and_ a b
-  | Or -> fun _ a b -> or_ a b
-  | Xor -> fun _ a b -> xor_ a b
-  | Fadd -> fun _ a b -> fadd a b
-  | Fsub -> fun _ a b -> fsub a b
-  | Fmul -> fun _ a b -> fmul a b
-  | Fmin -> fun _ a b -> fmin a b
-  | Fmax -> fun _ a b -> fmax a b
+type binop = {
+  f2 : dtype -> int -> int -> int;
+  lanes2 : dtype -> width:int -> int array -> int array -> int array -> unit;
+}
+
+type unop = {
+  f1 : dtype -> int -> int;
+  lanes1 : dtype -> width:int -> int array -> int array -> unit;
+}
+
+(* Each entry spells its loop out: a loop shared through a function
+   argument would call the lane function through a closure, lane by
+   lane. *)
+
+let add_e =
+  { f2 = add;
+    lanes2 =
+      (fun d ~width a b r -> for j = 0 to width - 1 do r.(j) <- add d a.(j) b.(j) done) }
+
+let sub_e =
+  { f2 = sub;
+    lanes2 =
+      (fun d ~width a b r -> for j = 0 to width - 1 do r.(j) <- sub d a.(j) b.(j) done) }
+
+let mul_e =
+  { f2 = mul;
+    lanes2 =
+      (fun d ~width a b r -> for j = 0 to width - 1 do r.(j) <- mul d a.(j) b.(j) done) }
+
+let min_e =
+  { f2 = min_;
+    lanes2 =
+      (fun d ~width a b r -> for j = 0 to width - 1 do r.(j) <- min_ d a.(j) b.(j) done) }
+
+let max_e =
+  { f2 = max_;
+    lanes2 =
+      (fun d ~width a b r -> for j = 0 to width - 1 do r.(j) <- max_ d a.(j) b.(j) done) }
+
+let avg_e =
+  { f2 = avg;
+    lanes2 =
+      (fun d ~width a b r -> for j = 0 to width - 1 do r.(j) <- avg d a.(j) b.(j) done) }
+
+let shl_e =
+  { f2 = shl;
+    lanes2 =
+      (fun d ~width a b r -> for j = 0 to width - 1 do r.(j) <- shl d a.(j) b.(j) done) }
+
+let shr_e =
+  { f2 = shr;
+    lanes2 =
+      (fun d ~width a b r -> for j = 0 to width - 1 do r.(j) <- shr d a.(j) b.(j) done) }
+
+let sar_e =
+  { f2 = sar;
+    lanes2 =
+      (fun d ~width a b r -> for j = 0 to width - 1 do r.(j) <- sar d a.(j) b.(j) done) }
+
+let and_e =
+  { f2 = (fun _ a b -> and_ a b);
+    lanes2 =
+      (fun _ ~width a b r -> for j = 0 to width - 1 do r.(j) <- and_ a.(j) b.(j) done) }
+
+let or_e =
+  { f2 = (fun _ a b -> or_ a b);
+    lanes2 =
+      (fun _ ~width a b r -> for j = 0 to width - 1 do r.(j) <- or_ a.(j) b.(j) done) }
+
+let xor_e =
+  { f2 = (fun _ a b -> xor_ a b);
+    lanes2 =
+      (fun _ ~width a b r -> for j = 0 to width - 1 do r.(j) <- xor_ a.(j) b.(j) done) }
+
+let fadd_e =
+  { f2 = (fun _ a b -> fadd a b);
+    lanes2 =
+      (fun _ ~width a b r -> for j = 0 to width - 1 do r.(j) <- fadd a.(j) b.(j) done) }
+
+let fsub_e =
+  { f2 = (fun _ a b -> fsub a b);
+    lanes2 =
+      (fun _ ~width a b r -> for j = 0 to width - 1 do r.(j) <- fsub a.(j) b.(j) done) }
+
+let fmul_e =
+  { f2 = (fun _ a b -> fmul a b);
+    lanes2 =
+      (fun _ ~width a b r -> for j = 0 to width - 1 do r.(j) <- fmul a.(j) b.(j) done) }
+
+let fmin_e =
+  { f2 = (fun _ a b -> fmin a b);
+    lanes2 =
+      (fun _ ~width a b r -> for j = 0 to width - 1 do r.(j) <- fmin a.(j) b.(j) done) }
+
+let fmax_e =
+  { f2 = (fun _ a b -> fmax a b);
+    lanes2 =
+      (fun _ ~width a b r -> for j = 0 to width - 1 do r.(j) <- fmax a.(j) b.(j) done) }
+
+let wrap_e =
+  { f1 = wrap;
+    lanes1 =
+      (fun d ~width a r -> for j = 0 to width - 1 do r.(j) <- wrap d a.(j) done) }
+
+let abs_e =
+  { f1 = abs_;
+    lanes1 =
+      (fun d ~width a r -> for j = 0 to width - 1 do r.(j) <- abs_ d a.(j) done) }
+
+let not_e =
+  { f1 = not_;
+    lanes1 =
+      (fun d ~width a r -> for j = 0 to width - 1 do r.(j) <- not_ d a.(j) done) }
+
+let sat_e =
+  { f1 = saturate;
+    lanes1 =
+      (fun d ~width a r -> for j = 0 to width - 1 do r.(j) <- saturate d a.(j) done) }
+
+let fabs_e =
+  { f1 = (fun _ a -> fabs a);
+    lanes1 =
+      (fun _ ~width a r -> for j = 0 to width - 1 do r.(j) <- fabs a.(j) done) }
+
+let cvtif_e =
+  { f1 = (fun _ a -> cvtif a);
+    lanes1 =
+      (fun _ ~width a r -> for j = 0 to width - 1 do r.(j) <- cvtif a.(j) done) }
+
+let cvtfi_e =
+  { f1 = (fun _ a -> cvtfi a);
+    lanes1 =
+      (fun _ ~width a r -> for j = 0 to width - 1 do r.(j) <- cvtfi a.(j) done) }
+
+let binop_entry = function
+  | Add -> add_e
+  | Sub -> sub_e
+  | Mul -> mul_e
+  | Min -> min_e
+  | Max -> max_e
+  | Avg -> avg_e
+  | Shl -> shl_e
+  | Shr -> shr_e
+  | Sar -> sar_e
+  | And -> and_e
+  | Or -> or_e
+  | Xor -> xor_e
+  | Fadd -> fadd_e
+  | Fsub -> fsub_e
+  | Fmul -> fmul_e
+  | Fmin -> fmin_e
+  | Fmax -> fmax_e
   | _ -> raise Not_found
 
-let unop = function
-  | Mov | Bcast -> wrap
-  | Abs -> abs_
-  | Not -> not_
-  | Sat -> saturate
-  | Fabs -> fun _ a -> fabs a
-  | Cvtif -> fun _ a -> cvtif a
-  | Cvtfi -> fun _ a -> cvtfi a
+let unop_entry = function
+  | Mov | Bcast -> wrap_e
+  | Abs -> abs_e
+  | Not -> not_e
+  | Sat -> sat_e
+  | Fabs -> fabs_e
+  | Cvtif -> cvtif_e
+  | Cvtfi -> cvtfi_e
   | _ -> raise Not_found
+
+let binop op = (binop_entry op).f2
+let unop op = (unop_entry op).f1
+
+let compare_mask d cond ~width a b =
+  let m = ref 0 in
+  for j = 0 to width - 1 do
+    if compare_lanes d cond a.(j) b.(j) then m := !m lor (1 lsl j)
+  done;
+  !m
 
 (* The ops the EU escalates through CEH: a zero divisor or a negative
    square root in any lane, and every dpadd. *)

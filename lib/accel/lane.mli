@@ -68,19 +68,45 @@ val cvtfi : int -> int
 
 (** {1 The opcode table}
 
-    The one mapping from an X3K opcode to its lane arithmetic, read by
-    the EU pipeline, the IA32 fallback, the CEH proxy handler and
-    Exo-opt's constant folder. *)
+    The one mapping from an X3K opcode to its lane arithmetic. An entry
+    is built from the opcode's per-lane function alone: [f2]/[f1] is that
+    function, and [lanes2]/[lanes1] applies it to the first [width] lanes
+    in one call, writing lane [j] of the result after reading lane [j]
+    of the sources (so the result may be a source array). The EU
+    pipeline and the IA32 fallback run the vector forms; the CEH proxy
+    handler and Exo-opt's constant folder the scalar ones. *)
 
-(** [binop op] is the lane function of a two-source ALU or float opcode
+type binop = {
+  f2 : X3k_ast.dtype -> int -> int -> int;
+  lanes2 :
+    X3k_ast.dtype -> width:int -> int array -> int array -> int array -> unit;
+}
+
+type unop = {
+  f1 : X3k_ast.dtype -> int -> int;
+  lanes1 : X3k_ast.dtype -> width:int -> int array -> int array -> unit;
+}
+
+(** [binop_entry op] is the entry of a two-source ALU or float opcode
     ([add] .. [xor], [fadd] .. [fmax]). Raises [Not_found] for any other
     opcode. *)
-val binop : X3k_ast.opcode -> X3k_ast.dtype -> int -> int -> int
+val binop_entry : X3k_ast.opcode -> binop
 
-(** [unop op] is the lane function of a one-source opcode: [mov] and
+(** [unop_entry op] is the entry of a one-source opcode: [mov] and
     [bcast] wrap to the dtype, then [abs], [not], [sat], [fabs],
     [cvtif], [cvtfi]. Raises [Not_found] for any other opcode. *)
+val unop_entry : X3k_ast.opcode -> unop
+
+(** [binop op = (binop_entry op).f2]. *)
+val binop : X3k_ast.opcode -> X3k_ast.dtype -> int -> int -> int
+
+(** [unop op = (unop_entry op).f1]. *)
 val unop : X3k_ast.opcode -> X3k_ast.dtype -> int -> int
+
+(** [compare_mask d cond ~width a b] is the lane mask of the first
+    [width] lanes where {!compare_lanes} holds: bit [j] for lane [j]. *)
+val compare_mask :
+  X3k_ast.dtype -> X3k_ast.cond -> width:int -> int array -> int array -> int
 
 (** [x3k_faults op ~width a b]: the exo-sequencer cannot complete [op]
     on the first [width] source lanes of [a], [b] and escalates it

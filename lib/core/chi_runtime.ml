@@ -31,6 +31,18 @@ let watchdog_ps = 1_000_000_000
 let max_redispatch = 3
 let backoff_ps = 200_000
 
+(* Per-device drain context of the supervised drain: each device keeps
+   its own re-dispatch bookkeeping (attempt counts, backoff-parked
+   shreds) so recovery on one device never perturbs another's stream. *)
+type drain_ctx = {
+  dc_dev : int;
+  dc_gpu : Gpu.t;
+  dc_plan : Fault_plan.t;
+  dc_attempts : (int, int) Hashtbl.t;
+  mutable dc_pending : (int * Gpu.shred) list;
+      (* (release_ps, shred): backoff re-dispatches *)
+}
+
 type team = {
   size : int;
   mutable completed : int;
@@ -52,6 +64,9 @@ type t = {
   probe_base : int array; (* slot completions when its probe started *)
   last_comp : int array; (* slot completions at the previous quantum *)
   jitter : (int, Prng.t) Hashtbl.t; (* per device, lazily seeded *)
+  (* one per device when a fault plan is installed, else none; built
+     once and cleared at the start of every drain *)
+  drain : drain_ctx array;
   (* per device: the team launched there and not yet waited *)
   running : team option array;
   mutable busy_devs : int; (* devices with a team in [running] *)
@@ -80,6 +95,23 @@ let create ~platform ?(flush_policy = Interleaved) ?(hedge_after_ps = 0)
     probe_base = Array.make slots 0;
     last_comp = Array.make slots 0;
     jitter = Hashtbl.create 4;
+    drain =
+      (match Exo_platform.fault_plan platform with
+      | None -> [||]
+      | Some _ ->
+        Array.init (Exo_platform.devices platform) (fun dev ->
+            let plan =
+              match Exo_platform.fault_plan_dev platform dev with
+              | Some p -> p
+              | None -> assert false (* every device derives from the base *)
+            in
+            {
+              dc_dev = dev;
+              dc_gpu = Exo_platform.gpu_dev platform dev;
+              dc_plan = plan;
+              dc_attempts = Hashtbl.create 16;
+              dc_pending = [];
+            }));
     running = Array.make (Exo_platform.devices platform) None;
     busy_devs = 0;
     counts =
@@ -274,230 +306,211 @@ let fallback_shred t ~dev sh =
   Machine.add_time_ps cpu service;
   Exo_platform.notify_shred_done ~dev t.platform sh ~now_ps:(Machine.now_ps cpu)
 
-(* Per-device drain context of the supervised drain: each device keeps
-   its own re-dispatch bookkeeping (attempt counts, backoff-parked
-   shreds) so recovery on one device never perturbs another's stream. *)
-type drain_ctx = {
-  dc_dev : int;
-  dc_gpu : Gpu.t;
-  dc_plan : Fault_plan.t;
-  dc_attempts : (int, int) Hashtbl.t;
-  mutable dc_pending : (int * Gpu.shred) list;
-      (* (release_ps, shred): backoff re-dispatches *)
-}
+(* The supervised drain below runs every device in the same 200 us
+   quanta (kept in lock-step with [Gpu.run_to_quiescence]); its steps
+   are functions of the runtime and one device's drain context, so a
+   quantum in which nothing is hung, overdue or pending allocates
+   nothing. *)
+let drain_quantum_ps = 200_000_000
+
+let threads_per_eu t = (Gpu.config (Exo_platform.gpu t.platform)).Gpu.threads_per_eu
+
+(* Backoff jitter draws from a dedicated per-device stream derived from
+   that device's plan seed, never from the per-class fault streams —
+   reaps are the only consumers, so a zero-rate plan (which never reaps)
+   remains bit-identical to no plan at all. *)
+let jitter t c =
+  match Hashtbl.find_opt t.jitter c.dc_dev with
+  | Some p -> p
+  | None ->
+    let p =
+      Prng.create (Int64.logxor (Fault_plan.seed c.dc_plan) 0x9E3779B97F4A7C15L)
+    in
+    Hashtbl.add t.jitter c.dc_dev p;
+    p
+
+let handle_reaped t c (eu, slot, sh) =
+  let gpu = c.dc_gpu in
+  t.counts.watchdog_kills <- t.counts.watchdog_kills + 1;
+  let b =
+    t.breakers.((c.dc_dev * t.slots_per_dev) + (eu * threads_per_eu t) + slot)
+  in
+  Breaker.record_fail b;
+  (* a reap on a half-open slot is a failed probe: re-open with a
+     doubled cool-down rather than waiting for the threshold *)
+  if Breaker.state b = Breaker.Half_open || Breaker.should_open b then begin
+    Gpu.quarantine gpu ~eu ~slot;
+    Breaker.trip b ~now_ps:(Gpu.now_ps gpu);
+    rev t ~dev:c.dc_dev ~ts:(Gpu.now_ps gpu)
+      (Trace.Breaker_open { eu; slot; cooldown_ps = Breaker.cooldown_ps b })
+  end;
+  if
+    Gpu.hedge_pending gpu ~shred_id:sh.Gpu.shred_id
+    && Gpu.hedge_live_copies gpu ~shred_id:sh.Gpu.shred_id > 0
+  then
+    (* a backup copy of this shred is still racing: the reap freed
+       the slot, no re-dispatch is needed *)
+    ()
+  else begin
+    let a =
+      1 + Option.value (Hashtbl.find_opt c.dc_attempts sh.Gpu.shred_id) ~default:0
+    in
+    Hashtbl.replace c.dc_attempts sh.Gpu.shred_id a;
+    if a > max_redispatch || Gpu.active_slots gpu = 0 then
+      fallback_shred t ~dev:c.dc_dev sh
+    else begin
+      t.counts.redispatches <- t.counts.redispatches + 1;
+      let base = backoff_ps * (1 lsl min 8 (a - 1)) in
+      (* full jitter over the top half of the window: concurrent
+         reaps of a quarantine wave decorrelate instead of slamming
+         the doorbell in lock-step *)
+      let delay = (base / 2) + Prng.int (jitter t c) ((base / 2) + 1) in
+      rev t ~dev:c.dc_dev ~ts:(Gpu.now_ps gpu)
+        (Trace.Redispatch
+           { shred_id = sh.Gpu.shred_id; attempt = a; delay_ps = delay });
+      c.dc_pending <- (Gpu.now_ps gpu + delay, sh) :: c.dc_pending
+    end
+  end
+
+let hedge_overdue t c =
+  let gpu = c.dc_gpu in
+  if t.hedge_after_ps > 0 then
+    match Gpu.overdue_shreds gpu ~age_ps:t.hedge_after_ps with
+    | [] -> ()
+    | overdue ->
+      let cpu = Exo_platform.cpu t.platform in
+      let costs = Exo_platform.costs t.platform in
+      List.iter
+        (fun ((sh : Gpu.shred), age) ->
+          if Gpu.hedge gpu sh then begin
+            t.counts.hedges <- t.counts.hedges + 1;
+            rev t ~dev:c.dc_dev ~ts:(Gpu.now_ps gpu)
+              (Trace.Hedge_dispatch { shred_id = sh.Gpu.shred_id; age_ps = age });
+            Machine.add_overhead_ps cpu
+              (costs.Exo_platform.signal_ps + costs.Exo_platform.dispatch_cpu_ps)
+          end)
+        overdue
+
+(* open → half-open once the cool-down expires (reinstate the slot for
+   its probe); half-open → closed once the probe retires. Returns true
+   when any breaker moved, which counts as progress. *)
+let poll_breakers t c =
+  let gpu = c.dc_gpu in
+  let threads_per_eu = threads_per_eu t in
+  let moved = ref false in
+  let base = c.dc_dev * t.slots_per_dev in
+  for i = base to base + t.slots_per_dev - 1 do
+    let local = i - base in
+    let eu = local / threads_per_eu and slot = local mod threads_per_eu in
+    let b = t.breakers.(i) in
+    match Breaker.state b with
+    | Breaker.Open ->
+      if Breaker.poll b ~now_ps:(Gpu.now_ps gpu) then begin
+        Gpu.reinstate gpu ~eu ~slot;
+        t.probe_base.(i) <- Gpu.slot_completions gpu ~eu ~slot;
+        moved := true
+      end
+    | Breaker.Half_open ->
+      if Gpu.slot_completions gpu ~eu ~slot > t.probe_base.(i) then begin
+        Breaker.close b;
+        t.counts.breaker_closes <- t.counts.breaker_closes + 1;
+        rev t ~dev:c.dc_dev ~ts:(Gpu.now_ps gpu) (Trace.Breaker_close { eu; slot });
+        moved := true
+      end
+    | Breaker.Closed ->
+      let comp = Gpu.slot_completions gpu ~eu ~slot in
+      if comp > t.last_comp.(i) then Breaker.record_ok b;
+      t.last_comp.(i) <- comp
+  done;
+  !moved
+
+let release_due t c =
+  match c.dc_pending with
+  | [] -> ()
+  | pending ->
+    let gpu = c.dc_gpu in
+    let now = Gpu.now_ps gpu in
+    let due, later = List.partition (fun (ps, _) -> ps <= now) pending in
+    c.dc_pending <- later;
+    if due <> [] then begin
+      let costs = Exo_platform.costs t.platform in
+      let shreds = List.map snd due in
+      Machine.add_overhead_ps (Exo_platform.cpu t.platform)
+        (costs.Exo_platform.signal_ps
+        + (List.length shreds * costs.Exo_platform.dispatch_cpu_ps));
+      Gpu.reenqueue gpu shreds
+    end
+
+let drain_done c =
+  Gpu.quiescent c.dc_gpu
+  && Gpu.parked_count c.dc_gpu = 0
+  && match c.dc_pending with [] -> true | _ :: _ -> false
+
+(* One quantum of one device and the recovery work after it. Returns
+   whether anything progressed. *)
+let drain_step t c =
+  let gpu = c.dc_gpu in
+  let retired = Gpu.run_until gpu (Gpu.now_ps gpu + drain_quantum_ps) in
+  hedge_overdue t c;
+  let reaped = Gpu.reap_overdue gpu ~watchdog_ps in
+  (match reaped with [] -> () | _ -> List.iter (handle_reaped t c) reaped);
+  let breakers_moved = poll_breakers t c in
+  (* shreds parked behind a lost doorbell and the machine has gone
+     quiet: the master notices the missing completions and re-rings *)
+  if Gpu.parked_count gpu > 0 && (retired = 0 || Gpu.quiescent gpu) then begin
+    t.counts.doorbell_redeliveries <- t.counts.doorbell_redeliveries + 1;
+    Machine.add_overhead_ps (Exo_platform.cpu t.platform)
+      (Exo_platform.costs t.platform).Exo_platform.signal_ps;
+    ignore (Gpu.redeliver_doorbell gpu)
+  end;
+  release_due t c;
+  if Gpu.active_slots gpu = 0 then begin
+    (* every exo-sequencer slot is quarantined: nothing will ever run on
+       this device again — emulate the stranded work *)
+    let stranded = Gpu.drain_queue gpu @ List.map snd c.dc_pending in
+    c.dc_pending <- [];
+    List.iter (fallback_shred t ~dev:c.dc_dev) stranded
+  end;
+  retired > 0 || (match reaped with [] -> false | _ :: _ -> true) || breakers_moved
 
 (* Supervised replacement for [Gpu.run_to_quiescence], active only when
-   a fault plan is installed. Runs every device in the same 200 us
-   quanta and between quanta performs the recovery work the paper
-   leaves to the application-level runtime: watchdog-reap hung
-   contexts, re-dispatch their shreds with exponential backoff
-   (bounded), quarantine a slot whose breaker trips (and reinstate it
-   for a probe once a nonzero cool-down expires), re-ring lost
-   doorbells, and fall back to IA32 proxy execution when retries are
-   exhausted or no slot is left. With a zero-rate plan none of the
-   recovery paths trigger and the [run_until] call sequence is
-   identical to the unsupervised one — zero overhead when disabled. *)
+   a fault plan is installed. Runs every device in the same quanta and
+   between quanta performs the recovery work the paper leaves to the
+   application-level runtime: watchdog-reap hung contexts, re-dispatch
+   their shreds with exponential backoff (bounded), quarantine a slot
+   whose breaker trips (and reinstate it for a probe once a nonzero
+   cool-down expires), re-ring lost doorbells, and fall back to IA32
+   proxy execution when retries are exhausted or no slot is left. With a
+   zero-rate plan none of the recovery paths trigger and the [run_until]
+   call sequence is identical to the unsupervised one — zero overhead
+   when disabled. *)
 let supervised_drain t =
-  match Exo_platform.fault_plan t.platform with
-  | None -> ()
-  | Some _ ->
-    let cpu = Exo_platform.cpu t.platform in
-    let costs = Exo_platform.costs t.platform in
-    let quantum = 200_000_000 (* keep in lock-step with run_to_quiescence *) in
-    let idle_rounds = ref 0 in
-    let max_idle = 8 + (watchdog_ps / quantum) + 1 in
-    let threads_per_eu =
-      (Gpu.config (Exo_platform.gpu t.platform)).Gpu.threads_per_eu
-    in
-    let ndev = Exo_platform.devices t.platform in
-    let ctxs =
-      List.init ndev (fun dev ->
-          let plan =
-            match Exo_platform.fault_plan_dev t.platform dev with
-            | Some p -> p
-            | None -> assert false (* every device derives from the base *)
-          in
-          {
-            dc_dev = dev;
-            dc_gpu = Exo_platform.gpu_dev t.platform dev;
-            dc_plan = plan;
-            dc_attempts = Hashtbl.create 16;
-            dc_pending = [];
-          })
-    in
-    (* Backoff jitter draws from a dedicated per-device stream derived
-       from that device's plan seed, never from the per-class fault
-       streams — reaps are the only consumers, so a zero-rate plan
-       (which never reaps) remains bit-identical to no plan at all. *)
-    let jitter c =
-      match Hashtbl.find_opt t.jitter c.dc_dev with
-      | Some p -> p
-      | None ->
-        let p =
-          Prng.create
-            (Int64.logxor (Fault_plan.seed c.dc_plan) 0x9E3779B97F4A7C15L)
-        in
-        Hashtbl.add t.jitter c.dc_dev p;
-        p
-    in
-    let handle_reaped c (eu, slot, sh) =
-      let gpu = c.dc_gpu in
-      t.counts.watchdog_kills <- t.counts.watchdog_kills + 1;
-      let b =
-        t.breakers.((c.dc_dev * t.slots_per_dev) + (eu * threads_per_eu) + slot)
-      in
-      Breaker.record_fail b;
-      (* a reap on a half-open slot is a failed probe: re-open with a
-         doubled cool-down rather than waiting for the threshold *)
-      if Breaker.state b = Breaker.Half_open || Breaker.should_open b then begin
-        Gpu.quarantine gpu ~eu ~slot;
-        Breaker.trip b ~now_ps:(Gpu.now_ps gpu);
-        rev t ~dev:c.dc_dev ~ts:(Gpu.now_ps gpu)
-          (Trace.Breaker_open { eu; slot; cooldown_ps = Breaker.cooldown_ps b })
-      end;
-      if
-        Gpu.hedge_pending gpu ~shred_id:sh.Gpu.shred_id
-        && Gpu.hedge_live_copies gpu ~shred_id:sh.Gpu.shred_id > 0
-      then
-        (* a backup copy of this shred is still racing: the reap freed
-           the slot, no re-dispatch is needed *)
-        ()
-      else begin
-        let a =
-          1
-          + Option.value
-              (Hashtbl.find_opt c.dc_attempts sh.Gpu.shred_id)
-              ~default:0
-        in
-        Hashtbl.replace c.dc_attempts sh.Gpu.shred_id a;
-        if a > max_redispatch || Gpu.active_slots gpu = 0 then
-          fallback_shred t ~dev:c.dc_dev sh
-        else begin
-          t.counts.redispatches <- t.counts.redispatches + 1;
-          let base = backoff_ps * (1 lsl min 8 (a - 1)) in
-          (* full jitter over the top half of the window: concurrent
-             reaps of a quarantine wave decorrelate instead of slamming
-             the doorbell in lock-step *)
-          let delay = (base / 2) + Prng.int (jitter c) ((base / 2) + 1) in
-          rev t ~dev:c.dc_dev ~ts:(Gpu.now_ps gpu)
-            (Trace.Redispatch
-               { shred_id = sh.Gpu.shred_id; attempt = a; delay_ps = delay });
-          c.dc_pending <- (Gpu.now_ps gpu + delay, sh) :: c.dc_pending
-        end
-      end
-    in
-    let hedge_overdue c =
-      let gpu = c.dc_gpu in
-      if t.hedge_after_ps > 0 then
-        List.iter
-          (fun ((sh : Gpu.shred), age) ->
-            if Gpu.hedge gpu sh then begin
-              t.counts.hedges <- t.counts.hedges + 1;
-              rev t ~dev:c.dc_dev ~ts:(Gpu.now_ps gpu)
-                (Trace.Hedge_dispatch
-                   { shred_id = sh.Gpu.shred_id; age_ps = age });
-              Machine.add_overhead_ps cpu
-                (costs.Exo_platform.signal_ps
-                + costs.Exo_platform.dispatch_cpu_ps)
-            end)
-          (Gpu.overdue_shreds gpu ~age_ps:t.hedge_after_ps)
-    in
-    (* open → half-open once the cool-down expires (reinstate the slot
-       for its probe); half-open → closed once the probe retires.
-       Returns true when any breaker moved, which counts as progress. *)
-    let poll_breakers c =
-      let gpu = c.dc_gpu in
-      let moved = ref false in
-      let base = c.dc_dev * t.slots_per_dev in
-      for i = base to base + t.slots_per_dev - 1 do
-        let local = i - base in
-        let eu = local / threads_per_eu and slot = local mod threads_per_eu in
-        let b = t.breakers.(i) in
-        match Breaker.state b with
-        | Breaker.Open ->
-          if Breaker.poll b ~now_ps:(Gpu.now_ps gpu) then begin
-            Gpu.reinstate gpu ~eu ~slot;
-            t.probe_base.(i) <- Gpu.slot_completions gpu ~eu ~slot;
-            moved := true
-          end
-        | Breaker.Half_open ->
-          if Gpu.slot_completions gpu ~eu ~slot > t.probe_base.(i) then begin
-            Breaker.close b;
-            t.counts.breaker_closes <- t.counts.breaker_closes + 1;
-            rev t ~dev:c.dc_dev ~ts:(Gpu.now_ps gpu)
-              (Trace.Breaker_close { eu; slot });
-            moved := true
-          end
-        | Breaker.Closed ->
-          let comp = Gpu.slot_completions gpu ~eu ~slot in
-          if comp > t.last_comp.(i) then Breaker.record_ok b;
-          t.last_comp.(i) <- comp
+  let max_idle = 8 + (watchdog_ps / drain_quantum_ps) + 1 in
+  Array.iter
+    (fun c ->
+      Hashtbl.clear c.dc_attempts;
+      c.dc_pending <- [])
+    t.drain;
+  let idle_rounds = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    if Array.for_all drain_done t.drain then continue_ := false
+    else begin
+      let progress = ref false in
+      for d = 0 to Array.length t.drain - 1 do
+        let c = t.drain.(d) in
+        if (not (drain_done c)) && drain_step t c then progress := true
       done;
-      !moved
-    in
-    let release_due c =
-      let gpu = c.dc_gpu in
-      let now = Gpu.now_ps gpu in
-      let due, later =
-        List.partition (fun (ps, _) -> ps <= now) c.dc_pending
-      in
-      c.dc_pending <- later;
-      if due <> [] then begin
-        let shreds = List.map snd due in
-        Machine.add_overhead_ps cpu
-          (costs.Exo_platform.signal_ps
-          + (List.length shreds * costs.Exo_platform.dispatch_cpu_ps));
-        Gpu.reenqueue gpu shreds
-      end
-    in
-    let ctx_done c =
-      Gpu.quiescent c.dc_gpu
-      && Gpu.parked_count c.dc_gpu = 0
-      && c.dc_pending = []
-    in
-    let step c =
-      let gpu = c.dc_gpu in
-      let retired = Gpu.run_until gpu (Gpu.now_ps gpu + quantum) in
-      hedge_overdue c;
-      let reaped = Gpu.reap_overdue gpu ~watchdog_ps in
-      List.iter (handle_reaped c) reaped;
-      let breakers_moved = poll_breakers c in
-      (* shreds parked behind a lost doorbell and the machine has gone
-         quiet: the master notices the missing completions and re-rings *)
-      if Gpu.parked_count gpu > 0 && (retired = 0 || Gpu.quiescent gpu)
-      then begin
-        t.counts.doorbell_redeliveries <- t.counts.doorbell_redeliveries + 1;
-        Machine.add_overhead_ps cpu costs.Exo_platform.signal_ps;
-        ignore (Gpu.redeliver_doorbell gpu)
-      end;
-      release_due c;
-      if Gpu.active_slots gpu = 0 then begin
-        (* every exo-sequencer slot is quarantined: nothing will ever
-           run on this device again — emulate the stranded work *)
-        let stranded = Gpu.drain_queue gpu @ List.map snd c.dc_pending in
-        c.dc_pending <- [];
-        List.iter (fallback_shred t ~dev:c.dc_dev) stranded
-      end;
-      retired > 0 || reaped <> [] || breakers_moved
-    in
-    let continue_ = ref true in
-    while !continue_ do
-      if List.for_all ctx_done ctxs then continue_ := false
-      else begin
-        let progress = ref false in
-        List.iter
-          (fun c -> if not (ctx_done c) then if step c then progress := true)
-          ctxs;
-        if not !progress then begin
-          incr idle_rounds;
-          if !idle_rounds > max_idle then begin
-            t.counts.fatal <- t.counts.fatal + 1;
-            raise (Gpu.Stuck "supervised drain: no progress")
-          end
+      if not !progress then begin
+        incr idle_rounds;
+        if !idle_rounds > max_idle then begin
+          t.counts.fatal <- t.counts.fatal + 1;
+          raise (Gpu.Stuck "supervised drain: no progress")
         end
-        else idle_rounds := 0
       end
-    done
+      else idle_rounds := 0
+    end
+  done
 
 (* ---- the team lifecycle: launch, feed, wait ---- *)
 

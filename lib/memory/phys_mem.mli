@@ -30,6 +30,11 @@ val free_frame : t -> int -> unit
     simulator; callers split at frame boundaries). Unallocated frames read
     as zero and are materialised on write. *)
 
+(** [check_span off size] fails as an access of [size] bytes at frame
+    offset [off] that straddles a frame boundary does: with
+    [Invalid_argument]. *)
+val check_span : int -> int -> unit
+
 val read_u8 : t -> int -> int
 val read_u16 : t -> int -> int
 val read_u32 : t -> int -> int32

@@ -68,6 +68,17 @@ let element_addr t ~x ~y =
     let within = (col * yt_col * ytile_h) + (y mod ytile_h * yt_col) + (xb mod yt_col) in
     t.base + (tile * ytile_w * ytile_h) + within
 
+let index_addrs t buf ~n =
+  for k = 0 to n - 1 do
+    let e = buf.(k) in
+    buf.(k) <- element_addr t ~x:(e mod t.width) ~y:(e / t.width)
+  done
+
+let row_addrs t ~x ~y ~n buf =
+  for k = 0 to n - 1 do
+    buf.(k) <- element_addr t ~x:(x + k) ~y
+  done
+
 let row_addr t ~y =
   check_bounds t ~x:0 ~y;
   match t.tiling with

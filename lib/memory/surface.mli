@@ -48,6 +48,16 @@ val make :
     [Invalid_argument] — the hardware's surface-state bounds check. *)
 val element_addr : t -> x:int -> y:int -> int
 
+(** [index_addrs t buf ~n] replaces each of the first [n] 1-D element
+    indices [e] in [buf] (row-major: [x = e mod width], [y = e / width])
+    with {!element_addr} of that element, in one call; the first index
+    outside the surface fails as {!element_addr} does. *)
+val index_addrs : t -> int array -> n:int -> unit
+
+(** [row_addrs t ~x ~y ~n buf] writes {!element_addr} of elements
+    [(x, y)] .. [(x + n - 1, y)] into [buf.(0)] .. [buf.(n - 1)]. *)
+val row_addrs : t -> x:int -> y:int -> n:int -> int array -> unit
+
 (** [row_addr t ~y] is the address of element [(0, y)]. For linear
     surfaces, consecutive x share a row segment; for tiled surfaces use
     {!element_addr} per element. *)

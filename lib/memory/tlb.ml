@@ -49,6 +49,18 @@ let lookup t ~vpage =
     t.misses <- t.misses + 1;
     raise Not_found
 
+(* [n] more lookups of [vpage] at once: one probe, the counters and the
+   recency [n] calls of [lookup] would leave. *)
+let relookup t ~vpage ~n =
+  if n > 0 then begin
+    t.tick <- t.tick + n;
+    match t.slots.(slot t vpage (vpage land t.mask)) with
+    | Some e ->
+      e.last_use <- t.tick;
+      t.hits <- t.hits + n
+    | None -> t.misses <- t.misses + n
+  end
+
 (* Backward-shift deletion: close the gap at [i] so every later entry of
    the probe run stays reachable from its home slot. *)
 let remove_slot t i =

@@ -13,6 +13,13 @@ val capacity : 'a t -> int
     raises [Not_found] on a miss. A hit allocates nothing. *)
 val lookup : 'a t -> vpage:int -> 'a
 
+(** [relookup t ~vpage ~n] counts [n] lookups of [vpage] in one probe:
+    hits, misses, recency and so later eviction victims end as after [n]
+    calls of {!lookup}, whose results are not needed (the caller already
+    holds the payload from the lookup before). Does nothing for
+    [n <= 0]. Allocates nothing. *)
+val relookup : 'a t -> vpage:int -> n:int -> unit
+
 (** [insert t ~vpage payload] fills an entry, evicting the least recently
     used one when full. Re-inserting an existing vpage replaces it. *)
 val insert : 'a t -> vpage:int -> 'a -> unit

@@ -55,13 +55,15 @@ let make_rig ?config () =
   in
   { aspace; gpu; atr_count; ceh_count }
 
-let alloc_surface rig name ~width ~height ~bpp =
-  let pitch = Surface.required_pitch ~width ~bpp ~tiling:Surface.Linear in
-  let base =
-    Address_space.alloc rig.aspace ~name ~bytes:(pitch * height) ~align:64
+let alloc_surface ?(tiling = Surface.Linear) rig name ~width ~height ~bpp =
+  let bytes =
+    Surface.byte_size
+      (Surface.make ~id:1 ~name ~base:0 ~width ~height ~bpp ~tiling
+         ~mode:Surface.In_out)
   in
-  Surface.make ~id:1 ~name ~base ~width ~height ~bpp ~tiling:Surface.Linear
-    ~mode:Surface.In_out
+  let align = if tiling = Surface.Linear then 64 else 4096 in
+  let base = Address_space.alloc rig.aspace ~name ~bytes ~align in
+  Surface.make ~id:1 ~name ~base ~width ~height ~bpp ~tiling ~mode:Surface.In_out
 
 let run_one rig src ~surfaces ~params =
   let prog = X3k_asm.assemble_exn ~name:"t" src in
@@ -196,6 +198,56 @@ let test_gather_scatter () =
     check_int (Printf.sprintf "reversed %d" i) (100 + 15 - i)
       (rd32 rig out ~x:i ~y:0)
   done
+
+(* Lanes across pages, on the EU and on the IA32 fallback: on X-tiled
+   16x16 surfaces rows 0..7 and 8..15 are two pages, so a load and a
+   store of elements 120..135 cross from one page to the other, and a
+   gather and a scatter whose even lanes index row 0 and odd lanes row
+   8 alternate between them. *)
+let test_lanes_across_pages () =
+  List.iter
+    (fun fallback ->
+      let rig = make_rig () in
+      let tiled name =
+        alloc_surface ~tiling:Surface.Tiled_x rig name ~width:16 ~height:16 ~bpp:4
+      in
+      let src = tiled "S" and out = tiled "O" in
+      for e = 0 to 255 do
+        wr32 rig src ~x:(e mod 16) ~y:(e / 16) (1000 + e)
+      done;
+      let prog =
+        X3k_asm.assemble_exn ~name:"t"
+          {|
+  mov.1.dw vr100 = 120
+  ld.16.dw vr1 = (S, vr100, 0)
+  st.16.dw (O, vr100, 0) = vr1
+  and.16.dw vr3 = %lane, 1
+  mul.16.dw vr3 = vr3, 128
+  add.16.dw vr3 = vr3, %lane
+  gather.16.dw vr4 = (S, vr3, 0)
+  scatter.16.dw (O, vr3, 16) = vr4
+  end
+|}
+      in
+      Gpu.bind rig.gpu ~prog ~surfaces:[| src; out |] ~team_size:1;
+      let sh = { Gpu.shred_id = 0; entry = 0; params = [||] } in
+      if fallback then ignore (Gpu.emulate_shred rig.gpu sh)
+      else begin
+        Gpu.enqueue rig.gpu [ sh ];
+        ignore (Gpu.run_to_quiescence rig.gpu)
+      end;
+      let at e = rd32 rig out ~x:(e mod 16) ~y:(e / 16) in
+      let path = if fallback then "fallback" else "EU" in
+      for e = 120 to 135 do
+        check_int (Printf.sprintf "%s st element %d" path e) (1000 + e) (at e)
+      done;
+      for k = 0 to 15 do
+        let e = ((k land 1) * 128) + k in
+        check_int
+          (Printf.sprintf "%s scatter lane %d" path k)
+          (1000 + e) (at (e + 16))
+      done)
+    [ false; true ]
 
 let test_sampler_bilinear () =
   let rig = make_rig () in
@@ -698,6 +750,7 @@ let () =
           Alcotest.test_case "branches/loops" `Quick test_branches_and_loops;
           Alcotest.test_case "predication" `Quick test_predication_masks_lanes;
           Alcotest.test_case "gather/scatter" `Quick test_gather_scatter;
+          Alcotest.test_case "lanes across pages" `Quick test_lanes_across_pages;
           Alcotest.test_case "sampler" `Quick test_sampler_bilinear;
         ] );
       ( "ceh",

@@ -1063,7 +1063,10 @@ let wrap_loop ~start ~step ~cmp =
 let bound_covers_busy ~proven src () =
   match (x3k_bound src).Bound.verdict with
   | Bound.Cycles bound ->
-    let c = { X3k_gen.body = (); input = Array.make 256 0; sid = 0; params = [||] } in
+    let c =
+      { X3k_gen.body = (); input = Array.make 256 0;
+        tiling = Exochi_memory.Surface.Linear; sid = 0; params = [||] }
+    in
     let _, gpu = X3k_gen.run ~fallback:false src c in
     let busy = Exochi_accel.Gpu.busy_cycles gpu in
     if busy > bound then

@@ -511,6 +511,7 @@ let prop_levels_agree_loops =
 let straight_line lines =
   let c =
     { X3k_gen.body = [ X3k_gen.Lines lines ]; input = Array.make 256 0;
+      tiling = Exochi_memory.Surface.Linear;
       sid = 0; params = [||] }
   in
   (X3k_gen.eu_case_src c, c)
@@ -529,7 +530,8 @@ let xor_w_in_loop =
           step = 1; cond = Le; swap = true; none_set = false;
           top_test = true; flag = 0; pre = []; inner = Some inner;
           post = [] };
-      input = Array.make 256 0; sid = 0; params = Array.make 8 0 }
+      input = Array.make 256 0; tiling = Exochi_memory.Surface.Linear; sid = 0;
+      params = Array.make 8 0 }
   in
   (loop_case_src c, c)
 
