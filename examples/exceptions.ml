@@ -9,7 +9,6 @@
 
 open Exochi_memory
 open Exochi_core
-module Gpu = Exochi_accel.Gpu
 
 let src =
   {|
@@ -65,10 +64,11 @@ let () =
       ~bpp:4 ~mode:Chi_descriptor.Output ()
   in
   let prog = Exochi_isa.X3k_asm.assemble_exn ~name:"ceh" src in
-  let gpu = Exo_platform.gpu platform in
-  Gpu.bind gpu ~prog ~surfaces:[| d.Chi_descriptor.surface |] ~team_size:1;
-  Gpu.enqueue gpu [ { Gpu.shred_id = 0; entry = 0; params = [||] } ];
-  ignore (Gpu.run_to_quiescence gpu);
+  let rt = Chi_runtime.create ~platform () in
+  ignore
+    (Chi_runtime.parallel rt ~prog ~descriptors:[ d ] ~num_threads:1
+       ~params:(fun _ -> [||])
+       ~master_nowait:false ());
   let lane row i =
     Int32.float_of_bits (Address_space.read_u32 aspace (base + (4 * (row + i))))
   in

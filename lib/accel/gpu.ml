@@ -48,7 +48,6 @@ type hooks = {
   ceh : fault_request -> now_ps:int -> int array * int;
   ceh_spurious : now_ps:int -> int;
   mem_delay : paddr:int -> bytes:int -> write:bool -> now_ps:int -> int;
-  on_shred_done : shred -> now_ps:int -> unit;
 }
 
 exception Stuck of string
@@ -265,6 +264,7 @@ type t = {
   trace : Trace.sink option; (* [None] = tracing off *)
   dev : int; (* device index in the platform's device set *)
   fallback_ctx : ctx; (* [emulate_shred]'s context, cleared per shred *)
+  mutable on_shred_done : shred -> now_ps:int -> unit; (* per retirement *)
 }
 
 let mk_ctx () =
@@ -338,9 +338,11 @@ let create ?(config = default_config) ~fault_plan ~trace ~dev ~aspace ~bus
     trace;
     dev;
     fallback_ctx = mk_ctx ();
+    on_shred_done = (fun _ ~now_ps:_ -> ());
   }
 
 let set_profiler t f = t.prof <- Some f
+let set_on_shred_done t f = t.on_shred_done <- f
 
 let config t = t.cfg
 let clock t = t.clock
@@ -1265,7 +1267,7 @@ let finish_shred t eu slot =
       ~dur:(max 0 (eu.now - ctx.started))
       ~seq:(Trace.Exo { eu = eu.eu_id; slot })
       (Trace.Shred_run { shred_id = sh.shred_id });
-    t.hooks.on_shred_done sh ~now_ps:eu.now
+    t.on_shred_done sh ~now_ps:eu.now
   | None -> ());
   ctx.shred <- None;
   ctx.sems_held <- [];
@@ -1380,33 +1382,6 @@ let run_until t target_ps =
   done;
   !retired
 
-let run_to_quiescence t =
-  let quantum = 200_000_000 (* 200 us *) in
-  let stuck_rounds = ref 0 in
-  while not (quiescent t) do
-    let target = now_ps t + quantum in
-    let retired = run_until t target in
-    if retired = 0 then begin
-      incr stuck_rounds;
-      if !stuck_rounds > 3 then begin
-        let waiting =
-          Array.exists
-            (fun eu ->
-              Array.exists
-                (fun c -> c.state = Wait_sem)
-                eu.ctxs)
-            t.eus
-        in
-        raise
-          (Stuck
-             (if waiting then "semaphore deadlock"
-              else "no progress on any EU"))
-      end
-    end
-    else stuck_rounds := 0
-  done;
-  t.last_done
-
 let peek_reg t ~shred_id ~reg ~lane =
   let found = ref None in
   Array.iter
@@ -1461,6 +1436,35 @@ let reap_overdue t ~watchdog_ps =
     done
   done;
   List.rev !reaped
+
+(* Some context waits on a semaphore: a device that stops progressing
+   with one is in a semaphore deadlock. *)
+let sem_waiting t =
+  Array.exists
+    (fun eu -> Array.exists (fun c -> c.state = Wait_sem) eu.ctxs)
+    t.eus
+
+(* Recovery gave up on the device's team: drop every shred it holds,
+   queued, parked behind a lost doorbell or resident, with the
+   semaphores they hold or wait on, their hedge races and the register
+   writes sent ahead of them, so the next team bound here starts on an
+   empty device. Quarantines and counters stay. *)
+let evict t =
+  Queue.clear t.queue;
+  Queue.clear t.parked;
+  Array.iter
+    (fun eu ->
+      Array.iter
+        (fun c ->
+          c.shred <- None;
+          c.sems_held <- [];
+          c.state <- Idle)
+        eu.ctxs)
+    t.eus;
+  Array.fill t.sem_held 0 (Array.length t.sem_held) false;
+  Array.fill t.sem_waiters 0 (Array.length t.sem_waiters) [];
+  Hashtbl.reset t.hedged;
+  Hashtbl.reset t.pending_regs
 
 let quarantine t ~eu ~slot = t.eus.(eu).ctxs.(slot).disabled <- true
 

@@ -60,7 +60,6 @@ type hooks = {
       (** Extra picoseconds of delay for a memory access (coherence
           snoops of the CPU caches in CC mode, protocol checking in
           non-CC mode). Return 0 for none. *)
-  on_shred_done : shred -> now_ps:int -> unit;
 }
 
 type t
@@ -101,6 +100,12 @@ val clock : t -> Exochi_util.Timebase.clock
 val set_profiler :
   t -> (prog:X3k_ast.program -> pc:int -> cost_ps:int -> unit) -> unit
 
+(** [set_on_shred_done t f] installs the completion callback: [f] is
+    called once for every shred that retires on the device, at its
+    retirement time (a user-level interrupt in the real design). The
+    CHI runtime installs one per device; the default does nothing. *)
+val set_on_shred_done : t -> (shred -> now_ps:int -> unit) -> unit
+
 val cache : t -> Exochi_memory.Cache.t
 val tlb : t -> Exochi_memory.Pte.X3k.t Exochi_memory.Tlb.t
 
@@ -134,8 +139,7 @@ val redeliver_doorbell : t -> int
 val parked_count : t -> int
 
 (** Remove and return every queued shred (visible and parked) — used
-    when no exo-sequencer is left to run them, and when recovery gives
-    up on a team. *)
+    when no exo-sequencer is left to run them. *)
 val drain_queue : t -> shred list
 
 val queue_length : t -> int
@@ -163,11 +167,8 @@ val last_shred_done : t -> int
     shreds. Returns the number of instructions retired in the slice. *)
 val run_until : t -> int -> int
 
-(** [run_to_quiescence t] keeps running until all work completes; returns
-    the completion timestamp. Raises [Stuck] if no progress is possible
-    (e.g. a deadlock on semaphores). *)
-val run_to_quiescence : t -> int
-
+(** Raised by the runtime's drain when no device makes progress, and by
+    {!emulate_shred} when a shred does not terminate. *)
 exception Stuck of string
 
 (** An exo-sequencer touched an address outside every mapped region and
@@ -191,6 +192,18 @@ val quarantine : t -> eu:int -> slot:int -> unit
 
 (** Slots still eligible for dispatch. *)
 val active_slots : t -> int
+
+(** Some context is waiting on a semaphore: a device that stops making
+    progress with one is in a semaphore deadlock. *)
+val sem_waiting : t -> bool
+
+(** Drop every shred the device holds — queued, parked behind a lost
+    doorbell and resident — with every semaphore they hold or wait on,
+    their hedge races and any register writes sent ahead of them: the
+    runtime's drain gave up on the device's team, and the next team
+    bound here must find the device empty. Quarantined slots stay
+    quarantined. *)
+val evict : t -> unit
 
 (** Return a quarantined slot to the eligible set (its circuit breaker
     entering half-open). *)

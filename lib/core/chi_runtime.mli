@@ -57,8 +57,8 @@ type recovery = private {
 
 type t
 
-(** Under a fault plan the runtime supervises every drain with fixed
-    constants: a dispatched shred that has retired nothing for 1 ms
+(** The runtime's one drain ({!wait}) supervises every device with
+    fixed constants: a dispatched shred that has retired nothing for 1 ms
     (simulated) is declared hung and reaped; a reaped shred is
     re-dispatched at most 3 times before it falls back to IA32 proxy
     execution, after an exponential backoff with a 200 ns base, jittered
@@ -78,7 +78,8 @@ type t
     before a half-open probe, which reinstates it if it retires. 0 keeps
     a tripped slot quarantined for the rest of the run.
 
-    Both are inert without a fault plan on the platform. *)
+    Only injected faults hang a shred or trip a breaker, so without them
+    neither option acts. *)
 val create :
   platform:Exo_platform.t ->
   ?flush_policy:flush_policy ->
@@ -145,11 +146,17 @@ val feed :
   params:(int -> int array) ->
   unit
 
-(** Barrier: wait for a team; performs the completion-side memory-model
-    work (GPU cache flush + semaphore in non-CC mode, output copy-back
-    in data-copy mode). Under a fault plan the drain is supervised; when
-    it gives up ({!Exochi_accel.Gpu.Stuck}), the queues of the team's
-    devices are cleared before the exception propagates. Idempotent. *)
+(** Barrier: wait for a team. Runs every device to quiescence in
+    lock-step 200 us quanta, recovering from injected faults between
+    quanta (see {!create}); advances the master's clock to the latest
+    shred completion on any device plus one SIGNAL; then performs the
+    completion-side memory-model work (GPU cache flush + semaphore in
+    non-CC mode, output copy-back in data-copy mode). After 15 quanta in
+    a row without progress the drain gives up: it counts one
+    [recovery.fatal], evicts the team's devices
+    ({!Exochi_accel.Gpu.evict}) so they serve the next team, and raises
+    {!Exochi_accel.Gpu.Stuck}, naming a semaphore deadlock when some
+    context waits on one. Idempotent. *)
 val wait : t -> team -> unit
 
 (** [parallel t ~prog ~descriptors ~num_threads ~params ~master_nowait]

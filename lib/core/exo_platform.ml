@@ -48,10 +48,6 @@ type t = {
   mutable violations : int;
   mutable atr_transient_retries : int;
   mutable ceh_spurious : int;
-  (* per-device completion callbacks, so concurrently placed teams on
-     different devices each observe only their own retirements *)
-  on_shred_done :
-    (Exochi_accel.Gpu.shred -> now_ps:int -> unit) array;
 }
 
 let aspace t = t.aspace
@@ -334,7 +330,6 @@ let create ?gpu_config ?(memmodel = Memmodel.Cc_shared) ?(gtt_enabled = true)
       violations = 0;
       atr_transient_retries = 0;
       ceh_spurious = 0;
-      on_shred_done = Array.make devices (fun _ ~now_ps:_ -> ());
     }
   in
   let hooks_for dev =
@@ -346,7 +341,6 @@ let create ?gpu_config ?(memmodel = Memmodel.Cc_shared) ?(gtt_enabled = true)
       mem_delay =
         (fun ~paddr ~bytes ~write ~now_ps ->
           mem_delay_hook t ~paddr ~bytes ~write ~now_ps);
-      on_shred_done = (fun sh ~now_ps -> t.on_shred_done.(dev) sh ~now_ps);
     }
   in
   t.gpus <-
@@ -355,13 +349,6 @@ let create ?gpu_config ?(memmodel = Memmodel.Cc_shared) ?(gtt_enabled = true)
           ~fault_plan:fault_plans.(dev) ~trace ~dev ~aspace ~bus:buses.(dev)
           ~hooks:(hooks_for dev) ());
   t
-
-let set_shred_done_callback_dev t ~dev f = t.on_shred_done.(dev) <- f
-
-(* Completion notification for a shred the runtime proxy-executed on the
-   IA32 sequencer (graceful-degradation path) — routes through the same
-   callback a GPU retirement would. *)
-let notify_shred_done ?(dev = 0) t sh ~now_ps = t.on_shred_done.(dev) sh ~now_ps
 
 let sync_gpu_to_cpu t =
   let now = Exochi_cpu.Machine.now_ps t.cpu in
@@ -409,20 +396,3 @@ let emit_mem_counters t =
         c ~dev:d (n "bus_bytes") (Bus.total_bytes b);
         c ~dev:d (n "bus_requests") (Bus.total_requests b))
       t.buses
-
-(* The master's team barrier covers the whole device set: it observes
-   the last completion across every device, then pays one semaphore
-   signal. With one device this is exactly the historical barrier. *)
-let barrier t =
-  let done_ps =
-    Array.fold_left
-      (fun acc g ->
-        max acc
-          (if Exochi_accel.Gpu.quiescent g then
-             Exochi_accel.Gpu.last_shred_done g
-           else Exochi_accel.Gpu.run_to_quiescence g))
-      0 t.gpus
-  in
-  let arrive = max done_ps (Exochi_cpu.Machine.now_ps t.cpu) + t.costs.signal_ps in
-  Exochi_cpu.Machine.advance_to_ps t.cpu arrive;
-  arrive

@@ -125,35 +125,12 @@ val prewalk : t -> vaddr:int -> len:int -> unit
     descriptor free). *)
 val invalidate_gtt : t -> unit
 
-(** {1 Shred completion notifications}
-
-    The CHI runtime registers its scheduler here; the exoskeleton
-    delivers one callback per completed shred (a user-level interrupt in
-    the real design). *)
-
-(** Install the completion callback of the team [dev] runs — teams on
-    different devices each observe only their own retirements. *)
-val set_shred_done_callback_dev :
-  t -> dev:int -> (Exochi_accel.Gpu.shred -> now_ps:int -> unit) -> unit
-
-(** Deliver a completion notification for a shred the runtime
-    proxy-executed on the IA32 sequencer (graceful degradation) — the
-    team bookkeeping must see it exactly as a GPU retirement. [dev]
-    (default 0) selects whose callback fires. *)
-val notify_shred_done :
-  ?dev:int -> t -> Exochi_accel.Gpu.shred -> now_ps:int -> unit
-
 (** {1 Synchronisation} *)
 
 (** [sync_gpu_to_cpu t] advances every EU clock on every device to the
     CPU's current time (call before dispatching work the CPU just
     enqueued). *)
 val sync_gpu_to_cpu : t -> unit
-
-(** [barrier t] runs every device to quiescence and advances the CPU
-    clock to the completion signal (the implied barrier at the end of a
-    parallel construct). Returns the barrier timestamp. *)
-val barrier : t -> int
 
 (** {1 Counters} *)
 

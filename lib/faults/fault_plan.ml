@@ -103,7 +103,6 @@ let decide t cls =
 
 let injected t cls = t.counts.(index cls)
 let injected_total t = Array.fold_left ( + ) 0 t.counts
-let injected_counts t = Array.copy t.counts
 let drawn t cls = t.draws.(index cls)
 let drawn_counts t = Array.copy t.draws
 

@@ -63,9 +63,6 @@ val injected : t -> fault_class -> int
 
 val injected_total : t -> int
 
-(** Injections per class, in {!all_classes} order (fresh copy). *)
-val injected_counts : t -> int array
-
 (** {2 Stream positions}
 
     Every {!decide} on a nonzero-rate class consumes exactly one PRNG

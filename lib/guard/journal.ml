@@ -15,7 +15,6 @@ type writer = { oc : out_channel }
 let max_len = 1 lsl 24  (* 16 MiB: any longer frame is corruption *)
 
 let create_writer path = { oc = open_out_bin path }
-let append_writer path = { oc = open_out_gen [ Open_append; Open_binary ] 0o644 path }
 
 let append w payload =
   let len = String.length payload in

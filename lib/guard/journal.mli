@@ -25,9 +25,6 @@ type writer
 (** Truncate/create [path] for writing. *)
 val create_writer : string -> writer
 
-(** Open [path] for appending (created if missing). *)
-val append_writer : string -> writer
-
 (** Frame, write and flush one record. Raises [Invalid_argument] on
     payloads over 16 MiB (such a length in a header is treated as
     corruption by {!load}). *)

@@ -152,14 +152,6 @@ type program = {
   source : string;
 }
 
-let surface_slot p name =
-  let rec go i =
-    if i >= Array.length p.surfaces then None
-    else if p.surfaces.(i) = name then Some i
-    else go (i + 1)
-  in
-  go 0
-
 let sreg_name = function
   | Sid -> "sid"
   | Nshred -> "nshred"

@@ -144,9 +144,6 @@ type program = {
   source : string; (* original assembly text *)
 }
 
-(** [surface_slot p name] finds the slot bound to a symbolic name. *)
-val surface_slot : program -> string -> int option
-
 (** [surf_name surfaces slot] is the symbolic name of a slot, or a
     ["?surfN"] placeholder when the slot is out of range. *)
 val surf_name : string array -> int -> string

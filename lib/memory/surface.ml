@@ -79,12 +79,6 @@ let row_addrs t ~x ~y ~n buf =
     buf.(k) <- element_addr t ~x:(x + k) ~y
   done
 
-let row_addr t ~y =
-  check_bounds t ~x:0 ~y;
-  match t.tiling with
-  | Linear -> t.base + (y * t.pitch)
-  | Tiled_x | Tiled_y -> element_addr t ~x:0 ~y
-
 let contains t ~vaddr = vaddr >= t.base && vaddr < t.base + byte_size t
 
 (* Extent queries for code that reasons about *declared* dimensions
@@ -95,12 +89,8 @@ let contains t ~vaddr = vaddr >= t.base && vaddr < t.base + byte_size t
 
 let extent_elements ~width ~height = width * height
 
-let extent_bytes ~width ~height ~bpp = width * height * bpp
-
 let index_in_extent ~width ~height index =
   index >= 0 && index < extent_elements ~width ~height
-
-let element_count t = extent_elements ~width:t.width ~height:t.height
 
 let pp fmt t =
   Format.fprintf fmt "surface#%d %s @%#x %dx%d bpp=%d pitch=%d %s %s" t.id

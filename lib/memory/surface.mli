@@ -58,11 +58,6 @@ val index_addrs : t -> int array -> n:int -> unit
     [(x, y)] .. [(x + n - 1, y)] into [buf.(0)] .. [buf.(n - 1)]. *)
 val row_addrs : t -> x:int -> y:int -> n:int -> int array -> unit
 
-(** [row_addr t ~y] is the address of element [(0, y)]. For linear
-    surfaces, consecutive x share a row segment; for tiled surfaces use
-    {!element_addr} per element. *)
-val row_addr : t -> y:int -> int
-
 (** [contains t ~vaddr] — whether an address falls in the surface's
     backing range. *)
 val contains : t -> vaddr:int -> bool
@@ -78,14 +73,8 @@ val contains : t -> vaddr:int -> bool
 (** Addressable elements of a declared [width x height] extent. *)
 val extent_elements : width:int -> height:int -> int
 
-(** Bytes spanned by the declared elements (excludes pitch padding). *)
-val extent_bytes : width:int -> height:int -> bpp:int -> int
-
 (** Whether a 1-D element index falls inside the declared extent — the
     static counterpart of the {!element_addr} bounds check. *)
 val index_in_extent : width:int -> height:int -> int -> bool
-
-(** [element_count t = extent_elements ~width:t.width ~height:t.height]. *)
-val element_count : t -> int
 
 val pp : Format.formatter -> t -> unit

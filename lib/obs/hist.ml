@@ -20,10 +20,6 @@ let emax = 63 (* largest: values at or above 2^63 clamp *)
 let octaves = emax - emin + 1
 let nbuckets = octaves * sub
 
-(* Worst-case relative half-width of one bucket: quantiles land within
-   this fraction of any sample that shares the bucket. *)
-let rel_error = 1.0 /. float_of_int sub
-
 (* An all-float record is stored flat, so updating these allocates
    nothing (a float field of [t] itself would be boxed on every store). *)
 type extent = {

@@ -4,7 +4,7 @@
     Values are bucketed by their [Float.frexp] decomposition, read off
     the float's bits: each power-of-two octave is split into [sub = 32]
     linear sub-buckets, so every bucket's relative width is at most
-    {!rel_error} (3.125%) and a quantile estimate is
+    [1/sub] (3.125%) and a quantile estimate is
     never further than one bucket width from the exact sorted
     percentile at the same rank. Bucketing is pure integer/ldexp
     arithmetic — no logarithm — so identical value streams produce
@@ -40,9 +40,6 @@ val max_value : t -> float
     midpoint, clamped into the exact observed [min, max]. 0 when empty.
     Monotone in [p] by construction. *)
 val quantile : t -> float -> float
-
-(** Worst-case relative bucket half-width ([1/sub]). *)
-val rel_error : float
 
 (** Absolute width of the bucket that would hold [v] — the per-estimate
     error budget the tests check against. *)

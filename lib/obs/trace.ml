@@ -67,7 +67,6 @@ let create ?(capacity = 262_144) () =
   }
 
 let set_tap s f = s.tap <- Some f
-let clear_tap s = s.tap <- None
 
 let set_topology s ?(devices = 1) ~eus ~threads_per_eu () =
   if eus <= 0 || threads_per_eu <= 0 || devices <= 0 then

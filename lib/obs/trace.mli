@@ -115,8 +115,6 @@ val emit :
     time-identical to untapped ones (enforced by [test/test_obs.ml]). *)
 val set_tap : sink -> (event -> unit) -> unit
 
-val clear_tap : sink -> unit
-
 (** Events in emission order (oldest surviving first). *)
 val events : sink -> event list
 

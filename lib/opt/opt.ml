@@ -1069,15 +1069,6 @@ let optimize level p =
 
 type pass = Constprop | Strength | Cse | Dce | Licm | Unroll | Sched
 
-let pass_name = function
-  | Constprop -> "constprop"
-  | Strength -> "strength"
-  | Cse -> "cse"
-  | Dce -> "dce"
-  | Licm -> "licm"
-  | Unroll -> "unroll"
-  | Sched -> "sched"
-
 let run_pass pass p =
   try
     let t = IR.build p in
@@ -1171,10 +1162,3 @@ let diff_report ~original ~optimized =
     ]
   in
   String.concat "\n" (header @ zip [] l r) ^ "\n"
-
-(* source lines still present in a program (for lint's fixed-by-opt
-   annotation: a dead store whose line vanished at -O1 was eliminated) *)
-let surviving_lines p =
-  Array.fold_left (fun s i -> ISet.add i.line s) ISet.empty p.instrs
-
-let line_survives p line = ISet.mem line (surviving_lines p)

@@ -31,7 +31,6 @@ val optimize : level -> Exochi_isa.X3k_ast.program -> Exochi_isa.X3k_ast.program
 (** Individual passes, exposed for unit testing. *)
 type pass = Constprop | Strength | Cse | Dce | Licm | Unroll | Sched
 
-val pass_name : pass -> string
 val run_pass : pass -> Exochi_isa.X3k_ast.program -> Exochi_isa.X3k_ast.program
 
 (** [(start_index, length, worst_retire_cycles)] per basic block, in
@@ -48,6 +47,3 @@ val diff_report :
   optimized:Exochi_isa.X3k_ast.program ->
   string
 
-(** [line_survives p line]: does any instruction of [p] still carry
-    this source line? Used by lint's [fixed-by-opt] annotation. *)
-val line_survives : Exochi_isa.X3k_ast.program -> int -> bool

@@ -1,14 +1,6 @@
 type priority = High | Normal | Low
 
 let priority_rank = function High -> 0 | Normal -> 1 | Low -> 2
-let priority_name = function High -> "high" | Normal -> "normal" | Low -> "low"
-
-let priority_of_string s =
-  match String.lowercase_ascii s with
-  | "high" -> Some High
-  | "normal" -> Some Normal
-  | "low" -> Some Low
-  | _ -> None
 
 type t = {
   id : int;
@@ -35,21 +27,6 @@ let reason_label = function
   | Deadline_expired _ -> "deadline"
   | Infeasible_deadline _ -> "infeasible-deadline"
   | Fatal_fault _ -> "fatal-fault"
-
-let reason_to_string = function
-  | Unknown_kernel k -> Printf.sprintf "unknown kernel %S" k
-  | Queue_full { tenant; depth; cap } ->
-    Printf.sprintf "tenant %d queue full (%d >= cap %d)" tenant depth cap
-  | Inflight_exceeded { backlog; cap } ->
-    Printf.sprintf "in-flight budget exceeded (%d >= cap %d)" backlog cap
-  | Deadline_expired { late_ps } ->
-    Printf.sprintf "deadline expired %d ps ago" late_ps
-  | Infeasible_deadline { needed_ps; slack_ps } ->
-    Printf.sprintf
-      "deadline infeasible: static bound needs %d ps, only %d ps remain"
-      needed_ps slack_ps
-  | Fatal_fault { attempts } ->
-    Printf.sprintf "dispatch failed after %d attempt(s)" attempts
 
 let expired t ~now_ps =
   match t.deadline_ps with None -> false | Some d -> d < now_ps

@@ -14,9 +14,6 @@ type priority = High | Normal | Low
 (** 0 for [High], 1 for [Normal], 2 for [Low]. *)
 val priority_rank : priority -> int
 
-val priority_name : priority -> string
-val priority_of_string : string -> priority option
-
 type t = {
   id : int;
   tenant : int;  (** index into the server's tenant table *)
@@ -47,8 +44,6 @@ type shed_reason =
     (["unknown-kernel"], ["queue-full"], ["inflight"], ["deadline"],
     ["infeasible-deadline"], ["fatal-fault"]). *)
 val reason_label : shed_reason -> string
-
-val reason_to_string : shed_reason -> string
 
 (** [expired job ~now_ps] — the deadline (if any) has passed. *)
 val expired : t -> now_ps:int -> bool

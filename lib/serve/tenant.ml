@@ -77,4 +77,3 @@ let drop_expired t ~now_ps =
 
 let vtime t = float_of_int t.served /. t.config.weight
 let charge t ~shreds = t.served <- t.served + shreds
-let served_shreds t = t.served

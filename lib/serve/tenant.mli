@@ -53,5 +53,3 @@ val vtime : t -> float
 
 (** Account [shreds] served to this tenant (advances virtual time). *)
 val charge : t -> shreds:int -> unit
-
-val served_shreds : t -> int

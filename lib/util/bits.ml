@@ -29,9 +29,6 @@ let insert32 v ~hi ~lo field =
     invalid_arg "Bits.insert32: field wider than hi..lo";
   (v land lnot (mask lsl lo)) lor (field lsl lo)
 
-let test_bit v i = (v lsr i) land 1 = 1
-let set_bit v i b = if b then v lor (1 lsl i) else v land lnot (1 lsl i)
-
 let sign_extend v ~bits =
   assert (bits > 0 && bits < 63);
   let shift = Sys.int_size - bits in

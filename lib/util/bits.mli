@@ -18,12 +18,6 @@ val extract32 : int -> hi:int -> lo:int -> int
 (** [insert32 v ~hi ~lo field] writes [field] into bits [hi..lo]. *)
 val insert32 : int -> hi:int -> lo:int -> int -> int
 
-(** [test_bit v i] is bit [i] of [v]. *)
-val test_bit : int -> int -> bool
-
-(** [set_bit v i b] sets bit [i] of [v] to [b]. *)
-val set_bit : int -> int -> bool -> int
-
 (** Sign-extend the low [bits] bits of [v]. *)
 val sign_extend : int -> bits:int -> int
 

@@ -11,11 +11,6 @@ let geomean xs =
   List.iter (fun x -> if x <= 0.0 then invalid_arg "Stats.geomean: nonpositive") xs;
   exp (mean (List.map log xs))
 
-let stddev xs =
-  let m = mean xs in
-  let sq = List.map (fun x -> (x -. m) ** 2.0) xs in
-  sqrt (mean sq)
-
 let percentile p xs =
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
   let xs = check_nonempty "Stats.percentile" xs in

@@ -9,9 +9,6 @@ val mean : float list -> float
     both arithmetic and geometric. *)
 val geomean : float list -> float
 
-(** Population standard deviation. *)
-val stddev : float list -> float
-
 (** [percentile p xs] with [p] in [\[0,100\]], linear interpolation.
     Sorts with [Float.compare] (total order, nan sorted consistently),
     never the polymorphic [compare]. *)

@@ -27,7 +27,7 @@ let test_atr_end_to_end () =
   let gpu = Exo_platform.gpu p in
   Gpu.bind gpu ~prog ~surfaces:[| s |] ~team_size:1;
   Gpu.enqueue gpu [ { Gpu.shred_id = 0; entry = 0; params = [||] } ];
-  ignore (Gpu.run_to_quiescence gpu);
+  ignore (Drain.run gpu);
   Alcotest.(check int32) "GPU saw CPU data" 4242l
     (Address_space.read_u32 aspace (base + 4));
   check_bool "a full proxy happened" true (Exo_platform.atr_proxies p >= 1)
@@ -77,7 +77,7 @@ L:
   let gpu = Exo_platform.gpu p in
   Gpu.bind gpu ~prog ~surfaces:[| s |] ~team_size:1;
   Gpu.enqueue gpu [ { Gpu.shred_id = 0; entry = 0; params = [||] } ];
-  ignore (Gpu.run_to_quiescence gpu);
+  ignore (Drain.run gpu);
   check_int "no full proxies after prewalk" 0 (Exo_platform.atr_proxies p);
   check_bool "gtt hits instead" true (Exo_platform.gtt_hits p >= 8)
 
@@ -99,7 +99,7 @@ let test_invalidate_gtt () =
   let gpu = Exo_platform.gpu p in
   Gpu.bind gpu ~prog ~surfaces:[| s |] ~team_size:1;
   Gpu.enqueue gpu [ { Gpu.shred_id = 0; entry = 0; params = [||] } ];
-  ignore (Gpu.run_to_quiescence gpu);
+  ignore (Drain.run gpu);
   check_bool "proxy needed again" true (Exo_platform.atr_proxies p >= 1)
 
 (* ---- descriptors (Table 1 APIs) ---- *)
@@ -357,7 +357,7 @@ let test_protocol_violation_detected () =
   let gpu = Exo_platform.gpu p in
   Gpu.bind gpu ~prog ~surfaces:[| da.Chi_descriptor.surface |] ~team_size:1;
   Gpu.enqueue gpu [ { Gpu.shred_id = 0; entry = 0; params = [||] } ];
-  ignore (Gpu.run_to_quiescence gpu);
+  ignore (Drain.run gpu);
   check_bool "the dirty read is counted" true
     (Exo_platform.protocol_violations p >= 1)
 

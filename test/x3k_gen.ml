@@ -324,7 +324,7 @@ let run ?(level = Exochi_opt.Opt.O0) ~fallback src c =
   if fallback then ignore (Gpu.emulate_shred gpu sh)
   else begin
     Gpu.enqueue gpu [ sh ];
-    ignore (Gpu.run_to_quiescence gpu)
+    ignore (Drain.run gpu)
   end;
   let bytes s =
     Address_space.read_bytes aspace ~vaddr:s.Surface.base
